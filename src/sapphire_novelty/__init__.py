@@ -32,7 +32,6 @@ from .novelty import (
 )
 from .problem_model import (
     CANONICAL_LEVEL_KEYS,
-    CANONICAL_LEVEL_ORDER,
     ConstructLevel,
     ProblemCorpus,
     ProblemSapphire,

@@ -10,7 +10,6 @@ import argparse
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .corpus_store import CorpusFormatError, load_corpus, validate_corpus_file
@@ -32,31 +31,13 @@ from .similarity import (
     WordVectorBackend,
 )
 
-__all__ = ["RunConfig", "main", "cmd_validate", "cmd_assess", "cmd_oscore"]
+__all__ = ["main", "cmd_validate", "cmd_assess", "cmd_oscore"]
 
 ENV_EMBED_URL = "SAPPHIRE_EMBED_URL"
 
 EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_ENVIRONMENT = 2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one assess/rank run needs, resolved from flags."""
-
-    past_path: str
-    current_path: str
-    backend: SimilarityBackend
-    threshold: float = DEFAULT_ACTION_THRESHOLD
-    format: str = "table"
-    strict: bool = False
-    out: Optional[str] = None
-    summary_only: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError(f"threshold {self.threshold} outside [0, 1]")
 
 
 def _build_backend(args: argparse.Namespace, parser: argparse.ArgumentParser) -> SimilarityBackend:
@@ -100,11 +81,14 @@ def cmd_validate(paths: Sequence[str]) -> int:
     return EXIT_DATA if any_violation else EXIT_OK
 
 
-def cmd_assess(config: RunConfig) -> int:
-    """Run the full pipeline and emit the report in the configured format."""
+def cmd_assess(args: argparse.Namespace, backend: SimilarityBackend) -> int:
+    """Run the full pipeline and emit the report in the requested format.
+
+    ``rank`` prints the ranking summary only; ``assess`` adds the per-pair grids.
+    """
     try:
-        past = load_corpus(config.past_path, Provenance.PAST, strict=config.strict)
-        current = load_corpus(config.current_path, Provenance.CURRENT, strict=config.strict)
+        past = load_corpus(args.past, Provenance.PAST, strict=args.strict)
+        current = load_corpus(args.current, Provenance.CURRENT, strict=args.strict)
     except OSError as error:
         print(f"cannot read corpus: {error}", file=sys.stderr)
         return EXIT_ENVIRONMENT
@@ -112,11 +96,11 @@ def cmd_assess(config: RunConfig) -> int:
         print(f"invalid corpus: {error}", file=sys.stderr)
         return EXIT_DATA
     if not past.problems:
-        print(f"past corpus {config.past_path} contains no valid problems", file=sys.stderr)
+        print(f"past corpus {args.past} contains no valid problems", file=sys.stderr)
         return EXIT_DATA
 
     try:
-        report = rank_current_problems(past, current, config.backend, config.threshold)
+        report = rank_current_problems(past, current, backend, args.threshold)
     except MissingFixtureError as error:
         print(f"fixture backend failure: {error}", file=sys.stderr)
         return EXIT_ENVIRONMENT
@@ -124,9 +108,9 @@ def cmd_assess(config: RunConfig) -> int:
         print(f"embedding backend failure: {error}", file=sys.stderr)
         return EXIT_ENVIRONMENT
 
-    rendered = render_report(report, config.format, config.summary_only)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8", newline="\n") as handle:
+    rendered = render_report(report, args.format, summary_only=args.command == "rank")
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(rendered)
     else:
         sys.stdout.write(rendered)
@@ -217,22 +201,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except ValueError as error:
             print(f"invalid backend data: {error}", file=sys.stderr)
             return EXIT_DATA
-        config = RunConfig(
-            past_path=args.past,
-            current_path=args.current,
-            backend=backend,
-            threshold=args.threshold,
-            format=args.format,
-            strict=args.strict,
-            out=args.out,
-            summary_only=(args.command == "rank"),
-        )
-        if not config.strict:
-            # Lenient mode reports every skipped record, not one per location.
-            with warnings.catch_warnings():
-                warnings.simplefilter("always")
-                return cmd_assess(config)
-        return cmd_assess(config)
+        if args.strict:
+            return cmd_assess(args, backend)
+        # Lenient mode reports every skipped record, not one per location.
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            return cmd_assess(args, backend)
     parser.error(f"unknown command {args.command!r}")
     raise AssertionError("unreachable")
 

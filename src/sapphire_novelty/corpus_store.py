@@ -16,6 +16,7 @@ import csv
 import json
 import warnings
 from pathlib import Path
+from typing import Iterator
 
 from .problem_model import (
     CANONICAL_LEVEL_KEYS,
@@ -119,6 +120,36 @@ def problem_from_record(record: dict, *, line_no: int, strict: bool) -> ProblemS
     )
 
 
+def _duplicate_message(line_no: int, problem_id: str, first_line_no: int) -> str:
+    return f"line {line_no}: duplicate id {problem_id!r} (first on line {first_line_no})"
+
+
+def _read_records(path: Path, strict: bool) -> Iterator[tuple[int, ProblemSapphire | str]]:
+    """Yield ``(line_no, problem)`` per record line, or ``(line_no, message)``
+    for a line that is not a record; the message names the line.
+
+    Blank lines after the last record (a trailing newline among them) are not
+    findings; a blank interior line is. ``strict`` is passed on to
+    :func:`problem_from_record`.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = handle.read().split("\n")
+    last = max((i for i, line in enumerate(lines, start=1) if line.strip()), default=0)
+    for line_no, line in enumerate(lines[:last], start=1):
+        if not line.strip():
+            yield line_no, f"line {line_no}: blank interior line"
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as error:
+            yield line_no, f"line {line_no}: malformed JSON ({error.msg})"
+            continue
+        try:
+            yield line_no, problem_from_record(record, line_no=line_no, strict=strict)
+        except CorpusFormatError as error:
+            yield line_no, str(error)
+
+
 def load_corpus(path: str | Path, role: Provenance, strict: bool = True) -> ProblemCorpus:
     """Load a JSONL corpus file; the corpus takes its name from the file stem.
 
@@ -129,67 +160,31 @@ def load_corpus(path: str | Path, role: Provenance, strict: bool = True) -> Prob
     corpus with a warning.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().split("\n")
-    # A trailing newline produces one final empty chunk; it is not a blank line.
-    if lines and lines[-1] == "":
-        lines = lines[:-1]
-
-    last_content = max((i for i, line in enumerate(lines) if line.strip()), default=-1)
     problems: list[ProblemSapphire] = []
     seen_ids: dict[str, int] = {}
-    for index, line in enumerate(lines):
-        line_no = index + 1
-        if not line.strip():
-            if index < last_content:
-                message = f"line {line_no}: blank interior line"
-                if strict:
-                    raise CorpusFormatError(f"{path}: {message}")
-                warnings.warn(f"{path}: {message} (skipped)", CorpusWarning)
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            message = f"line {line_no}: malformed JSON ({error.msg})"
-            if strict:
-                raise CorpusFormatError(f"{path}: {message}") from None
-            warnings.warn(f"{path}: {message} (skipped)", CorpusWarning)
-            continue
-        try:
-            problem = problem_from_record(record, line_no=line_no, strict=strict)
-        except CorpusFormatError as error:
-            if strict:
-                raise CorpusFormatError(f"{path}: {error}") from None
-            warnings.warn(f"{path}: {error} (record skipped)", CorpusWarning)
-            continue
-
-        violations = validate_problem(problem)
-        if violations:
+    line_no = 0  # stays 0 when the file holds no content line
+    for line_no, item in _read_records(path, strict):
+        if isinstance(item, str):
+            message = item
+        elif violations := validate_problem(item):
             joined = "; ".join(str(v) for v in violations)
             message = f"line {line_no}: invalid record: {joined}"
-            if strict:
-                raise CorpusFormatError(f"{path}: {message}")
-            warnings.warn(f"{path}: {message} (skipped)", CorpusWarning)
-            continue
-        if problem.provenance is not role:
+        elif item.provenance is not role:
             message = (
-                f"line {line_no}: provenance {problem.provenance.value!r} "
+                f"line {line_no}: provenance {item.provenance.value!r} "
                 f"does not match the corpus role {role.value!r}"
             )
-            if strict:
-                raise CorpusFormatError(f"{path}: {message}")
-            warnings.warn(f"{path}: {message} (skipped)", CorpusWarning)
+        elif item.id in seen_ids:
+            message = _duplicate_message(line_no, item.id, seen_ids[item.id])
+        else:
+            seen_ids[item.id] = line_no
+            problems.append(item)
             continue
-        if problem.id in seen_ids:
-            message = f"line {line_no}: duplicate id {problem.id!r} (first on line {seen_ids[problem.id]})"
-            if strict:
-                raise CorpusFormatError(f"{path}: {message}")
-            warnings.warn(f"{path}: {message} (skipped)", CorpusWarning)
-            continue
-        seen_ids[problem.id] = line_no
-        problems.append(problem)
+        if strict:
+            raise CorpusFormatError(f"{path}: {message}")
+        warnings.warn(f"{path}: {message} (skipped)", CorpusWarning)
 
-    if not problems and last_content == -1:
+    if not line_no:
         warnings.warn(f"{path}: empty corpus file", CorpusWarning)
     return ProblemCorpus(name=path.stem, role=role, problems=tuple(problems))
 
@@ -301,45 +296,22 @@ def validate_corpus_file(path: str | Path) -> list[str]:
     ``validate`` command, which wants the full list rather than a first-error
     abort.
     """
-    path = Path(path)
     findings: list[str] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().split("\n")
-    if lines and lines[-1] == "":
-        lines = lines[:-1]
-    last_content = max((i for i, line in enumerate(lines) if line.strip()), default=-1)
-
     problems: list[tuple[int, ProblemSapphire]] = []
-    for index, line in enumerate(lines):
-        line_no = index + 1
-        if not line.strip():
-            if index < last_content:
-                findings.append(f"line {line_no}: blank interior line")
+    for line_no, item in _read_records(Path(path), strict=True):
+        if isinstance(item, str):
+            findings.append(item)
             continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            findings.append(f"line {line_no}: malformed JSON ({error.msg})")
-            continue
-        try:
-            problem = problem_from_record(record, line_no=line_no, strict=True)
-        except CorpusFormatError as error:
-            findings.append(str(error))
-            continue
-        for violation in validate_problem(problem):
-            findings.append(f"line {line_no}: {violation}")
-        problems.append((line_no, problem))
+        findings.extend(f"line {line_no}: {violation}" for violation in validate_problem(item))
+        problems.append((line_no, item))
 
     seen: dict[str, int] = {}
     for line_no, problem in problems:
         if problem.id in seen:
-            findings.append(
-                f"line {line_no}: duplicate id {problem.id!r} (first on line {seen[problem.id]})"
-            )
+            findings.append(_duplicate_message(line_no, problem.id, seen[problem.id]))
         else:
             seen[problem.id] = line_no
 
-    roles = {problem.provenance for _, problem in problems}
-    if len(roles) > 1:
+    if len({problem.provenance for _, problem in problems}) > 1:
         findings.append("file mixes 'past' and 'current' provenance records")
     return findings

@@ -19,7 +19,7 @@ assessments may run concurrently and the report is sorted before emission.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from functools import total_ordering
@@ -246,19 +246,7 @@ def assess_pair(
         novelties[level] = construct_novelty(similarity)
         shared.append(level)
 
-    if not shared:
-        return PairAssessment(
-            past_id=past.id,
-            current_id=current.id,
-            construct_similarity=similarities,
-            construct_novelty=novelties,
-            included_levels=(),
-            average_novelty=None,
-            band=None,
-            no_comparable_constructs=True,
-        )
-
-    average = aggregate_novelty(novelties, shared)
+    average = aggregate_novelty(novelties, shared) if shared else None
     return PairAssessment(
         past_id=past.id,
         current_id=current.id,
@@ -266,7 +254,8 @@ def assess_pair(
         construct_novelty=novelties,
         included_levels=tuple(shared),
         average_novelty=average,
-        band=classify_novelty(average),
+        band=classify_novelty(average) if shared else None,
+        no_comparable_constructs=not shared,
     )
 
 
@@ -311,16 +300,7 @@ def rank_current_problems(
             )
 
     scored.sort(key=lambda entry: (-entry.min_novelty, entry.current_id))
-    ranked = tuple(
-        ProblemNovelty(
-            current_id=entry.current_id,
-            assessments=entry.assessments,
-            min_novelty=entry.min_novelty,
-            band=entry.band,
-            rank=position,
-        )
-        for position, entry in enumerate(scored, start=1)
-    )
+    ranked = tuple(replace(entry, rank=position) for position, entry in enumerate(scored, start=1))
     unmatched.sort(key=lambda entry: entry.current_id)
     return NoveltyReport(
         backend_kind=backend.kind,

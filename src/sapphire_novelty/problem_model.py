@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 
 class ConstructLevel(Enum):
@@ -58,9 +58,6 @@ _LEVEL_LABELS = {
     ConstructLevel.ORGAN: "oRgan",
     ConstructLevel.PARTS: "Parts",
 }
-
-#: Canonical total order of the levels (stable, locale-independent).
-CANONICAL_LEVEL_ORDER: tuple[ConstructLevel, ...] = tuple(ConstructLevel)
 
 #: Canonical lowercase keys in the same order, as used in all file formats.
 CANONICAL_LEVEL_KEYS: tuple[str, ...] = tuple(level.key for level in ConstructLevel)
@@ -205,7 +202,3 @@ def validate_corpus(corpus: ProblemCorpus) -> list[Violation]:
 def make_constructs(**texts: str) -> dict[ConstructLevel, str]:
     """Build a construct map from canonical keys, e.g. make_constructs(action=...)."""
     return {ConstructLevel.from_key(key): value for key, value in texts.items()}
-
-
-def problems_by_id(problems: Sequence[ProblemSapphire]) -> dict[str, ProblemSapphire]:
-    return {problem.id: problem for problem in problems}

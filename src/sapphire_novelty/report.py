@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from typing import Mapping
 
 from .novelty import NoveltyBand, NoveltyReport, PairAssessment, round_half_up
 from .problem_model import ConstructLevel
@@ -49,30 +50,23 @@ def _pair_columns(report: NoveltyReport) -> list[PairAssessment]:
     return pairs
 
 
+def _by_key(scores: Mapping[ConstructLevel, float]) -> dict[str, float]:
+    """Per-level scores keyed by canonical key, in canonical level order."""
+    return {level.key: scores[level] for level in ConstructLevel if level in scores}
+
+
 def report_payload(report: NoveltyReport) -> dict:
     """JSON-ready payload carrying full-precision and display scores."""
     pairs = []
     for assessment in _pair_columns(report):
-        display = {
-            level.key: _fmt3(assessment.construct_novelty[level])
-            for level in ConstructLevel
-            if level in assessment.construct_novelty
-        }
+        novelty = _by_key(assessment.construct_novelty)
         pairs.append(
             {
                 "past_id": assessment.past_id,
                 "current_id": assessment.current_id,
-                "construct_similarity": {
-                    level.key: assessment.construct_similarity[level]
-                    for level in ConstructLevel
-                    if level in assessment.construct_similarity
-                },
-                "construct_novelty": {
-                    level.key: assessment.construct_novelty[level]
-                    for level in ConstructLevel
-                    if level in assessment.construct_novelty
-                },
-                "construct_novelty_display": display,
+                "construct_similarity": _by_key(assessment.construct_similarity),
+                "construct_novelty": novelty,
+                "construct_novelty_display": {key: _fmt3(value) for key, value in novelty.items()},
                 "included_levels": [level.key for level in assessment.included_levels],
                 "average_novelty": assessment.average_novelty,
                 "average_novelty_display": (

@@ -139,7 +139,8 @@ def load_word_vectors(path: str | Path) -> dict[str, np.ndarray]:
     """Parse the standard text word-vector format into a word -> vector table.
 
     An optional first line ``<count> <dim>`` is treated as a header; every
-    other line is ``word v1 v2 ... vd``. All vectors must share one dimension.
+    other line is ``word v1 v2 ... vd``. All vectors must share one dimension
+    and hold finite components.
     Duplicate words keep the first occurrence, with a warning.
     """
     table: dict[str, np.ndarray] = {}
@@ -163,6 +164,10 @@ def load_word_vectors(path: str | Path) -> dict[str, np.ndarray]:
                 raise WordVectorFormatError(
                     f"line {line_no}: non-numeric vector component in {line!r}"
                 ) from None
+            if not np.isfinite(vector).all():
+                raise WordVectorFormatError(
+                    f"line {line_no}: non-finite vector component in {line!r}"
+                )
             if dimension is None:
                 dimension = len(vector)
             elif len(vector) != dimension:
@@ -297,9 +302,9 @@ class RemoteBackend(SimilarityBackend):
 
     Wire protocol: POST to ``endpoint`` with JSON body ``{"texts": [...]}``;
     the response must be ``{"vectors": [[...], ...]}`` with one equal-length
-    numeric array per input text, in the same order. Any transport failure,
-    non-2xx status, or shape mismatch is retried; after ``retries`` attempts
-    the call raises :class:`BackendUnavailableError`.
+    finite numeric array per input text, in the same order. Any transport
+    failure, non-2xx status, shape mismatch or NaN/inf component is retried;
+    after ``retries`` attempts the call raises :class:`BackendUnavailableError`.
     """
 
     endpoint: str
@@ -347,6 +352,8 @@ def _parse_vectors(payload: object, expected: int) -> list[np.ndarray]:
     vectors = [np.asarray(item, dtype=float) for item in raw]
     if any(vector.ndim != 1 for vector in vectors):
         raise ValueError("each vector must be a flat array of numbers")
+    if not all(np.isfinite(vector).all() for vector in vectors):
+        raise ValueError("vectors must have finite components (no NaN or inf)")
     dimensions = {len(vector) for vector in vectors}
     if len(dimensions) > 1:
         raise ValueError(f"vectors have mixed dimensions: {sorted(dimensions)}")

@@ -62,6 +62,9 @@ class _StubHandler(BaseHTTPRequestHandler):
             payload = {"embeddings": [canned_vector(t) for t in texts]}
         elif stub.mode == "mixed_dims":
             payload = {"vectors": [[1.0, 2.0]] + [[1.0]] * (len(texts) - 1)}
+        elif stub.mode == "non_finite":
+            # json.dumps writes NaN, which the client's JSON parser accepts.
+            payload = {"vectors": [[float("nan"), 1.0, 1.0] for _ in texts]}
         else:
             raise AssertionError(f"unknown stub mode {stub.mode}")
         self._respond(200, json.dumps(payload).encode("utf-8"))

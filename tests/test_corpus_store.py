@@ -77,6 +77,16 @@ class TestLoadCorpus:
             corpus = load_corpus(path, Provenance.PAST, strict=False)
         assert [p.id for p in corpus.problems] == ["A"]
 
+    def test_non_object_line_lenient_warning_ends_in_skipped(self, tmp_path):
+        path = write_lines(tmp_path / "c.jsonl", record("A"), "[1, 2]")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            corpus = load_corpus(path, Provenance.PAST, strict=False)
+        assert [str(w.message) for w in caught] == [
+            f"{path}: line 2: expected a JSON object, got list (skipped)"
+        ]
+        assert [p.id for p in corpus.problems] == ["A"]
+
     def test_duplicate_id_strict_names_both_lines(self, tmp_path):
         path = write_lines(tmp_path / "c.jsonl", record("PS1"), record("PS1"))
         with pytest.raises(CorpusFormatError, match="line 2.*duplicate id.*line 1"):

@@ -86,6 +86,13 @@ class TestErrorPaths:
         with pytest.raises(BackendUnavailableError, match="mixed dimensions"):
             backend.embed_texts(["a", "b"])
 
+    def test_non_finite_component_rejected_and_retried(self, embed_stub):
+        embed_stub.mode = "non_finite"
+        backend = RemoteBackend(endpoint=embed_stub.url, retries=2)
+        with pytest.raises(BackendUnavailableError, match="finite"):
+            backend.embed_texts(["a", "b"])
+        assert len(embed_stub.batches) == 2
+
     def test_unreachable_endpoint(self):
         backend = RemoteBackend(endpoint="http://127.0.0.1:9/embed", retries=2, timeout=1)
         with pytest.raises(BackendUnavailableError):

@@ -252,7 +252,74 @@ class TestCmdAssess:
         assert excinfo.value.code == 2
 
 
+def validate_record(problem_id="P1", **overrides):
+    base = {
+        "id": problem_id,
+        "label": "",
+        "provenance": "past",
+        "source": "",
+        "context": "",
+        "constructs": {"action": "spill"},
+    }
+    base.update(overrides)
+    return json.dumps(base)
+
+
+EMPTY_ACTION = "constructs[action]: the Action construct is mandatory and must be non-empty"
+
+# One file per finding kind: its lines, then the exact findings `validate` prints.
+VALIDATE_FINDINGS = {
+    "blank_interior_line": (
+        [validate_record("A"), "", validate_record("B")],
+        ["line 2: blank interior line"],
+    ),
+    "malformed_json": (
+        [validate_record("A"), "{not json"],
+        ["line 2: malformed JSON (Expecting property name enclosed in double quotes)"],
+    ),
+    "non_object_line": (["[1, 2]"], ["line 1: expected a JSON object, got list"]),
+    "unknown_key": ([validate_record(extra="x")], ["line 1: unknown key(s) ['extra']"]),
+    "bad_provenance": (
+        [validate_record(provenance="historic")],
+        ["line 1: provenance must be 'past' or 'current', got 'historic'"],
+    ),
+    "empty_action": (
+        [validate_record(constructs={"action": "  "})],
+        [f"line 1: {EMPTY_ACTION}"],
+    ),
+    "whitespace_in_id": (
+        [validate_record("P 1")],
+        ["line 1: id: must not contain whitespace: 'P 1'"],
+    ),
+    # Per-line findings come first, then duplicates, then the mixed-role finding;
+    # an invalid record still counts as the first occurrence of its id.
+    "duplicate_after_invalid_record": (
+        [
+            validate_record("A", constructs={"action": "  "}),
+            validate_record("A"),
+            "{not json",
+            validate_record("B", provenance="current"),
+        ],
+        [
+            f"line 1: {EMPTY_ACTION}",
+            "line 3: malformed JSON (Expecting property name enclosed in double quotes)",
+            "line 2: duplicate id 'A' (first on line 1)",
+            "file mixes 'past' and 'current' provenance records",
+        ],
+    ),
+}
+
+
 class TestCmdValidate:
+    @pytest.mark.parametrize("kind", sorted(VALIDATE_FINDINGS))
+    def test_each_finding_kind_prints_exact_lines(self, kind, tmp_path, capsys):
+        lines, findings = VALIDATE_FINDINGS[kind]
+        path = tmp_path / f"{kind}.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        expected = f"{path}: INVALID\n" + "".join(f"  {finding}\n" for finding in findings)
+        assert capsys.readouterr().out == expected
+
     def test_valid_files_exit_zero(self, capsys):
         code = main(["validate", str(past_corpus_path()), str(current_corpus_path())])
         assert code == 0

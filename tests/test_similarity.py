@@ -156,6 +156,13 @@ class TestLoadWordVectors:
         with pytest.raises(WordVectorFormatError, match="line 1"):
             load_word_vectors(path)
 
+    @pytest.mark.parametrize("component", ["nan", "inf", "-inf"])
+    def test_non_finite_component_names_line(self, tmp_path, component):
+        path = tmp_path / "vec.txt"
+        path.write_text(f"hot 1 0 0\ncold 0 {component} 0\n", encoding="utf-8")
+        with pytest.raises(WordVectorFormatError, match="line 2: non-finite"):
+            load_word_vectors(path)
+
     def test_duplicate_word_keeps_first_with_warning(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("hot 1 0\nhot 0 1\n", encoding="utf-8")
