@@ -42,7 +42,7 @@ from .problem_model import (
     validate_corpus,
     validate_problem,
 )
-from .report import render_csv, render_json, render_report, render_table, report_payload
+from .report import render_csv, render_json, render_report, render_table
 from .similarity import (
     BackendUnavailableError,
     FixtureBackend,
@@ -55,7 +55,6 @@ from .similarity import (
     WordVectorBackend,
     WordVectorFormatError,
     cosine_similarity,
-    embed_lexical,
     embed_wordvector,
     load_fixture_similarities,
     load_word_vectors,

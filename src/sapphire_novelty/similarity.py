@@ -2,8 +2,8 @@
 
 Every backend maps a pair of texts to a similarity in [0, 1]:
 
-* ``LexicalBackend`` — term-frequency count vectors over the shared vocabulary
-  of the two texts; deterministic, dependency-free.
+* ``LexicalBackend`` — cosine over the token counts of the two texts;
+  deterministic, dependency-free.
 * ``WordVectorBackend`` — mean-pooled pre-trained word vectors loaded from the
   standard text format; out-of-vocabulary tokens are skipped.
 * ``RemoteBackend`` — a sentence-embedding HTTP service (POST ``{"texts": [...]}``,
@@ -17,14 +17,20 @@ construction and safe for concurrent use.
 
 from __future__ import annotations
 
+import http.client
+import json
+import math
 import re
+import urllib.error
+import urllib.parse
+import urllib.request
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-import requests
 
 __all__ = [
     "OovWarning",
@@ -34,7 +40,6 @@ __all__ = [
     "BackendUnavailableError",
     "tokenize",
     "cosine_similarity",
-    "embed_lexical",
     "embed_wordvector",
     "load_word_vectors",
     "load_fixture_similarities",
@@ -104,16 +109,6 @@ def cosine_similarity(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.n
         return 0.0
     value = float(np.dot(u, v)) / (norm_u * norm_v)
     return min(1.0, max(-1.0, value))
-
-
-def embed_lexical(tokens: Sequence[str], vocabulary: Mapping[str, int]) -> np.ndarray:
-    """Term-frequency count vector over ``vocabulary`` (token -> index)."""
-    vector = np.zeros(len(vocabulary), dtype=float)
-    for token in tokens:
-        index = vocabulary.get(token)
-        if index is not None:
-            vector[index] += 1.0
-    return vector
 
 
 def embed_wordvector(tokens: Sequence[str], table: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -248,7 +243,7 @@ class SimilarityBackend:
 
 @dataclass(frozen=True)
 class LexicalBackend(SimilarityBackend):
-    """Count-vector cosine over the shared vocabulary of the two texts.
+    """Cosine of the token-count vectors of the two texts.
 
     Deterministic stand-in for a learned embedder; the default stopword list
     is empty because construct phrases are short and words like "of" or "to"
@@ -266,18 +261,40 @@ class LexicalBackend(SimilarityBackend):
                 warnings.warn(f"no tokens survive in {a!r} vs {b!r}", OovWarning)
                 return 0.0
             return 1.0
-        vocabulary = {token: i for i, token in enumerate(sorted(set(tokens_a) | set(tokens_b)))}
-        u = embed_lexical(tokens_a, vocabulary)
-        v = embed_lexical(tokens_b, vocabulary)
-        return max(0.0, cosine_similarity(u, v))
+        counts_a, counts_b = Counter(tokens_a), Counter(tokens_b)
+        # Integer counts keep the dot product and squared norms exact, so this
+        # equals the float cosine of the dense count vectors bit for bit.
+        dot = sum(count * counts_b[token] for token, count in counts_a.items())
+        if dot == 0:
+            return 0.0
+        norm_a = math.sqrt(sum(count * count for count in counts_a.values()))
+        norm_b = math.sqrt(sum(count * count for count in counts_b.values()))
+        return min(1.0, dot / (norm_a * norm_b))
 
 
 @dataclass(frozen=True)
 class WordVectorBackend(SimilarityBackend):
-    """Cosine over mean-pooled pre-trained word vectors."""
+    """Cosine over mean-pooled pre-trained word vectors.
+
+    Every vector in ``table`` must be a flat array of finite numbers, all of
+    one dimension; anything else raises ``ValueError`` at construction.
+    """
 
     table: Mapping[str, np.ndarray]
     kind: str = field(default="wordvec", init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        dimension: int | None = None
+        for word, vector in self.table.items():
+            array = np.asarray(vector, dtype=float)
+            if array.ndim != 1 or not np.isfinite(array).all():
+                raise ValueError(f"vector of {word!r} must be a flat array of finite numbers")
+            if dimension is None:
+                dimension = array.size
+            elif array.size != dimension:
+                raise ValueError(
+                    f"vector of {word!r} has {array.size} components, expected {dimension}"
+                )
 
     @classmethod
     def from_file(cls, path: str | Path) -> "WordVectorBackend":
@@ -300,11 +317,12 @@ class WordVectorBackend(SimilarityBackend):
 class RemoteBackend(SimilarityBackend):
     """Cosine over sentence vectors fetched from an embedding HTTP service.
 
-    Wire protocol: POST to ``endpoint`` with JSON body ``{"texts": [...]}``;
-    the response must be ``{"vectors": [[...], ...]}`` with one equal-length
-    finite numeric array per input text, in the same order. Any transport
-    failure, non-2xx status, shape mismatch or NaN/inf component is retried;
-    after ``retries`` attempts the call raises :class:`BackendUnavailableError`.
+    Wire protocol: POST to an ``http`` or ``https`` ``endpoint`` with JSON
+    body ``{"texts": [...]}``; the response must be ``{"vectors": [[...], ...]}``
+    with one equal-length, non-empty, finite numeric array per input text, in
+    the same order. Any other scheme, transport failure, non-2xx status, shape
+    mismatch or NaN/inf component is retried; after ``retries`` attempts the
+    call raises :class:`BackendUnavailableError`.
     """
 
     endpoint: str
@@ -326,17 +344,25 @@ class RemoteBackend(SimilarityBackend):
 
     def _post_batch(self, batch: list[str]) -> list[np.ndarray]:
         attempts = max(1, self.retries)
+        body = json.dumps({"texts": batch}).encode("utf-8")
         last_error: Exception | None = None
         for _ in range(attempts):
             try:
-                response = requests.post(
-                    self.endpoint, json={"texts": batch}, timeout=self.timeout
+                # urllib also opens file:// and ftp:// URLs; only HTTP speaks the protocol.
+                scheme = urllib.parse.urlsplit(self.endpoint).scheme
+                if scheme not in ("http", "https"):
+                    raise ValueError(f"endpoint scheme must be http or https, got {scheme!r}")
+                request = urllib.request.Request(
+                    self.endpoint, data=body, headers={"Content-Type": "application/json"}
                 )
-                if not 200 <= response.status_code < 300:
-                    raise ValueError(f"status {response.status_code}")
-                payload = response.json()
+                # urlopen follows redirects and raises HTTPError for any other non-2xx status.
+                with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                    payload = json.load(response)
                 return _parse_vectors(payload, expected=len(batch))
-            except (requests.RequestException, ValueError, KeyError, TypeError) as error:
+            except urllib.error.HTTPError as error:
+                error.close()
+                last_error = error
+            except (OSError, http.client.HTTPException, ValueError, KeyError, TypeError) as error:
                 last_error = error
         raise BackendUnavailableError(
             f"embedding service at {self.endpoint} failed after {attempts} attempt(s): {last_error}"
@@ -349,9 +375,11 @@ def _parse_vectors(payload: object, expected: int) -> list[np.ndarray]:
     raw = payload["vectors"]
     if not isinstance(raw, list) or len(raw) != expected:
         raise ValueError(f"expected {expected} vectors, got {len(raw) if isinstance(raw, list) else type(raw)}")
-    vectors = [np.asarray(item, dtype=float) for item in raw]
-    if any(vector.ndim != 1 for vector in vectors):
-        raise ValueError("each vector must be a flat array of numbers")
+    arrays = [np.asarray(item) for item in raw]
+    # Only JSON numbers pass: strings, booleans and nulls give another dtype kind.
+    if any(array.dtype.kind not in "iuf" or array.ndim != 1 or array.size == 0 for array in arrays):
+        raise ValueError("each vector must be a non-empty flat array of numbers")
+    vectors = [array.astype(float) for array in arrays]
     if not all(np.isfinite(vector).all() for vector in vectors):
         raise ValueError("vectors must have finite components (no NaN or inf)")
     dimensions = {len(vector) for vector in vectors}

@@ -65,6 +65,12 @@ class _StubHandler(BaseHTTPRequestHandler):
         elif stub.mode == "non_finite":
             # json.dumps writes NaN, which the client's JSON parser accepts.
             payload = {"vectors": [[float("nan"), 1.0, 1.0] for _ in texts]}
+        elif stub.mode == "string_components":
+            payload = {"vectors": [["1.5", "2"] for _ in texts]}
+        elif stub.mode == "bool_components":
+            payload = {"vectors": [[True, False] for _ in texts]}
+        elif stub.mode == "empty_vectors":
+            payload = {"vectors": [[] for _ in texts]}
         else:
             raise AssertionError(f"unknown stub mode {stub.mode}")
         self._respond(200, json.dumps(payload).encode("utf-8"))

@@ -1,8 +1,15 @@
 """Wire-protocol checks for the remote embedding backend, against a stub server."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sapphire_novelty
 from sapphire_novelty import (
     BackendUnavailableError,
     RemoteBackend,
@@ -93,7 +100,44 @@ class TestErrorPaths:
             backend.embed_texts(["a", "b"])
         assert len(embed_stub.batches) == 2
 
+    @pytest.mark.parametrize("mode", ["string_components", "bool_components", "empty_vectors"])
+    def test_non_number_or_empty_vectors_rejected_and_retried(self, embed_stub, mode):
+        embed_stub.mode = mode
+        backend = RemoteBackend(endpoint=embed_stub.url, retries=2)
+        with pytest.raises(BackendUnavailableError, match="non-empty flat array of numbers"):
+            backend.embed_texts(["a", "b"])
+        assert len(embed_stub.batches) == 2
+
     def test_unreachable_endpoint(self):
         backend = RemoteBackend(endpoint="http://127.0.0.1:9/embed", retries=2, timeout=1)
         with pytest.raises(BackendUnavailableError):
             backend.embed_texts(["a"])
+
+
+class TestEndpointScheme:
+    @pytest.mark.parametrize("kind", ["file", "ftp", "scheme-less"])
+    def test_non_http_endpoint_is_unavailable_without_reading(self, tmp_path, kind):
+        # A valid response body: were the endpoint opened, the call would succeed.
+        response = tmp_path / "response.json"
+        response.write_text(json.dumps({"vectors": [[1.0, 0.0]]}), encoding="utf-8")
+        endpoint = {
+            "file": response.as_uri(),
+            "ftp": "ftp://127.0.0.1:9/response.json",
+            "scheme-less": "127.0.0.1:9/embed",
+        }[kind]
+        backend = RemoteBackend(endpoint=endpoint, retries=2)
+        with pytest.raises(BackendUnavailableError, match="scheme must be http or https"):
+            backend.embed_texts(["a"])
+
+
+def test_cli_import_loads_no_third_party_http_client():
+    src = Path(sapphire_novelty.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import sapphire_novelty.cli, sys; "
+        "print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

@@ -231,6 +231,13 @@ class TestCmdAssess:
         payload = json.loads(capsys.readouterr().out)
         assert payload["backend"] == "remote"
 
+    def test_remote_backend_with_file_endpoint_exits_2(self, tmp_path, capsys):
+        argv = assess_argv()
+        argv[argv.index("--backend") + 1] = "remote"
+        argv += ["--endpoint", (tmp_path / "vectors.json").as_uri()]
+        assert main(argv) == 2
+        assert "scheme must be http or https" in capsys.readouterr().err
+
     def test_remote_backend_without_endpoint_is_a_usage_error(self, monkeypatch):
         monkeypatch.delenv("SAPPHIRE_EMBED_URL", raising=False)
         argv = assess_argv()

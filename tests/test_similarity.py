@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from sapphire_novelty import (
     WordVectorBackend,
     WordVectorFormatError,
     cosine_similarity,
-    embed_lexical,
     embed_wordvector,
     load_fixture_similarities,
     load_word_vectors,
@@ -71,8 +71,6 @@ class TestCosineSimilarity:
             assert cosine_similarity((0, 0), (0.0, 0.0)) == 0.0
 
     def test_single_zero_is_zero_without_warning(self):
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cosine_similarity((0, 0), (1, 2)) == 0.0
@@ -99,18 +97,6 @@ class TestCosineSimilarity:
             assert -1.0 <= cosine_similarity(u, [-x for x in u]) <= 1.0
 
 
-class TestEmbedLexical:
-    def test_counts(self):
-        assert list(embed_lexical(["a", "b", "a"], {"a": 0, "b": 1})) == [2.0, 1.0]
-
-    def test_empty_tokens_give_zero_vector(self):
-        assert not embed_lexical([], {"a": 0, "b": 1}).any()
-
-    def test_vocabulary_wider_than_tokens(self):
-        vector = embed_lexical(["liquid", "spill"], {"liquid": 0, "spill": 1, "hot": 2})
-        assert list(vector) == [1.0, 1.0, 0.0]
-
-
 class TestEmbedWordVector:
     def test_single_word(self):
         table = {"hot": np.array([1.0, 0.0])}
@@ -129,6 +115,21 @@ class TestEmbedWordVector:
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             embed_wordvector(["hot"], {})
+
+
+class TestWordVectorBackendTable:
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ({"hot": [float("nan"), 1.0], "cold": [1.0, 0.0]}, "'hot'.*finite"),
+            ({"hot": [1.0, 0.0], "cold": [float("inf"), 0.0]}, "'cold'.*finite"),
+            ({"hot": [1.0, 0.0], "cold": [1.0, 0.0, 0.0]}, "'cold' has 3 components, expected 2"),
+            ({"hot": [[1.0, 0.0]]}, "'hot'.*flat"),
+        ],
+    )
+    def test_bad_in_memory_table_rejected_at_construction(self, table, message):
+        with pytest.raises(ValueError, match=message):
+            WordVectorBackend(table=table)
 
 
 class TestLoadWordVectors:
@@ -280,6 +281,42 @@ def _random_texts(rng, words, count):
     return [
         " ".join(rng.choice(words) for _ in range(rng.randint(1, 6))) for _ in range(count)
     ]
+
+
+def _dense_lexical_reference(a, b, stopwords):
+    """Cosine of dense count vectors over the pair's sorted vocabulary."""
+    tokens_a, tokens_b = tokenize(a, stopwords), tokenize(b, stopwords)
+    if tokens_a == tokens_b:
+        return 1.0 if tokens_a else 0.0
+    vocabulary = {token: i for i, token in enumerate(sorted(set(tokens_a) | set(tokens_b)))}
+    u, v = np.zeros(len(vocabulary)), np.zeros(len(vocabulary))
+    for tokens, vector in ((tokens_a, u), (tokens_b, v)):
+        for token in tokens:
+            vector[vocabulary[token]] += 1.0
+    norm_u, norm_v = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+    if norm_u == 0.0 or norm_v == 0.0:
+        return 0.0
+    return min(1.0, max(0.0, float(np.dot(u, v)) / (norm_u * norm_v)))
+
+
+class TestLexicalAgainstDenseReference:
+    WORDS = ["kettle", "water", "water", "steam", "lid", "of", "the", "to", "café", "überdruck"]
+    STOPWORDS = frozenset({"of", "the", "to"})
+
+    def _text(self, rng):
+        if rng.random() < 0.05:
+            return rng.choice(["--- !!", "of the", "to of to"])
+        return "-".join(rng.choice(self.WORDS) for _ in range(rng.randint(1, 12)))
+
+    @pytest.mark.parametrize("stopwords", [frozenset(), STOPWORDS])
+    def test_bit_identical_to_dense_count_vectors(self, stopwords):
+        rng = random.Random(23)
+        backend = LexicalBackend(stopwords=stopwords)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OovWarning)
+            for _ in range(10_000):
+                a, b = self._text(rng), self._text(rng)
+                assert backend.similarity(a, b) == _dense_lexical_reference(a, b, stopwords), (a, b)
 
 
 class TestBackendProperties:
