@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from functools import total_ordering
+from itertools import product
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
@@ -32,7 +33,7 @@ from .problem_model import (
     ProblemSapphire,
     construct_text,
 )
-from .similarity import SimilarityBackend, text_similarity
+from .similarity import SimilarityBackend, text_similarities, text_similarity
 
 __all__ = [
     "DEFAULT_ACTION_THRESHOLD",
@@ -196,6 +197,65 @@ class NoveltyReport:
         return self.ranked + self.unmatched
 
 
+_NON_ACTION_LEVELS = tuple(level for level in ConstructLevel if level is not ConstructLevel.ACTION)
+
+
+def _action_texts(problems: Iterable[ProblemSapphire], threshold: float) -> list[str]:
+    """The Action text of each problem, after checking the gate threshold."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold {threshold} outside [0, 1]")
+    texts = [construct_text(problem, ConstructLevel.ACTION) for problem in problems]
+    if None in texts:
+        raise ValueError("every compared problem must carry an Action construct")
+    return texts
+
+
+def _shared_levels(
+    past: ProblemSapphire, current: ProblemSapphire
+) -> list[tuple[ConstructLevel, tuple[str, str]]]:
+    """Each non-Action level both problems carry, with its (past, current) texts."""
+    shared = []
+    for level in _NON_ACTION_LEVELS:
+        past_text = construct_text(past, level)
+        current_text = construct_text(current, level)
+        if past_text is not None and current_text is not None:
+            shared.append((level, (past_text, current_text)))
+    return shared
+
+
+def _assessment(
+    past: ProblemSapphire,
+    current: ProblemSapphire,
+    action_similarity: float,
+    shared: list[tuple[ConstructLevel, tuple[str, str]]],
+    scores: Mapping[tuple[str, str], float],
+) -> PairAssessment:
+    """Build a gated pair's assessment from the similarities of its shared level texts."""
+    similarities = {ConstructLevel.ACTION: action_similarity}
+    similarities.update((level, scores[texts]) for level, texts in shared)
+    novelties = {level: construct_novelty(value) for level, value in similarities.items()}
+    included = tuple(level for level, _ in shared)
+    average = aggregate_novelty(novelties, included) if included else None
+    return PairAssessment(
+        past_id=past.id,
+        current_id=current.id,
+        construct_similarity=similarities,
+        construct_novelty=novelties,
+        included_levels=included,
+        average_novelty=average,
+        band=classify_novelty(average) if included else None,
+        no_comparable_constructs=not included,
+    )
+
+
+def _scored(
+    pairs: Iterable[tuple[str, str]], backend: SimilarityBackend
+) -> dict[tuple[str, str], float]:
+    """Similarity of each unique text pair, from one bulk backend call."""
+    unique = list(dict.fromkeys(pairs))
+    return dict(zip(unique, text_similarities(unique, backend)))
+
+
 def action_match(
     past: ProblemSapphire,
     current: ProblemSapphire,
@@ -206,12 +266,7 @@ def action_match(
 
     Callers are expected to pass validated problems (Action present).
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold {threshold} outside [0, 1]")
-    past_action = construct_text(past, ConstructLevel.ACTION)
-    current_action = construct_text(current, ConstructLevel.ACTION)
-    if past_action is None or current_action is None:
-        raise ValueError("both problems must carry an Action construct")
+    past_action, current_action = _action_texts((past, current), threshold)
     similarity = text_similarity(past_action, current_action, backend)
     return similarity >= threshold, similarity
 
@@ -230,33 +285,9 @@ def assess_pair(
     matched, action_similarity = action_match(past, current, backend, threshold)
     if not matched:
         return None
-
-    similarities = {ConstructLevel.ACTION: action_similarity}
-    novelties = {ConstructLevel.ACTION: construct_novelty(action_similarity)}
-    shared: list[ConstructLevel] = []
-    for level in ConstructLevel:
-        if level is ConstructLevel.ACTION:
-            continue
-        past_text = construct_text(past, level)
-        current_text = construct_text(current, level)
-        if past_text is None or current_text is None:
-            continue
-        similarity = text_similarity(past_text, current_text, backend)
-        similarities[level] = similarity
-        novelties[level] = construct_novelty(similarity)
-        shared.append(level)
-
-    average = aggregate_novelty(novelties, shared) if shared else None
-    return PairAssessment(
-        past_id=past.id,
-        current_id=current.id,
-        construct_similarity=similarities,
-        construct_novelty=novelties,
-        included_levels=tuple(shared),
-        average_novelty=average,
-        band=classify_novelty(average) if shared else None,
-        no_comparable_constructs=not shared,
-    )
+    shared = _shared_levels(past, current)
+    scores = _scored((texts for _, texts in shared), backend)
+    return _assessment(past, current, action_similarity, shared, scores)
 
 
 def rank_current_problems(
@@ -271,33 +302,63 @@ def rank_current_problems(
     pairs; problems whose pairs all gate out (or share no scorable construct)
     land in the unmatched list with absent scores. Ordering is deterministic:
     descending minimum novelty, ties by ascending id.
+
+    The backend sees two bulk calls: one over the unique (past, current)
+    Action pairs, then one over the unique level-text pairs of the gated
+    problem pairs.
     """
     if not past.problems:
         raise ValueError("the past corpus must be non-empty")
+    past_actions = _action_texts(past.problems, threshold)
+    current_actions = _action_texts(current.problems, threshold)
+
+    past_groups: dict[str, list[int]] = {}
+    for index, action in enumerate(past_actions):
+        past_groups.setdefault(action, []).append(index)
+    unique_current_actions = dict.fromkeys(current_actions)
+    gate = _scored(product(past_groups, unique_current_actions), backend)
+    # For each current Action, the indices of the gated past problems in corpus order.
+    matches = {
+        action: sorted(
+            index
+            for past_action, indices in past_groups.items()
+            if gate[past_action, action] >= threshold
+            for index in indices
+        )
+        for action in unique_current_actions
+    }
+    # Each gated pair as (past problem, Action similarity, shared levels), per current problem.
+    gated_pairs = [
+        [
+            (past.problems[i], gate[past_actions[i], action], _shared_levels(past.problems[i], problem))
+            for i in matches[action]
+        ]
+        for problem, action in zip(current.problems, current_actions)
+    ]
+    scores = _scored(
+        (texts for pairs in gated_pairs for *_, shared in pairs for _, texts in shared), backend
+    )
 
     scored: list[ProblemNovelty] = []
     unmatched: list[ProblemNovelty] = []
-    for problem in current.problems:
-        assessments = []
-        for reference in past.problems:
-            assessment = assess_pair(reference, problem, backend, threshold)
-            if assessment is not None:
-                assessments.append(assessment)
+    for problem, pairs in zip(current.problems, gated_pairs):
+        assessments = tuple(
+            _assessment(reference, problem, similarity, shared, scores)
+            for reference, similarity, shared in pairs
+        )
         averages = [a.average_novelty for a in assessments if a.average_novelty is not None]
         if averages:
             minimum = min(averages)
             scored.append(
                 ProblemNovelty(
                     current_id=problem.id,
-                    assessments=tuple(assessments),
+                    assessments=assessments,
                     min_novelty=minimum,
                     band=classify_novelty(minimum),
                 )
             )
         else:
-            unmatched.append(
-                ProblemNovelty(current_id=problem.id, assessments=tuple(assessments))
-            )
+            unmatched.append(ProblemNovelty(current_id=problem.id, assessments=assessments))
 
     scored.sort(key=lambda entry: (-entry.min_novelty, entry.current_id))
     ranked = tuple(replace(entry, rank=position) for position, entry in enumerate(scored, start=1))

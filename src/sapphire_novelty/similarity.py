@@ -11,6 +11,17 @@ Every backend maps a pair of texts to a similarity in [0, 1]:
 * ``FixtureBackend`` — a pinned table of pair similarities, for bit-exact
   replay of scores produced elsewhere.
 
+The contract has a scalar and a bulk method: ``similarity(a, b)`` and
+``similarities(pairs)``. A custom backend needs only ``similarity``; the
+inherited ``similarities`` calls it once per pair. The lexical, word-vector
+and remote backends score a whole list of pairs in one ``similarities``
+call, tokenizing and embedding each unique text once (the remote backend
+sends one set of batched requests per call). The lexical and word-vector
+``similarity`` is the one-pair case of it; the remote ``similarity`` sends
+its two texts in one request, as one comparison always has, even when they
+are equal. Nothing is cached between calls, so an out-of-vocabulary text
+warns once in every call that scores it.
+
 All similarity calls are pure given a backend; backends are immutable after
 construction and safe for concurrent use.
 """
@@ -94,12 +105,15 @@ def cosine_similarity(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.n
 
     A zero vector is the out-of-vocabulary sentinel and matches nothing, so the
     similarity is 0.0 whenever either norm vanishes; the zero-vs-zero case also
-    emits an :class:`OovWarning`.
+    emits an :class:`OovWarning`. A NaN or inf component raises ``ValueError``:
+    it has no cosine, and must not pass for a dissimilar (novel) pair.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise ValueError("cosine of a vector with a non-finite component (NaN or inf)")
     norm_u = float(np.linalg.norm(u))
     norm_v = float(np.linalg.norm(v))
     if norm_u == 0.0 and norm_v == 0.0:
@@ -233,12 +247,26 @@ def load_fixture_similarities(path: str | Path) -> dict[tuple[str, str], float]:
 
 
 class SimilarityBackend:
-    """Contract shared by every backend: (text, text) -> similarity in [0, 1]."""
+    """Contract shared by every backend: (text, text) -> similarity in [0, 1].
+
+    A backend defines ``similarity``. ``similarities`` scores a list of pairs
+    in order and by default calls ``similarity`` once per pair; a backend that
+    can share work between pairs overrides it and must return, pair for pair,
+    exactly what ``similarity`` returns.
+    """
 
     kind: str = ""
 
     def similarity(self, a: str, b: str) -> float:
         raise NotImplementedError
+
+    def similarities(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
+        return [self.similarity(a, b) for a, b in pairs]
+
+
+def _unique_texts(pairs: Sequence[tuple[str, str]]) -> list[str]:
+    """Every text of ``pairs`` once, in order of first appearance."""
+    return list(dict.fromkeys(text for pair in pairs for text in pair))
 
 
 @dataclass(frozen=True)
@@ -254,22 +282,27 @@ class LexicalBackend(SimilarityBackend):
     kind: str = field(default="lexical", init=False, repr=False)
 
     def similarity(self, a: str, b: str) -> float:
-        tokens_a = tokenize(a, self.stopwords)
-        tokens_b = tokenize(b, self.stopwords)
-        if tokens_a == tokens_b:
-            if not tokens_a:
-                warnings.warn(f"no tokens survive in {a!r} vs {b!r}", OovWarning)
-                return 0.0
-            return 1.0
-        counts_a, counts_b = Counter(tokens_a), Counter(tokens_b)
-        # Integer counts keep the dot product and squared norms exact, so this
-        # equals the float cosine of the dense count vectors bit for bit.
-        dot = sum(count * counts_b[token] for token, count in counts_a.items())
-        if dot == 0:
-            return 0.0
-        norm_a = math.sqrt(sum(count * count for count in counts_a.values()))
-        norm_b = math.sqrt(sum(count * count for count in counts_b.values()))
-        return min(1.0, dot / (norm_a * norm_b))
+        return self.similarities([(a, b)])[0]
+
+    def similarities(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
+        scored: dict[str, tuple[list[str], Counter[str], float]] = {}
+        for text in _unique_texts(pairs):
+            tokens = tokenize(text, self.stopwords)
+            if not tokens:
+                warnings.warn(f"no tokens survive in {text!r}", OovWarning)
+            counts = Counter(tokens)
+            scored[text] = (tokens, counts, math.sqrt(sum(c * c for c in counts.values())))
+        values = []
+        for a, b in pairs:
+            (tokens_a, counts_a, norm_a), (tokens_b, counts_b, norm_b) = scored[a], scored[b]
+            if tokens_a == tokens_b:
+                values.append(1.0 if tokens_a else 0.0)
+                continue
+            # Integer counts keep the dot product and squared norms exact, so this
+            # equals the float cosine of the dense count vectors bit for bit.
+            dot = sum(count * counts_b[token] for token, count in counts_a.items())
+            values.append(0.0 if dot == 0 else min(1.0, dot / (norm_a * norm_b)))
+        return values
 
 
 @dataclass(frozen=True)
@@ -301,16 +334,23 @@ class WordVectorBackend(SimilarityBackend):
         return cls(table=load_word_vectors(path))
 
     def similarity(self, a: str, b: str) -> float:
-        tokens_a = tokenize(a)
-        tokens_b = tokenize(b)
-        if tokens_a == tokens_b:
-            pooled = embed_wordvector(tokens_a, self.table) if tokens_a else None
-            if pooled is None or not pooled.any():
-                return 0.0
-            return 1.0
-        u = embed_wordvector(tokens_a, self.table)
-        v = embed_wordvector(tokens_b, self.table)
-        return max(0.0, cosine_similarity(u, v))
+        return self.similarities([(a, b)])[0]
+
+    def similarities(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
+        pooled: dict[str, tuple[list[str], np.ndarray]] = {}
+        for text in _unique_texts(pairs):
+            tokens = tokenize(text)
+            pooled[text] = (tokens, embed_wordvector(tokens, self.table))
+        values = []
+        for a, b in pairs:
+            (tokens_a, u), (tokens_b, v) = pooled[a], pooled[b]
+            if not (u.any() and v.any()):
+                values.append(0.0)  # the zero sentinel matches nothing; pooling warned
+            elif tokens_a == tokens_b:
+                values.append(1.0)
+            else:
+                values.append(max(0.0, cosine_similarity(u, v)))
+        return values
 
 
 @dataclass(frozen=True)
@@ -332,8 +372,14 @@ class RemoteBackend(SimilarityBackend):
     kind: str = field(default="remote", init=False, repr=False)
 
     def similarity(self, a: str, b: str) -> float:
+        # One comparison is one request carrying both texts, equal or not.
         u, v = self.embed_texts([a, b])
         return max(0.0, cosine_similarity(u, v))
+
+    def similarities(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
+        texts = _unique_texts(pairs)
+        vectors = dict(zip(texts, self.embed_texts(texts)))
+        return [max(0.0, cosine_similarity(vectors[a], vectors[b])) for a, b in pairs]
 
     def embed_texts(self, texts: Sequence[str]) -> list[np.ndarray]:
         """Embed ``texts`` in order, batching requests at ``batch_size``."""
@@ -417,7 +463,21 @@ def text_similarity(a: str, b: str, backend: SimilarityBackend) -> float:
     texts identical after tokenization score exactly 1.0 (given at least one
     in-vocabulary token).
     """
-    if not a.strip() or not b.strip():
+    _require_texts([(a, b)])
+    return _clamp(backend.similarity(a, b))
+
+
+def text_similarities(pairs: Sequence[tuple[str, str]], backend: SimilarityBackend) -> list[float]:
+    """:func:`text_similarity` of every ``(a, b)`` in ``pairs``, in order, from one
+    ``backend.similarities`` call."""
+    _require_texts(pairs)
+    return [_clamp(value) for value in backend.similarities(pairs)]
+
+
+def _require_texts(pairs: Iterable[tuple[str, str]]) -> None:
+    if not all(a.strip() and b.strip() for a, b in pairs):
         raise ValueError("text_similarity requires two non-empty texts")
-    value = backend.similarity(a, b)
+
+
+def _clamp(value: float) -> float:
     return min(1.0, max(0.0, value))

@@ -1,5 +1,7 @@
 import random
+import warnings
 
+import numpy as np
 import pytest
 
 from sapphire_novelty import (
@@ -10,14 +12,18 @@ from sapphire_novelty import (
     ProblemCorpus,
     ProblemSapphire,
     Provenance,
+    SimilarityBackend,
+    WordVectorBackend,
     action_match,
     aggregate_novelty,
     assess_pair,
     classify_novelty,
     construct_novelty,
+    construct_text,
     make_constructs,
     o_score,
     rank_current_problems,
+    render_report,
     round_half_up,
 )
 from sapphire_novelty.data import load_case_study
@@ -361,6 +367,92 @@ class TestRankCurrentProblems:
         report = rank_current_problems(past, current, backend)
         reported = sorted(entry.current_id for entry in report.entries)
         assert reported == sorted(p.id for p in current.problems)
+
+
+class ScalarOnlyBackend(SimilarityBackend):
+    """Defines only ``similarity``, as a custom backend may; records every call."""
+
+    def __init__(self, inner):
+        self.kind = inner.kind
+        self.inner = inner
+        self.calls = []
+
+    def similarity(self, a, b):
+        self.calls.append((a, b))
+        return self.inner.similarity(a, b)
+
+
+def repetitive_corpora(seed, size=20):
+    """Past and current corpora drawing actions and level texts from small pools."""
+    rng = random.Random(seed)
+    actions = ["boil water", "spill liquid", "spill hot liquid", "clean base", "heat fails"]
+    phrases = ["x to y", "x to z", "p q", "p r", "lid seal", "coil heat", "heat lid seal"]
+
+    def corpus(prefix, role):
+        problems = tuple(
+            problem(
+                f"{prefix}{index}",
+                role,
+                action=rng.choice(actions),
+                **{level.key: rng.choice(phrases) for level in NON_ACTION if rng.random() < 0.7},
+            )
+            for index in range(size)
+        )
+        return ProblemCorpus(prefix, role, problems)
+
+    return corpus("P", Provenance.PAST), corpus("C", Provenance.CURRENT)
+
+
+class TestBulkScoring:
+    def _backends(self):
+        rng = random.Random(61)
+        words = ["boil", "water", "spill", "liquid", "x", "y", "p", "q", "lid", "seal", "heat"]
+        table = {word: np.array([rng.uniform(-1, 1) for _ in range(6)]) for word in words}
+        return [LexicalBackend(), WordVectorBackend(table=table)]
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 0.7])
+    def test_scalar_only_backend_gives_the_same_report_bytes(self, threshold):
+        past, current = repetitive_corpora(5)
+        kettle_past, kettle_current, fixture = load_case_study()
+        runs = [(past, current, backend) for backend in self._backends()]
+        runs.append((kettle_past, kettle_current, fixture))
+        for past_corpus, current_corpus, backend in runs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                bare = rank_current_problems(past_corpus, current_corpus, backend, threshold)
+                wrapped = rank_current_problems(
+                    past_corpus, current_corpus, ScalarOnlyBackend(backend), threshold
+                )
+            for fmt in ("table", "csv", "json"):
+                assert render_report(wrapped, fmt) == render_report(bare, fmt), (backend.kind, fmt)
+
+    def test_one_call_per_unique_gate_pair_and_unique_level_pair(self):
+        past, current = repetitive_corpora(7)
+        threshold = 0.5
+        backend = ScalarOnlyBackend(LexicalBackend())
+        rank_current_problems(past, current, backend, threshold)
+
+        def action(record):
+            return construct_text(record, ConstructLevel.ACTION)
+
+        gate_pairs = {(action(p), action(c)) for p in past.problems for c in current.problems}
+        gated = [
+            (p, c)
+            for p in past.problems
+            for c in current.problems
+            if LexicalBackend().similarity(action(p), action(c)) >= threshold
+        ]
+        assert 0 < len(gated) < len(past.problems) * len(current.problems)
+        level_pairs = {
+            (construct_text(p, level), construct_text(c, level))
+            for p, c in gated
+            for level in NON_ACTION
+            if construct_text(p, level) is not None and construct_text(c, level) is not None
+        }
+        gate_calls = backend.calls[: len(gate_pairs)]
+        level_calls = backend.calls[len(gate_pairs) :]
+        assert len(gate_calls) == len(set(gate_calls)) and set(gate_calls) == gate_pairs
+        assert len(level_calls) == len(set(level_calls)) and set(level_calls) == level_pairs
 
 
 class TestOScore:

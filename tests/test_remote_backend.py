@@ -14,8 +14,10 @@ from sapphire_novelty import (
     BackendUnavailableError,
     RemoteBackend,
     cosine_similarity,
+    rank_current_problems,
     text_similarity,
 )
+from sapphire_novelty.data import load_case_study
 
 from conftest import canned_vector
 
@@ -51,11 +53,27 @@ class TestSimilarity:
         )
         assert text_similarity(a, b, backend) == expected
 
+    def test_one_comparison_is_one_request_with_both_texts(self, embed_stub):
+        backend = RemoteBackend(endpoint=embed_stub.url)
+        for a, b in [("a b", "c d"), ("spill", "spill")]:
+            text_similarity(a, b, backend)
+        assert embed_stub.batches == [["a b", "c d"], ["spill", "spill"]]
+
     def test_similarity_symmetric(self, embed_stub):
         backend = RemoteBackend(endpoint=embed_stub.url)
         assert text_similarity("a b c", "d e", backend) == text_similarity(
             "d e", "a b c", backend
         )
+
+
+class TestRanking:
+    def test_case_study_sends_one_request_per_stage(self, embed_stub):
+        past, current, _ = load_case_study()
+        rank_current_problems(past, current, RemoteBackend(endpoint=embed_stub.url))
+        # One request for the single unique Action text, one for the 29 unique
+        # level texts; scoring pair by pair sent 42 requests carrying 84 texts.
+        assert [len(batch) for batch in embed_stub.batches] == [1, 29]
+        assert all(len(set(batch)) == len(batch) for batch in embed_stub.batches)
 
 
 class TestRetries:

@@ -1,8 +1,16 @@
 import json
+import warnings
+from collections import Counter
 
 import pytest
 
-from sapphire_novelty import rank_current_problems, render_csv, render_json, render_table
+from sapphire_novelty import (
+    OovWarning,
+    rank_current_problems,
+    render_csv,
+    render_json,
+    render_table,
+)
 from sapphire_novelty.cli import main
 from sapphire_novelty.data import (
     current_corpus_path,
@@ -250,6 +258,42 @@ class TestCmdAssess:
         with pytest.raises(SystemExit) as excinfo:
             main(assess_argv(threshold=1.5))
         assert excinfo.value.code == 2
+
+    def test_lenient_run_warns_once_per_oov_text_and_scoring_call(self, tmp_path):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("hot 1.0 0.0\ncold 0.0 1.0\n", encoding="utf-8")
+        paths = {}
+        for role, parts in (("past", ["xyzzy", "xyzzy"]), ("current", ["hot", "plugh"])):
+            records = [
+                {
+                    "id": f"{role}{index}",
+                    "label": "",
+                    "provenance": role,
+                    "source": "",
+                    "context": "",
+                    "constructs": {"action": "xyzzy", "parts": text},
+                }
+                for index, text in enumerate(parts)
+            ]
+            paths[role] = tmp_path / f"{role}.jsonl"
+            paths[role].write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+        argv = [
+            "rank",
+            "--past", str(paths["past"]),
+            "--current", str(paths["current"]),
+            "--backend", "wordvec",
+            "--vectors", str(vectors),
+            "--threshold", "0",
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            assert main(argv) == 0
+        warned = Counter(str(w.message) for w in caught if issubclass(w.category, OovWarning))
+        # "xyzzy" is scored in the gate call (as the Action) and in the level
+        # call (as past Parts): once in each, not once per comparison.
+        assert warned == {
+            "no in-vocabulary token among ['xyzzy']; returning the zero sentinel": 2,
+            "no in-vocabulary token among ['plugh']; returning the zero sentinel": 1,
+        }
 
     def test_wordvec_backend_requires_vectors_flag(self):
         argv = assess_argv()

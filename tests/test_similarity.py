@@ -11,6 +11,7 @@ from sapphire_novelty import (
     LexicalBackend,
     MissingFixtureError,
     OovWarning,
+    RemoteBackend,
     WordVectorBackend,
     WordVectorFormatError,
     cosine_similarity,
@@ -20,6 +21,7 @@ from sapphire_novelty import (
     text_similarity,
     tokenize,
 )
+from sapphire_novelty.data import fixture_similarities_path
 
 
 class TestTokenize:
@@ -87,6 +89,13 @@ class TestCosineSimilarity:
                 math.sqrt(math.fsum(a * a for a in u)) * math.sqrt(math.fsum(b * b for b in v))
             )
             assert cosine_similarity(u, v) == pytest.approx(oracle, abs=1e-9)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_component_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            cosine_similarity([bad, 1.0], [1.0, 0.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            cosine_similarity([1.0, 0.0], [1.0, bad])
 
     def test_result_stays_within_unit_interval(self):
         rng = random.Random(3)
@@ -353,3 +362,81 @@ class TestBackendProperties:
         first = [text_similarity(a, b, backend) for a in texts for b in texts]
         second = [text_similarity(a, b, backend) for a in texts for b in texts]
         assert first == second
+
+
+class TestBulkMatchesScalar:
+    """``similarities(pairs)`` equals one ``similarity`` call per pair, bit for bit."""
+
+    WORDS = ["kettle", "water", "steam", "lid", "heat", "coil", "spout", "boil"]
+    OOV = ["xyzzy", "plugh", "frobozz"]
+
+    def _pairs(self, rng, texts):
+        pairs = [(rng.choice(texts), rng.choice(texts)) for _ in range(150)]
+        pairs += [(text, text) for text in texts[:10]]  # identical texts
+        pairs += [(a, " ".join(reversed(a.split()))) for a, _ in pairs[:20]]  # reordered tokens
+        pairs += pairs[:30]  # duplicate pairs
+        rng.shuffle(pairs)
+        return pairs
+
+    def _texts(self, rng):
+        texts = _random_texts(rng, self.WORDS + self.OOV, 40)
+        return texts + ["xyzzy", "plugh frobozz", "frobozz plugh", "Kettle-LID", "kettle lid"]
+
+    def _assert_bulk_equals_scalar(self, backend, pairs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OovWarning)
+            bulk = backend.similarities(pairs)
+            scalar = [backend.similarity(a, b) for a, b in pairs]
+        assert bulk == scalar
+
+    def test_lexical(self):
+        rng = random.Random(31)
+        backend = LexicalBackend(stopwords=frozenset({"lid"}))
+        self._assert_bulk_equals_scalar(backend, self._pairs(rng, self._texts(rng)))
+
+    def test_wordvector_with_oov_words(self):
+        rng = random.Random(37)
+        table = {word: np.array([rng.uniform(-1, 1) for _ in range(8)]) for word in self.WORDS}
+        backend = WordVectorBackend(table=table)
+        self._assert_bulk_equals_scalar(backend, self._pairs(rng, self._texts(rng)))
+
+    def test_remote(self, embed_stub):
+        rng = random.Random(41)
+        backend = RemoteBackend(endpoint=embed_stub.url, batch_size=16)
+        self._assert_bulk_equals_scalar(backend, self._pairs(rng, self._texts(rng)))
+
+    def test_fixture(self):
+        rng = random.Random(43)
+        backend = FixtureBackend.from_file(fixture_similarities_path())
+        pinned = list(backend.table)
+        pairs = [rng.choice(pinned) for _ in range(60)]
+        pairs += [(b.upper(), f"  {a}") for a, b in pairs[:20]]  # reversed, case, space
+        self._assert_bulk_equals_scalar(backend, pairs)
+
+
+class TestOovWarningsPerUniqueText:
+    """A text with nothing to score on warns once per ``similarities`` call, not per pair."""
+
+    def _warned(self, backend, pairs):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            backend.similarities(pairs)
+        return sorted(str(w.message) for w in caught if issubclass(w.category, OovWarning))
+
+    def test_wordvector_warns_once_per_oov_text(self):
+        backend = WordVectorBackend(table={"hot": np.array([1.0, 0.0])})
+        pairs = [("xyzzy", "hot"), ("hot", "xyzzy"), ("xyzzy", "plugh"), ("plugh", "plugh")] * 3
+        assert self._warned(backend, pairs) == [
+            "no in-vocabulary token among ['plugh']; returning the zero sentinel",
+            "no in-vocabulary token among ['xyzzy']; returning the zero sentinel",
+        ]
+        # Nothing is cached between calls: the next call warns again.
+        assert len(self._warned(backend, pairs[:1])) == 1
+
+    def test_lexical_warns_once_per_tokenless_text(self):
+        backend = LexicalBackend(stopwords=frozenset({"of", "the"}))
+        pairs = [("of the", "kettle"), ("of the", "the of"), ("kettle", "of the")] * 3
+        assert self._warned(backend, pairs) == [
+            "no tokens survive in 'of the'",
+            "no tokens survive in 'the of'",
+        ]
