@@ -50,16 +50,78 @@ from .similarity import (
     LexicalBackend,
     MissingFixtureError,
     OovWarning,
-    RemoteBackend,
     SimilarityBackend,
-    WordVectorBackend,
     WordVectorFormatError,
-    cosine_similarity,
-    embed_wordvector,
     load_fixture_similarities,
-    load_word_vectors,
     text_similarity,
     tokenize,
 )
+
+__all__ = [
+    "CorpusFormatError",
+    "CorpusWarning",
+    "import_survey_csv",
+    "load_corpus",
+    "save_corpus",
+    "DEFAULT_ACTION_THRESHOLD",
+    "NoveltyBand",
+    "NoveltyReport",
+    "OScoreInput",
+    "PairAssessment",
+    "ProblemNovelty",
+    "action_match",
+    "aggregate_novelty",
+    "assess_pair",
+    "classify_novelty",
+    "construct_novelty",
+    "o_score",
+    "rank_current_problems",
+    "round_half_up",
+    "CANONICAL_LEVEL_KEYS",
+    "ConstructLevel",
+    "ProblemCorpus",
+    "ProblemSapphire",
+    "Provenance",
+    "Violation",
+    "construct_text",
+    "make_constructs",
+    "validate_corpus",
+    "validate_problem",
+    "render_csv",
+    "render_json",
+    "render_report",
+    "render_table",
+    "BackendUnavailableError",
+    "FixtureBackend",
+    "FixtureFormatError",
+    "LexicalBackend",
+    "MissingFixtureError",
+    "OovWarning",
+    "RemoteBackend",
+    "SimilarityBackend",
+    "WordVectorBackend",
+    "WordVectorFormatError",
+    "cosine_similarity",
+    "embed_wordvector",
+    "load_fixture_similarities",
+    "load_word_vectors",
+    "text_similarity",
+    "tokenize",
+]
+
+# Served from .vectors on first access, so only the vector backends load numpy
+# and the HTTP client.
+_VECTOR_NAMES = frozenset(
+    {"RemoteBackend", "WordVectorBackend", "cosine_similarity", "embed_wordvector", "load_word_vectors"}
+)
+
+
+def __getattr__(name: str):
+    if name in _VECTOR_NAMES:
+        from . import vectors
+
+        return getattr(vectors, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

@@ -26,9 +26,7 @@ from .similarity import (
     FixtureBackend,
     LexicalBackend,
     MissingFixtureError,
-    RemoteBackend,
     SimilarityBackend,
-    WordVectorBackend,
 )
 
 __all__ = ["main", "cmd_validate", "cmd_assess", "cmd_oscore"]
@@ -46,6 +44,8 @@ def _build_backend(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     if args.backend == "wordvec":
         if not args.vectors:
             parser.error("--backend wordvec requires --vectors <path>")
+        from .vectors import WordVectorBackend
+
         return WordVectorBackend.from_file(args.vectors)
     if args.backend == "fixture":
         if not args.fixtures:
@@ -57,6 +57,8 @@ def _build_backend(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
             parser.error(
                 f"--backend remote requires --endpoint <url> or the {ENV_EMBED_URL} variable"
             )
+        from .vectors import RemoteBackend
+
         return RemoteBackend(endpoint=endpoint)
     parser.error(f"unknown backend {args.backend!r}")
     raise AssertionError("unreachable")

@@ -1,0 +1,284 @@
+"""The vector backends: pre-trained word vectors and a remote embedding service.
+
+Everything in the package that needs numpy or an HTTP client lives here, so
+the lexical and fixture paths load neither. The package exports these names
+lazily: ``sapphire_novelty.WordVectorBackend`` imports this module on first
+access. The contract, the exceptions and the tokenizer stay in
+:mod:`sapphire_novelty.similarity`.
+
+* ``WordVectorBackend`` — mean-pooled pre-trained word vectors loaded from the
+  standard text format; out-of-vocabulary tokens are skipped.
+* ``RemoteBackend`` — a sentence-embedding HTTP service (POST ``{"texts": [...]}``,
+  response ``{"vectors": [[...], ...]}``) with batching and retries.
+
+Both score a list of pairs in one ``similarities`` call, tokenizing and
+embedding each unique text once. Texts are tokenized through
+``similarity.tokenize``, looked up on every call, so one replacement of that
+module attribute is seen by every backend.
+"""
+
+from __future__ import annotations
+
+import http.client
+import json
+import urllib.error
+import urllib.parse
+import urllib.request
+import warnings
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Mapping, Sequence
+
+import numpy as np
+
+from . import similarity as _similarity
+from .similarity import (
+    BackendUnavailableError,
+    OovWarning,
+    SimilarityBackend,
+    WordVectorFormatError,
+    _unique_texts,
+)
+
+__all__ = [
+    "cosine_similarity",
+    "embed_wordvector",
+    "load_word_vectors",
+    "WordVectorBackend",
+    "RemoteBackend",
+]
+
+
+def cosine_similarity(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> float:
+    """Cosine of the angle between two equal-dimension vectors, clamped to [-1, 1].
+
+    A zero vector is the out-of-vocabulary sentinel and matches nothing, so the
+    similarity is 0.0 whenever either norm vanishes; the zero-vs-zero case also
+    emits an :class:`OovWarning`. A NaN or inf component raises ``ValueError``:
+    it has no cosine, and must not pass for a dissimilar (novel) pair.
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if u.shape != v.shape:
+        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise ValueError("cosine of a vector with a non-finite component (NaN or inf)")
+    norm_u = float(np.linalg.norm(u))
+    norm_v = float(np.linalg.norm(v))
+    if norm_u == 0.0 and norm_v == 0.0:
+        warnings.warn("cosine of two all-zero vectors (OOV vs OOV); defined as 0.0", OovWarning)
+        return 0.0
+    if norm_u == 0.0 or norm_v == 0.0:
+        return 0.0
+    value = float(np.dot(u, v)) / (norm_u * norm_v)
+    return min(1.0, max(-1.0, value))
+
+
+def embed_wordvector(tokens: Sequence[str], table: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Mean of the vectors of in-vocabulary tokens.
+
+    Out-of-vocabulary tokens are skipped; if no token is in vocabulary the
+    all-zero sentinel is returned and an :class:`OovWarning` is emitted.
+    """
+    if not table:
+        raise ValueError("word-vector table must be non-empty")
+    dimension = len(next(iter(table.values())))
+    hits = [table[token] for token in tokens if token in table]
+    if not hits:
+        warnings.warn(
+            f"no in-vocabulary token among {list(tokens)!r}; returning the zero sentinel",
+            OovWarning,
+        )
+        return np.zeros(dimension, dtype=float)
+    return np.mean(np.stack(hits), axis=0)
+
+
+def load_word_vectors(path: str | Path) -> dict[str, np.ndarray]:
+    """Parse the standard text word-vector format into a word -> vector table.
+
+    An optional first line ``<count> <dim>`` is treated as a header; every
+    other line is ``word v1 v2 ... vd``. All vectors must share one dimension
+    and hold finite components.
+    Duplicate words keep the first occurrence, with a warning.
+    """
+    table: dict[str, np.ndarray] = {}
+    dimension: int | None = None
+    with open(path, "r", encoding="utf-8") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            line = raw.rstrip("\n")
+            if not line.strip():
+                continue
+            parts = line.split()
+            if line_no == 1 and len(parts) == 2 and _is_int(parts[0]) and _is_int(parts[1]):
+                continue  # header line
+            if len(parts) < 2:
+                raise WordVectorFormatError(
+                    f"line {line_no}: expected a word followed by floats, got {line!r}"
+                )
+            word, values = parts[0], parts[1:]
+            try:
+                vector = np.array([float(x) for x in values], dtype=float)
+            except ValueError:
+                raise WordVectorFormatError(
+                    f"line {line_no}: non-numeric vector component in {line!r}"
+                ) from None
+            if not np.isfinite(vector).all():
+                raise WordVectorFormatError(
+                    f"line {line_no}: non-finite vector component in {line!r}"
+                )
+            if dimension is None:
+                dimension = len(vector)
+            elif len(vector) != dimension:
+                raise WordVectorFormatError(
+                    f"line {line_no}: expected {dimension} floats, found {len(vector)}"
+                )
+            if word in table:
+                warnings.warn(
+                    f"line {line_no}: duplicate word {word!r}; keeping the first occurrence",
+                    UserWarning,
+                )
+                continue
+            table[word] = vector
+    return table
+
+
+def _is_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+@dataclass(frozen=True)
+class WordVectorBackend(SimilarityBackend):
+    """Cosine over mean-pooled pre-trained word vectors.
+
+    Every vector in ``table`` must be a flat array of finite numbers, all of
+    one dimension; anything else raises ``ValueError`` at construction.
+    """
+
+    table: Mapping[str, np.ndarray]
+    kind: str = field(default="wordvec", init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        dimension: int | None = None
+        for word, vector in self.table.items():
+            array = np.asarray(vector, dtype=float)
+            if array.ndim != 1 or not np.isfinite(array).all():
+                raise ValueError(f"vector of {word!r} must be a flat array of finite numbers")
+            if dimension is None:
+                dimension = array.size
+            elif array.size != dimension:
+                raise ValueError(
+                    f"vector of {word!r} has {array.size} components, expected {dimension}"
+                )
+
+    @classmethod
+    def from_file(cls, path: str | Path) -> "WordVectorBackend":
+        return cls(table=load_word_vectors(path))
+
+    def similarity(self, a: str, b: str) -> float:
+        return self.similarities([(a, b)])[0]
+
+    def similarities(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
+        pooled: dict[str, tuple[list[str], np.ndarray]] = {}
+        for text in _unique_texts(pairs):
+            tokens = _similarity.tokenize(text)
+            pooled[text] = (tokens, embed_wordvector(tokens, self.table))
+        values = []
+        for a, b in pairs:
+            (tokens_a, u), (tokens_b, v) = pooled[a], pooled[b]
+            if not (u.any() and v.any()):
+                values.append(0.0)  # the zero sentinel matches nothing; pooling warned
+            elif tokens_a == tokens_b:
+                values.append(1.0)
+            else:
+                values.append(max(0.0, cosine_similarity(u, v)))
+        return values
+
+
+@dataclass(frozen=True)
+class RemoteBackend(SimilarityBackend):
+    """Cosine over sentence vectors fetched from an embedding HTTP service.
+
+    Wire protocol: POST to an ``http`` or ``https`` ``endpoint`` with JSON
+    body ``{"texts": [...]}``; the response must be ``{"vectors": [[...], ...]}``
+    with one equal-length, non-empty, finite numeric array per input text, in
+    the same order. A 4xx status other than 408 and 429 is the request's
+    fault and raises :class:`BackendUnavailableError` at once. Any other
+    scheme, transport failure, 408, 429, 5xx or other non-2xx status, shape
+    mismatch or NaN/inf component is retried; after ``retries`` attempts the
+    call raises :class:`BackendUnavailableError`.
+    """
+
+    endpoint: str
+    batch_size: int = 32
+    timeout: float = 30.0
+    retries: int = 3
+    kind: str = field(default="remote", init=False, repr=False)
+
+    def similarity(self, a: str, b: str) -> float:
+        # One comparison is one request carrying both texts, equal or not.
+        u, v = self.embed_texts([a, b])
+        return max(0.0, cosine_similarity(u, v))
+
+    def similarities(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
+        texts = _unique_texts(pairs)
+        vectors = dict(zip(texts, self.embed_texts(texts)))
+        return [max(0.0, cosine_similarity(vectors[a], vectors[b])) for a, b in pairs]
+
+    def embed_texts(self, texts: Sequence[str]) -> list[np.ndarray]:
+        """Embed ``texts`` in order, batching requests at ``batch_size``."""
+        vectors: list[np.ndarray] = []
+        for start in range(0, len(texts), self.batch_size):
+            vectors.extend(self._post_batch(list(texts[start : start + self.batch_size])))
+        return vectors
+
+    def _post_batch(self, batch: list[str]) -> list[np.ndarray]:
+        body = json.dumps({"texts": batch}).encode("utf-8")
+        last_error: Exception | None = None
+        for attempt in range(1, max(1, self.retries) + 1):
+            try:
+                # urllib also opens file:// and ftp:// URLs; only HTTP speaks the protocol.
+                scheme = urllib.parse.urlsplit(self.endpoint).scheme
+                if scheme not in ("http", "https"):
+                    raise ValueError(f"endpoint scheme must be http or https, got {scheme!r}")
+                request = urllib.request.Request(
+                    self.endpoint, data=body, headers={"Content-Type": "application/json"}
+                )
+                # urlopen follows redirects and raises HTTPError for any other non-2xx status.
+                with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                    payload = json.load(response)
+                return _parse_vectors(payload, expected=len(batch))
+            except urllib.error.HTTPError as error:
+                error.close()
+                last_error = error
+                # A 4xx other than a timeout or a rate limit is the request's fault:
+                # sending it again cannot succeed.
+                if 400 <= error.code < 500 and error.code not in (408, 429):
+                    break
+            except (OSError, http.client.HTTPException, ValueError, KeyError, TypeError) as error:
+                last_error = error
+        raise BackendUnavailableError(
+            f"embedding service at {self.endpoint} failed after {attempt} attempt(s): {last_error}"
+        )
+
+
+def _parse_vectors(payload: object, expected: int) -> list[np.ndarray]:
+    if not isinstance(payload, dict) or "vectors" not in payload:
+        raise ValueError("response body must be an object with a 'vectors' field")
+    raw = payload["vectors"]
+    if not isinstance(raw, list) or len(raw) != expected:
+        raise ValueError(f"expected {expected} vectors, got {len(raw) if isinstance(raw, list) else type(raw)}")
+    arrays = [np.asarray(item) for item in raw]
+    # Only JSON numbers pass: strings, booleans and nulls give another dtype kind.
+    if any(array.dtype.kind not in "iuf" or array.ndim != 1 or array.size == 0 for array in arrays):
+        raise ValueError("each vector must be a non-empty flat array of numbers")
+    vectors = [array.astype(float) for array in arrays]
+    if not all(np.isfinite(vector).all() for vector in vectors):
+        raise ValueError("vectors must have finite components (no NaN or inf)")
+    dimensions = {len(vector) for vector in vectors}
+    if len(dimensions) > 1:
+        raise ValueError(f"vectors have mixed dimensions: {sorted(dimensions)}")
+    return vectors

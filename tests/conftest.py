@@ -52,7 +52,7 @@ class _StubHandler(BaseHTTPRequestHandler):
         stub.batches.append(list(texts))
         if stub.fail_remaining > 0:
             stub.fail_remaining -= 1
-            self._respond(500, b"transient failure")
+            self._respond(stub.fail_status, b"failure")
             return
         if stub.mode == "ok":
             payload = {"vectors": [canned_vector(t) for t in texts]}
@@ -91,7 +91,9 @@ class EmbeddingStub:
 
     def __init__(self) -> None:
         self.batches: list[list[str]] = []
+        # The next ``fail_remaining`` POSTs are answered with ``fail_status``.
         self.fail_remaining = 0
+        self.fail_status = 500
         self.mode = "ok"
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
         self._server.stub = self  # type: ignore[attr-defined]

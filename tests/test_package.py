@@ -1,0 +1,92 @@
+"""Package layout: the public names, the lazily loaded vector backends and the
+tokenizer seam that every backend shares."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import sapphire_novelty
+from sapphire_novelty import LexicalBackend, similarity, vectors
+
+# Every name the package exported before the vector backends moved to their
+# own module, in its import order.
+PUBLIC_NAMES = [
+    "CorpusFormatError", "CorpusWarning", "import_survey_csv", "load_corpus", "save_corpus",
+    "DEFAULT_ACTION_THRESHOLD", "NoveltyBand", "NoveltyReport", "OScoreInput",
+    "PairAssessment", "ProblemNovelty", "action_match", "aggregate_novelty", "assess_pair",
+    "classify_novelty", "construct_novelty", "o_score", "rank_current_problems",
+    "round_half_up",
+    "CANONICAL_LEVEL_KEYS", "ConstructLevel", "ProblemCorpus", "ProblemSapphire",
+    "Provenance", "Violation", "construct_text", "make_constructs", "validate_corpus",
+    "validate_problem",
+    "render_csv", "render_json", "render_report", "render_table",
+    "BackendUnavailableError", "FixtureBackend", "FixtureFormatError", "LexicalBackend",
+    "MissingFixtureError", "OovWarning", "RemoteBackend", "SimilarityBackend",
+    "WordVectorBackend", "WordVectorFormatError", "cosine_similarity", "embed_wordvector",
+    "load_fixture_similarities", "load_word_vectors", "text_similarity", "tokenize",
+]
+
+VECTOR_NAMES = [
+    "RemoteBackend", "WordVectorBackend", "cosine_similarity", "embed_wordvector",
+    "load_word_vectors",
+]
+
+
+class TestPublicNames:
+    def test_all_lists_every_public_name(self):
+        assert sapphire_novelty.__all__ == PUBLIC_NAMES
+
+    def test_every_public_name_resolves(self):
+        for name in PUBLIC_NAMES:
+            assert getattr(sapphire_novelty, name) is not None, name
+
+    def test_star_import_binds_the_vector_names(self):
+        namespace: dict = {}
+        exec("from sapphire_novelty import *", namespace)
+        for name in VECTOR_NAMES:
+            assert namespace[name] is getattr(vectors, name)
+
+    def test_vector_names_come_from_the_vectors_module(self):
+        assert sapphire_novelty.WordVectorBackend is vectors.WordVectorBackend
+        for name in VECTOR_NAMES:
+            assert not hasattr(similarity, name)
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            sapphire_novelty.no_such_name
+
+
+class TestTokenizerSeam:
+    """Both token-based backends tokenize through ``similarity.tokenize`` as
+    looked up at call time, so replacing that attribute reaches both."""
+
+    PAIRS = [("spilling liquid", "hot steam"), ("hot steam", "spilling liquid"),
+             ("spilling liquid", "loose lid")]
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen: Counter = Counter()
+        original = similarity.tokenize
+
+        def counting(text, *args, **kwargs):
+            seen[text] += 1
+            return original(text, *args, **kwargs)
+
+        monkeypatch.setattr(similarity, "tokenize", counting)
+        return seen
+
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            LexicalBackend(),
+            vectors.WordVectorBackend(
+                table={word: np.array([float(len(word)), 1.0])
+                       for word in ("spilling", "liquid", "hot", "steam", "loose", "lid")}
+            ),
+        ],
+        ids=["lexical", "wordvec"],
+    )
+    def test_each_unique_text_is_tokenized_once_through_the_module(self, calls, backend):
+        backend.similarities(self.PAIRS)
+        assert calls == Counter({"spilling liquid": 1, "hot steam": 1, "loose lid": 1})

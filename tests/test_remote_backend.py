@@ -17,7 +17,13 @@ from sapphire_novelty import (
     rank_current_problems,
     text_similarity,
 )
-from sapphire_novelty.data import load_case_study
+from sapphire_novelty.cli import main
+from sapphire_novelty.data import (
+    current_corpus_path,
+    fixture_similarities_path,
+    load_case_study,
+    past_corpus_path,
+)
 
 from conftest import canned_vector
 
@@ -91,6 +97,35 @@ class TestRetries:
             backend.embed_texts(["a b"])
         assert len(embed_stub.batches) == 2
 
+    @pytest.mark.parametrize("status", [400, 404])
+    def test_client_error_fails_at_once(self, embed_stub, status):
+        embed_stub.fail_remaining, embed_stub.fail_status = 5, status
+        backend = RemoteBackend(endpoint=embed_stub.url, retries=3)
+        with pytest.raises(BackendUnavailableError, match=f"after 1 attempt.*{status}"):
+            backend.embed_texts(["a b"])
+        assert len(embed_stub.batches) == 1
+
+    @pytest.mark.parametrize("status", [408, 429, 500])
+    def test_timeout_rate_limit_and_server_errors_are_retried(self, embed_stub, status):
+        embed_stub.fail_remaining, embed_stub.fail_status = 5, status
+        backend = RemoteBackend(endpoint=embed_stub.url, retries=3)
+        with pytest.raises(BackendUnavailableError, match=f"after 3 attempt.*{status}"):
+            backend.embed_texts(["a b"])
+        assert len(embed_stub.batches) == 3
+
+    def test_client_error_exits_2_from_the_cli(self, embed_stub, capsys):
+        embed_stub.fail_remaining, embed_stub.fail_status = 5, 400
+        argv = [
+            "rank",
+            "--past", str(past_corpus_path()),
+            "--current", str(current_corpus_path()),
+            "--backend", "remote",
+            "--endpoint", embed_stub.url,
+        ]
+        assert main(argv) == 2
+        assert "after 1 attempt(s): HTTP Error 400" in capsys.readouterr().err
+        assert len(embed_stub.batches) == 1
+
 
 class TestErrorPaths:
     def test_wrong_vector_count_is_a_shape_error(self, embed_stub):
@@ -148,14 +183,35 @@ class TestEndpointScheme:
             backend.embed_texts(["a"])
 
 
-def test_cli_import_loads_no_third_party_http_client():
+def test_cli_import_loads_no_third_party_http_client(tmp_path):
+    """The CLI loads no third-party HTTP client; only the vector backends load
+    numpy and the standard-library HTTP client, checked in fresh interpreters."""
     src = Path(sapphire_novelty.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     code = (
-        "import sapphire_novelty.cli, sys; "
-        "print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))"
+        "import sys, sapphire_novelty.cli as cli\n"
+        "if sys.argv[1:]:\n"
+        "    assert cli.main(sys.argv[1:]) == 0\n"
+        "heavy = ('requests', 'urllib3', 'numpy', 'urllib.request', 'http.client')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+
+    def loaded_by(*argv):
+        result = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        return result.stdout.strip()
+
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("spilling 1.0 0.0\nliquid 0.5 0.5\n", encoding="utf-8")
+    case_study = ["rank", "--past", str(past_corpus_path()), "--current", str(current_corpus_path())]
+    out = ["--out", str(tmp_path / "report.txt")]
+    fixtures = ["--fixtures", str(fixture_similarities_path())]
+    assert loaded_by() == "[]"
+    assert loaded_by(*case_study, "--backend", "fixture", *fixtures, *out) == "[]"
+    assert loaded_by(*case_study, "--backend", "lexical", *out) == "[]"
+    # The probe sees the heavy modules when a vector backend asks for them.
+    assert loaded_by(*case_study, "--backend", "wordvec", "--vectors", str(vectors), *out) == (
+        "['http.client', 'numpy', 'urllib.request']"
     )
-    assert result.stdout.strip() == "[]"
