@@ -13,8 +13,10 @@ half-up rounding to two decimals. Novelty conversion is decimal-faithful so
 that a similarity read from a report (say 0.314) converts to exactly the
 complement a human would write down (0.686), with no binary-float drift.
 
-Everything here is a pure function over immutable inputs; pairwise
-assessments may run concurrently and the report is sorted before emission.
+Everything here is a pure function over immutable inputs, and the report's
+order is fixed by sorting, not by the order pairs were scored in. Each
+ranking call reads every problem's level texts once and converts each
+distinct similarity to novelty once; nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -54,6 +56,10 @@ __all__ = [
 
 #: Two action texts "match" when their similarity reaches this value.
 DEFAULT_ACTION_THRESHOLD = 0.7
+
+_ACTION = ConstructLevel.ACTION
+#: The levels a pair's average runs over, in canonical order.
+_NON_ACTION_LEVELS = tuple(level for level in ConstructLevel if level is not _ACTION)
 
 
 @total_ordering
@@ -119,15 +125,15 @@ def aggregate_novelty(
     here. Summation follows the canonical level order so the result is
     bit-identical regardless of the order callers assembled the map in.
     """
-    included_set = set(included)
-    if not included_set:
+    included = tuple(included)
+    if not included:
         raise ValueError("cannot aggregate over an empty set of levels")
-    if ConstructLevel.ACTION in included_set:
+    if ConstructLevel.ACTION in included:
         raise ValueError("the Action level is gated, never averaged")
-    missing = [level.key for level in included_set if level not in construct_scores]
+    missing = [level.key for level in included if level not in construct_scores]
     if missing:
-        raise ValueError(f"no score for included level(s): {sorted(missing)}")
-    ordered = [construct_scores[level] for level in ConstructLevel if level in included_set]
+        raise ValueError(f"no score for included level(s): {sorted(set(missing))}")
+    ordered = [construct_scores[level] for level in _NON_ACTION_LEVELS if level in included]
     return sum(ordered) / len(ordered)
 
 
@@ -197,30 +203,45 @@ class NoveltyReport:
         return self.ranked + self.unmatched
 
 
-_NON_ACTION_LEVELS = tuple(level for level in ConstructLevel if level is not ConstructLevel.ACTION)
+class _Memo(dict):
+    """``memo[key]`` is ``function(key)``, computed on first use and then kept.
+
+    Made anew by each call that uses one, so nothing outlives that call.
+    """
+
+    def __init__(self, function) -> None:
+        super().__init__()
+        self.function = function
+
+    def __missing__(self, key):
+        value = self[key] = self.function(key)
+        return value
 
 
 def _action_texts(problems: Iterable[ProblemSapphire], threshold: float) -> list[str]:
     """The Action text of each problem, after checking the gate threshold."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold {threshold} outside [0, 1]")
-    texts = [construct_text(problem, ConstructLevel.ACTION) for problem in problems]
+    texts = [construct_text(problem, _ACTION) for problem in problems]
     if None in texts:
         raise ValueError("every compared problem must carry an Action construct")
     return texts
 
 
+def _level_texts(problem: ProblemSapphire) -> tuple[Optional[str], ...]:
+    """The problem's text at each non-Action level, None where absent, in canonical order."""
+    return tuple(construct_text(problem, level) for level in _NON_ACTION_LEVELS)
+
+
 def _shared_levels(
-    past: ProblemSapphire, current: ProblemSapphire
+    past_texts: tuple[Optional[str], ...], current_texts: tuple[Optional[str], ...]
 ) -> list[tuple[ConstructLevel, tuple[str, str]]]:
     """Each non-Action level both problems carry, with its (past, current) texts."""
-    shared = []
-    for level in _NON_ACTION_LEVELS:
-        past_text = construct_text(past, level)
-        current_text = construct_text(current, level)
-        if past_text is not None and current_text is not None:
-            shared.append((level, (past_text, current_text)))
-    return shared
+    return [
+        (level, (past_text, current_text))
+        for level, past_text, current_text in zip(_NON_ACTION_LEVELS, past_texts, current_texts)
+        if past_text is not None and current_text is not None
+    ]
 
 
 def _assessment(
@@ -229,11 +250,17 @@ def _assessment(
     action_similarity: float,
     shared: list[tuple[ConstructLevel, tuple[str, str]]],
     scores: Mapping[tuple[str, str], float],
+    novelty: _Memo,
+    band: _Memo,
 ) -> PairAssessment:
-    """Build a gated pair's assessment from the similarities of its shared level texts."""
-    similarities = {ConstructLevel.ACTION: action_similarity}
+    """Build a gated pair's assessment from the similarities of its shared level texts.
+
+    ``novelty`` and ``band`` are the caller's memos of :func:`construct_novelty`
+    and :func:`classify_novelty`.
+    """
+    similarities = {_ACTION: action_similarity}
     similarities.update((level, scores[texts]) for level, texts in shared)
-    novelties = {level: construct_novelty(value) for level, value in similarities.items()}
+    novelties = {level: novelty[value] for level, value in similarities.items()}
     included = tuple(level for level, _ in shared)
     average = aggregate_novelty(novelties, included) if included else None
     return PairAssessment(
@@ -243,7 +270,7 @@ def _assessment(
         construct_novelty=novelties,
         included_levels=included,
         average_novelty=average,
-        band=classify_novelty(average) if included else None,
+        band=band[average] if included else None,
         no_comparable_constructs=not included,
     )
 
@@ -285,9 +312,12 @@ def assess_pair(
     matched, action_similarity = action_match(past, current, backend, threshold)
     if not matched:
         return None
-    shared = _shared_levels(past, current)
+    shared = _shared_levels(_level_texts(past), _level_texts(current))
     scores = _scored((texts for _, texts in shared), backend)
-    return _assessment(past, current, action_similarity, shared, scores)
+    return _assessment(
+        past, current, action_similarity, shared, scores,
+        _Memo(construct_novelty), _Memo(classify_novelty),
+    )
 
 
 def rank_current_problems(
@@ -305,7 +335,8 @@ def rank_current_problems(
 
     The backend sees two bulk calls: one over the unique (past, current)
     Action pairs, then one over the unique level-text pairs of the gated
-    problem pairs.
+    problem pairs. Each problem's level texts are read once, and each
+    distinct similarity and average is converted and banded once.
     """
     if not past.problems:
         raise ValueError("the past corpus must be non-empty")
@@ -327,23 +358,26 @@ def rank_current_problems(
         )
         for action in unique_current_actions
     }
+    past_texts = [_level_texts(problem) for problem in past.problems]
     # Each gated pair as (past problem, Action similarity, shared levels), per current problem.
     gated_pairs = [
         [
-            (past.problems[i], gate[past_actions[i], action], _shared_levels(past.problems[i], problem))
+            (past.problems[i], gate[past_actions[i], action], _shared_levels(past_texts[i], texts))
             for i in matches[action]
         ]
-        for problem, action in zip(current.problems, current_actions)
+        for texts, action in zip(map(_level_texts, current.problems), current_actions)
     ]
     scores = _scored(
         (texts for pairs in gated_pairs for *_, shared in pairs for _, texts in shared), backend
     )
 
+    novelty = _Memo(construct_novelty)
+    band = _Memo(classify_novelty)
     scored: list[ProblemNovelty] = []
     unmatched: list[ProblemNovelty] = []
     for problem, pairs in zip(current.problems, gated_pairs):
         assessments = tuple(
-            _assessment(reference, problem, similarity, shared, scores)
+            _assessment(reference, problem, similarity, shared, scores, novelty, band)
             for reference, similarity, shared in pairs
         )
         averages = [a.average_novelty for a in assessments if a.average_novelty is not None]
@@ -354,7 +388,7 @@ def rank_current_problems(
                     current_id=problem.id,
                     assessments=assessments,
                     min_novelty=minimum,
-                    band=classify_novelty(minimum),
+                    band=band[minimum],
                 )
             )
         else:

@@ -13,14 +13,23 @@ from __future__ import annotations
 
 import csv
 import io
-import json
+from itertools import groupby
+from json import JSONEncoder
+from json.encoder import encode_basestring
+from operator import attrgetter
 from typing import Mapping
 
-from .novelty import NoveltyBand, NoveltyReport, PairAssessment, round_half_up
+from .novelty import (
+    NoveltyBand,
+    NoveltyReport,
+    PairAssessment,
+    ProblemNovelty,
+    _Memo,
+    round_half_up,
+)
 from .problem_model import ConstructLevel
 
 __all__ = [
-    "report_payload",
     "render_table",
     "render_csv",
     "render_json",
@@ -29,6 +38,16 @@ __all__ = [
 
 _AVERAGE_ROW = "Avg. Novelty"
 _BAND_ROW = "Novelty band"
+
+# JSON leaves, encoded as json.dumps(ensure_ascii=False) encodes them; scores are
+# finite floats, which json.dumps writes with float.__repr__.
+_float = float.__repr__
+_scalar = JSONEncoder(ensure_ascii=False).encode
+_BOOLS = ("false", "true")
+_BANDS = {band: encode_basestring(band.value) for band in NoveltyBand}
+# How each level opens its entry in a pair's score maps, and its item in included_levels.
+_LEVEL_ENTRIES = tuple((level, f'\n        "{level.key}": ') for level in ConstructLevel)
+_LEVEL_ITEMS = {level: f'\n        "{level.key}"' for level in ConstructLevel}
 
 
 def _fmt3(value: float) -> str:
@@ -39,67 +58,27 @@ def _fmt2(value: float) -> str:
     return f"{round_half_up(value, 2):.2f}"
 
 
+def _displays(fmt) -> _Memo:
+    """A memo of ``fmt`` keyed by the float's repr, for one render.
+
+    Keyed by the repr, not the value, because 0.0 and -0.0 are equal keys
+    but display differently.
+    """
+    return _Memo(lambda text: fmt(float(text)))
+
+
 def _band_label(band: NoveltyBand | None) -> str:
     return f"{band.label} Novelty" if band is not None else "-"
 
 
 def _pair_columns(report: NoveltyReport) -> list[PairAssessment]:
-    """All gated pairs in deterministic order: past corpus order, then id."""
+    """All gated pairs ordered by past id, then current id, as strings ("p10" before "p2")."""
     pairs = [a for entry in report.entries for a in entry.assessments]
     pairs.sort(key=lambda a: (a.past_id, a.current_id))
     return pairs
 
 
-def _by_key(scores: Mapping[ConstructLevel, float]) -> dict[str, float]:
-    """Per-level scores keyed by canonical key, in canonical level order."""
-    return {level.key: scores[level] for level in ConstructLevel if level in scores}
-
-
-def report_payload(report: NoveltyReport) -> dict:
-    """JSON-ready payload carrying full-precision and display scores."""
-    pairs = []
-    for assessment in _pair_columns(report):
-        novelty = _by_key(assessment.construct_novelty)
-        pairs.append(
-            {
-                "past_id": assessment.past_id,
-                "current_id": assessment.current_id,
-                "construct_similarity": _by_key(assessment.construct_similarity),
-                "construct_novelty": novelty,
-                "construct_novelty_display": {key: _fmt3(value) for key, value in novelty.items()},
-                "included_levels": [level.key for level in assessment.included_levels],
-                "average_novelty": assessment.average_novelty,
-                "average_novelty_display": (
-                    _fmt2(assessment.average_novelty)
-                    if assessment.average_novelty is not None
-                    else None
-                ),
-                "band": assessment.band.value if assessment.band is not None else None,
-                "no_comparable_constructs": assessment.no_comparable_constructs,
-            }
-        )
-    ranking = [
-        {
-            "rank": entry.rank,
-            "current_id": entry.current_id,
-            "min_novelty": entry.min_novelty,
-            "min_novelty_display": _fmt2(entry.min_novelty),
-            "band": entry.band.value,
-        }
-        for entry in report.ranked
-    ]
-    return {
-        "backend": report.backend_kind,
-        "threshold": report.threshold,
-        "past_corpus": report.past_corpus,
-        "current_corpus": report.current_corpus,
-        "pairs": pairs,
-        "ranking": ranking,
-        "unmatched": [entry.current_id for entry in report.unmatched],
-    }
-
-
-def _grid_rows(pairs: list[PairAssessment]) -> list[list[str]]:
+def _grid_rows(pairs: list[PairAssessment], fmt3: _Memo, fmt2: _Memo) -> list[list[str]]:
     """The score grid shared by the table and CSV renderers."""
     header = ["Constructs"] + [f"{a.past_id}-{a.current_id}" for a in pairs]
     rows = [header]
@@ -107,12 +86,12 @@ def _grid_rows(pairs: list[PairAssessment]) -> list[list[str]]:
         cells = [level.label]
         for assessment in pairs:
             value = assessment.construct_novelty.get(level)
-            cells.append(_fmt3(value) if value is not None else "-")
+            cells.append(fmt3[_float(value)] if value is not None else "-")
         rows.append(cells)
     rows.append(
         [_AVERAGE_ROW]
         + [
-            _fmt2(a.average_novelty) if a.average_novelty is not None else "-"
+            fmt2[_float(a.average_novelty)] if a.average_novelty is not None else "-"
             for a in pairs
         ]
     )
@@ -145,12 +124,11 @@ def render_table(report: NoveltyReport, summary_only: bool = False) -> str:
         f"past corpus: {report.past_corpus}  current corpus: {report.current_corpus}",
         "",
     ]
-    pairs = _pair_columns(report)
     if not summary_only:
-        for past_id in sorted({a.past_id for a in pairs}):
-            subset = [a for a in pairs if a.past_id == past_id]
+        fmt3, fmt2 = _displays(_fmt3), _displays(_fmt2)
+        for past_id, subset in groupby(_pair_columns(report), key=attrgetter("past_id")):
             lines.append(f"comparison with past problem {past_id}")
-            lines.append(_layout(_grid_rows(subset)))
+            lines.append(_layout(_grid_rows(list(subset), fmt3, fmt2)))
             lines.append("")
     lines.append("ranking (most novel first)")
     if report.ranked:
@@ -176,7 +154,7 @@ def render_csv(report: NoveltyReport, summary_only: bool = False) -> str:
     writer.writerow(["current_corpus", report.current_corpus])
     writer.writerow([])
     if not summary_only:
-        for row in _grid_rows(_pair_columns(report)):
+        for row in _grid_rows(_pair_columns(report), _displays(_fmt3), _displays(_fmt2)):
             writer.writerow(row)
         writer.writerow([])
     for row in _ranking_rows(report):
@@ -189,11 +167,86 @@ def render_csv(report: NoveltyReport, summary_only: bool = False) -> str:
     return buffer.getvalue()
 
 
+def _score_texts(scores: Mapping[ConstructLevel, float]) -> list[tuple[str, str]]:
+    """(entry opening, encoded score) for each level in ``scores``, in canonical level order."""
+    return [(entry, _float(scores[level])) for level, entry in _LEVEL_ENTRIES if level in scores]
+
+
+def _json_block(entries: list[str], opening: str, closing: str, indent: str) -> str:
+    """A JSON array or object from its encoded entries, laid out as ``indent=2`` lays it out."""
+    if not entries:
+        return opening + closing
+    return opening + ",".join(entries) + "\n" + indent + closing
+
+
+def _json_map(items: list[tuple[str, str]]) -> str:
+    """A pair's per-level map from its (entry opening, encoded value) items."""
+    return _json_block([entry + text for entry, text in items], "{", "}", "      ")
+
+
+def _json_pair(assessment: PairAssessment, display3: _Memo, display2: _Memo) -> str:
+    """One element of the report's "pairs" array."""
+    novelty = _score_texts(assessment.construct_novelty)
+    included = [_LEVEL_ITEMS[level] for level in assessment.included_levels]
+    average = assessment.average_novelty
+    average_text = "null" if average is None else _float(average)
+    band = assessment.band
+    return (
+        "\n    {"
+        f'\n      "past_id": {encode_basestring(assessment.past_id)},'
+        f'\n      "current_id": {encode_basestring(assessment.current_id)},'
+        f'\n      "construct_similarity": {_json_map(_score_texts(assessment.construct_similarity))},'
+        f'\n      "construct_novelty": {_json_map(novelty)},'
+        f'\n      "construct_novelty_display": '
+        f"{_json_map([(entry, display3[text]) for entry, text in novelty])},"
+        f'\n      "included_levels": {_json_block(included, "[", "]", "      ")},'
+        f'\n      "average_novelty": {average_text},'
+        f'\n      "average_novelty_display": '
+        f'{"null" if average is None else display2[average_text]},'
+        f'\n      "band": {"null" if band is None else _BANDS[band]},'
+        f'\n      "no_comparable_constructs": {_BOOLS[assessment.no_comparable_constructs]}'
+        "\n    }"
+    )
+
+
+def _json_ranked(entry: ProblemNovelty, display2: _Memo) -> str:
+    """One element of the report's "ranking" array."""
+    min_text = _float(entry.min_novelty)
+    return (
+        "\n    {"
+        f'\n      "rank": {_scalar(entry.rank)},'
+        f'\n      "current_id": {encode_basestring(entry.current_id)},'
+        f'\n      "min_novelty": {min_text},'
+        f'\n      "min_novelty_display": {display2[min_text]},'
+        f'\n      "band": {_BANDS[entry.band]}'
+        "\n    }"
+    )
+
+
 def render_json(report: NoveltyReport, summary_only: bool = False) -> str:
-    payload = report_payload(report)
-    if summary_only:
-        payload.pop("pairs")
-    return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+    """The report as JSON: the bytes of ``json.dumps(payload, ensure_ascii=False, indent=2)``.
+
+    The payload holds the run's metadata, every gated pair (left out when
+    ``summary_only``) with full-precision and display scores, the ranking
+    and the unmatched ids. It is written straight from the report, key by
+    key, with no intermediate dicts.
+    """
+    display3 = _displays(lambda value: f'"{_fmt3(value)}"')
+    display2 = _displays(lambda value: f'"{_fmt2(value)}"')
+    parts = [
+        f'{{\n  "backend": {_scalar(report.backend_kind)},'
+        f'\n  "threshold": {_scalar(report.threshold)},'
+        f'\n  "past_corpus": {_scalar(report.past_corpus)},'
+        f'\n  "current_corpus": {_scalar(report.current_corpus)},'
+    ]
+    if not summary_only:
+        pairs = [_json_pair(a, display3, display2) for a in _pair_columns(report)]
+        parts += ['\n  "pairs": ', _json_block(pairs, "[", "]", "  "), ","]
+    ranking = [_json_ranked(entry, display2) for entry in report.ranked]
+    unmatched = ["\n    " + encode_basestring(entry.current_id) for entry in report.unmatched]
+    parts.append('\n  "ranking": ' + _json_block(ranking, "[", "]", "  ") + ",")
+    parts.append('\n  "unmatched": ' + _json_block(unmatched, "[", "]", "  ") + "\n}\n")
+    return "".join(parts)
 
 
 def render_report(report: NoveltyReport, fmt: str, summary_only: bool = False) -> str:

@@ -6,6 +6,7 @@ import pytest
 
 from sapphire_novelty import (
     ConstructLevel,
+    FixtureBackend,
     LexicalBackend,
     NoveltyBand,
     OScoreInput,
@@ -453,6 +454,69 @@ class TestBulkScoring:
         level_calls = backend.calls[len(gate_pairs) :]
         assert len(gate_calls) == len(set(gate_calls)) and set(gate_calls) == gate_pairs
         assert len(level_calls) == len(set(level_calls)) and set(level_calls) == level_pairs
+
+
+def with_blank_levels(corpus, rng):
+    """``corpus`` with some levels present but blank, which count as absent."""
+    problems = []
+    for record in corpus.problems:
+        constructs = dict(record.constructs)
+        for level in NON_ACTION:
+            if rng.random() < 0.1:
+                constructs[level] = "   "
+        problems.append(
+            ProblemSapphire(record.id, record.label, record.provenance, constructs=constructs)
+        )
+    return ProblemCorpus(corpus.name, corpus.role, tuple(problems))
+
+
+def fixture_backend(past, current, rng, path):
+    """A fixture pinning every (past text, current text) pair to one of a few values."""
+    values = ["0.0", "0.25", "0.314", "0.5", "0.7", "0.75", "1.0"]
+
+    def texts(corpus):
+        return {text for record in corpus.problems for text in record.constructs.values() if text.strip()}
+
+    pairs = {tuple(sorted((a, b))) for a in texts(past) for b in texts(current)}
+    path.write_text(
+        "".join(f"{a}\t{b}\t{rng.choice(values)}\n" for a, b in sorted(pairs)), encoding="utf-8"
+    )
+    return FixtureBackend.from_file(path)
+
+
+class TestRankMatchesAssessPair:
+    """The ranking's shared per-problem level texts and per-call novelty memo change no
+    assessment: each gated pair's equals what ``assess_pair`` builds on its own."""
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 0.7])
+    @pytest.mark.parametrize("kind", ["lexical", "fixture"])
+    def test_every_gated_pair_equals_assess_pair(self, seed, threshold, kind, tmp_path):
+        rng = random.Random(seed)
+        past, current = (with_blank_levels(corpus, rng) for corpus in repetitive_corpora(seed, 15))
+        if kind == "lexical":
+            backend = LexicalBackend()
+        else:
+            backend = fixture_backend(past, current, rng, tmp_path / "pinned.tsv")
+        report = rank_current_problems(past, current, backend, threshold)
+        ranked = {
+            (a.past_id, a.current_id): a for entry in report.entries for a in entry.assessments
+        }
+        alone = {}
+        for p in past.problems:
+            for c in current.problems:
+                assessment = assess_pair(p, c, backend, threshold)
+                if assessment is not None:
+                    alone[p.id, c.id] = assessment
+        assert alone and ranked == alone
+        for a in ranked.values():
+            for level, similarity in a.construct_similarity.items():
+                assert a.construct_novelty[level] == construct_novelty(similarity)
+            if a.average_novelty is not None:
+                assert a.band is classify_novelty(a.average_novelty)
+        values = [v for a in alone.values() for v in a.construct_similarity.values()]
+        assert len(set(values)) < len(values), "similarity values must repeat"
+        assert any(len(a.included_levels) < len(NON_ACTION) for a in alone.values())
 
 
 class TestOScore:
