@@ -5,9 +5,10 @@ On-disk format is UTF-8 JSON Lines: one problem object per line with the keys
 ``context``, and ``constructs`` (an object mapping the seven canonical
 construct keys to phrases; keys other than ``action`` may be absent).
 
-Strict mode aborts on the first file with any violation, naming line numbers;
-lenient mode skips invalid records with warnings. Survey responses arrive as
-CSV and are imported as a current-role corpus.
+Survey responses arrive as CSV and are imported as a current-role corpus.
+Records from either source meet one policy: strict mode aborts at the first
+invalid record, naming its line (JSONL) or data row (CSV); lenient mode skips
+invalid records with warnings.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import csv
 import json
 import warnings
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .problem_model import (
     CANONICAL_LEVEL_KEYS,
@@ -43,7 +44,6 @@ _RECORD_KEYS = ("id", "label", "provenance", "source", "context", "constructs")
 
 # Construct columns after action are optional in survey files.
 _SURVEY_REQUIRED_COLUMNS = ("id", "label", "source", "action")
-_SURVEY_CONSTRUCT_COLUMNS = CANONICAL_LEVEL_KEYS
 
 
 class CorpusWarning(UserWarning):
@@ -120,8 +120,8 @@ def problem_from_record(record: dict, *, line_no: int, strict: bool) -> ProblemS
     )
 
 
-def _duplicate_message(line_no: int, problem_id: str, first_line_no: int) -> str:
-    return f"line {line_no}: duplicate id {problem_id!r} (first on line {first_line_no})"
+def _duplicate_message(where: str, number: int, problem_id: str, first: int) -> str:
+    return f"{where} {number}: duplicate id {problem_id!r} (first on {where} {first})"
 
 
 def _read_records(path: Path, strict: bool) -> Iterator[tuple[int, ProblemSapphire | str]]:
@@ -150,6 +150,48 @@ def _read_records(path: Path, strict: bool) -> Iterator[tuple[int, ProblemSapphi
             yield line_no, str(error)
 
 
+def _admit_records(
+    items: Iterable[tuple[int, ProblemSapphire | str]],
+    path: Path,
+    role: Provenance,
+    strict: bool,
+    where: str,
+) -> tuple[list[ProblemSapphire], int]:
+    """The record policy of every corpus source: returns the kept problems and
+    the last position read (0 when there was none).
+
+    ``items`` pairs a record's ``where`` number (``"line"`` or ``"row"``) with
+    its problem, or with a message naming that number. A problem is kept when
+    it passes :func:`validate_problem`, matches ``role`` and has a new id.
+    Strict mode raises :class:`CorpusFormatError` at any other item; lenient
+    mode skips it with a :class:`CorpusWarning`.
+    """
+    problems: list[ProblemSapphire] = []
+    seen_ids: dict[str, int] = {}
+    number = 0
+    for number, item in items:
+        if isinstance(item, str):
+            message = item
+        elif violations := validate_problem(item):
+            joined = "; ".join(str(v) for v in violations)
+            message = f"{where} {number}: invalid record: {joined}"
+        elif item.provenance is not role:
+            message = (
+                f"{where} {number}: provenance {item.provenance.value!r} "
+                f"does not match the corpus role {role.value!r}"
+            )
+        elif item.id in seen_ids:
+            message = _duplicate_message(where, number, item.id, seen_ids[item.id])
+        else:
+            seen_ids[item.id] = number
+            problems.append(item)
+            continue
+        if strict:
+            raise CorpusFormatError(f"{path}: {message}")
+        warnings.warn(f"{path}: {message} (skipped)", CorpusWarning)
+    return problems, number
+
+
 def load_corpus(path: str | Path, role: Provenance, strict: bool = True) -> ProblemCorpus:
     """Load a JSONL corpus file; the corpus takes its name from the file stem.
 
@@ -160,31 +202,8 @@ def load_corpus(path: str | Path, role: Provenance, strict: bool = True) -> Prob
     corpus with a warning.
     """
     path = Path(path)
-    problems: list[ProblemSapphire] = []
-    seen_ids: dict[str, int] = {}
-    line_no = 0  # stays 0 when the file holds no content line
-    for line_no, item in _read_records(path, strict):
-        if isinstance(item, str):
-            message = item
-        elif violations := validate_problem(item):
-            joined = "; ".join(str(v) for v in violations)
-            message = f"line {line_no}: invalid record: {joined}"
-        elif item.provenance is not role:
-            message = (
-                f"line {line_no}: provenance {item.provenance.value!r} "
-                f"does not match the corpus role {role.value!r}"
-            )
-        elif item.id in seen_ids:
-            message = _duplicate_message(line_no, item.id, seen_ids[item.id])
-        else:
-            seen_ids[item.id] = line_no
-            problems.append(item)
-            continue
-        if strict:
-            raise CorpusFormatError(f"{path}: {message}")
-        warnings.warn(f"{path}: {message} (skipped)", CorpusWarning)
-
-    if not line_no:
+    problems, last_line = _admit_records(_read_records(path, strict), path, role, strict, "line")
+    if not last_line:
         warnings.warn(f"{path}: empty corpus file", CorpusWarning)
     return ProblemCorpus(name=path.stem, role=role, problems=tuple(problems))
 
@@ -211,10 +230,11 @@ def import_survey_csv(
     """Import survey responses (CSV) as a current-role corpus.
 
     The header row must carry ``id``, ``label``, ``source`` and ``action``;
-    the remaining construct columns are optional. Empty construct cells become
-    absent levels; an empty id cell auto-generates ``CUR-<row>`` from the
-    1-based data row number. A row with a blank action cell is an error in
-    strict mode and skipped with a warning otherwise.
+    the remaining construct columns are optional. Cells are trimmed and blank
+    rows skipped. Empty construct cells become absent levels; an empty id cell
+    auto-generates ``CUR-<row>`` from the 1-based data row number. Each row
+    then meets the record policy of :func:`load_corpus`, with errors and
+    warnings naming the data row.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -227,65 +247,36 @@ def import_survey_csv(
         missing = [column for column in _SURVEY_REQUIRED_COLUMNS if column not in header]
         if missing:
             raise CorpusFormatError(f"{path}: header lacks required column(s) {missing}")
-        known = set(_SURVEY_REQUIRED_COLUMNS) | set(_SURVEY_CONSTRUCT_COLUMNS)
+        known = {*_SURVEY_REQUIRED_COLUMNS, *CANONICAL_LEVEL_KEYS}
         unknown = [column for column in header if column not in known]
         if unknown:
             warnings.warn(f"{path}: ignoring unknown column(s) {unknown}", CorpusWarning)
         position = {column: i for i, column in enumerate(header)}
 
-        problems: list[ProblemSapphire] = []
-        seen_ids: dict[str, int] = {}
-        row_no = 0
-        for row in reader:
-            if not any(cell.strip() for cell in row):
-                continue
-            row_no += 1
+        rows = (row for row in reader if any(cell.strip() for cell in row))
+        items = (
+            (row_no, _survey_problem(row, position, row_no, context))
+            for row_no, row in enumerate(rows, start=1)
+        )
+        problems, last_row = _admit_records(items, path, Provenance.CURRENT, strict, "row")
 
-            def cell(column: str) -> str:
-                index = position.get(column)
-                if index is None or index >= len(row):
-                    return ""
-                return row[index].strip()
-
-            action = cell("action")
-            if not action:
-                message = f"row {row_no}: empty action cell"
-                if strict:
-                    raise CorpusFormatError(f"{path}: {message}")
-                warnings.warn(f"{path}: {message} (row skipped)", CorpusWarning)
-                continue
-            problem_id = cell("id") or f"CUR-{row_no}"
-            if problem_id in seen_ids:
-                message = (
-                    f"row {row_no}: duplicate id {problem_id!r} "
-                    f"(first on row {seen_ids[problem_id]})"
-                )
-                if strict:
-                    raise CorpusFormatError(f"{path}: {message}")
-                warnings.warn(f"{path}: {message} (row skipped)", CorpusWarning)
-                continue
-            seen_ids[problem_id] = row_no
-            constructs = {ConstructLevel.ACTION: action}
-            for key in _SURVEY_CONSTRUCT_COLUMNS:
-                if key == ConstructLevel.ACTION.key:
-                    continue
-                text = cell(key)
-                if text:
-                    constructs[ConstructLevel.from_key(key)] = text
-            problems.append(
-                ProblemSapphire(
-                    id=problem_id,
-                    label=cell("label"),
-                    provenance=Provenance.CURRENT,
-                    source=cell("source"),
-                    context=context,
-                    constructs=constructs,
-                )
-            )
-
-    if not problems:
+    if not last_row:
         warnings.warn(f"{path}: survey file contains no data rows", CorpusWarning)
     return ProblemCorpus(name=path.stem, role=Provenance.CURRENT, problems=tuple(problems))
+
+
+def _survey_problem(
+    row: list[str], position: dict[str, int], row_no: int, context: str
+) -> ProblemSapphire:
+    cells = {column: row[i].strip() for column, i in position.items() if i < len(row)}
+    return ProblemSapphire(
+        id=cells.get("id") or f"CUR-{row_no}",
+        label=cells.get("label", ""),
+        provenance=Provenance.CURRENT,
+        source=cells.get("source", ""),
+        context=context,
+        constructs={level: cells[level.key] for level in ConstructLevel if cells.get(level.key)},
+    )
 
 
 def validate_corpus_file(path: str | Path) -> list[str]:
@@ -308,7 +299,7 @@ def validate_corpus_file(path: str | Path) -> list[str]:
     seen: dict[str, int] = {}
     for line_no, problem in problems:
         if problem.id in seen:
-            findings.append(_duplicate_message(line_no, problem.id, seen[problem.id]))
+            findings.append(_duplicate_message("line", line_no, problem.id, seen[problem.id]))
         else:
             seen[problem.id] = line_no
 

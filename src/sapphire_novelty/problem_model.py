@@ -32,6 +32,10 @@ class ConstructLevel(Enum):
     ORGAN = "organ"
     PARTS = "parts"
 
+    # Members are singletons compared by identity, so the identity hash agrees
+    # with equality; Enum's own hash is a Python-level call on every dict lookup.
+    __hash__ = object.__hash__
+
     @property
     def key(self) -> str:
         return self.value

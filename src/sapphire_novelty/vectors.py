@@ -154,8 +154,8 @@ def _is_int(text: str) -> bool:
 class WordVectorBackend(SimilarityBackend):
     """Cosine over mean-pooled pre-trained word vectors.
 
-    Every vector in ``table`` must be a flat array of finite numbers, all of
-    one dimension; anything else raises ``ValueError`` at construction.
+    Every vector in ``table`` must meet the rule of :func:`_checked_vector`,
+    all of one dimension; anything else raises ``ValueError`` at construction.
     """
 
     table: Mapping[str, np.ndarray]
@@ -164,15 +164,7 @@ class WordVectorBackend(SimilarityBackend):
     def __post_init__(self) -> None:
         dimension: int | None = None
         for word, vector in self.table.items():
-            array = np.asarray(vector, dtype=float)
-            if array.ndim != 1 or not np.isfinite(array).all():
-                raise ValueError(f"vector of {word!r} must be a flat array of finite numbers")
-            if dimension is None:
-                dimension = array.size
-            elif array.size != dimension:
-                raise ValueError(
-                    f"vector of {word!r} has {array.size} components, expected {dimension}"
-                )
+            dimension = _checked_vector(vector, dimension, f"vector of {word!r}").size
 
     @classmethod
     def from_file(cls, path: str | Path) -> "WordVectorBackend":
@@ -204,12 +196,14 @@ class RemoteBackend(SimilarityBackend):
 
     Wire protocol: POST to an ``http`` or ``https`` ``endpoint`` with JSON
     body ``{"texts": [...]}``; the response must be ``{"vectors": [[...], ...]}``
-    with one equal-length, non-empty, finite numeric array per input text, in
-    the same order. A 4xx status other than 408 and 429 is the request's
-    fault and raises :class:`BackendUnavailableError` at once. Any other
-    scheme, transport failure, 408, 429, 5xx or other non-2xx status, shape
-    mismatch or NaN/inf component is retried; after ``retries`` attempts the
-    call raises :class:`BackendUnavailableError`.
+    with one vector per input text, in the same order, each meeting the rule
+    of :func:`_checked_vector`; all vectors of one call to :meth:`embed_texts`,
+    across its batches, share one dimension. A 4xx status other than 408 and
+    429 is the request's fault and raises :class:`BackendUnavailableError` at
+    once. Any other scheme, transport failure, 408, 429, 5xx or other non-2xx
+    status, or response breaking the vector rule is retried; after
+    ``retries`` attempts the call raises :class:`BackendUnavailableError`.
+    ``batch_size`` and ``retries`` below 1 raise ``ValueError`` at construction.
     """
 
     endpoint: str
@@ -217,6 +211,11 @@ class RemoteBackend(SimilarityBackend):
     timeout: float = 30.0
     retries: int = 3
     kind: str = field(default="remote", init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for name in ("batch_size", "retries"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
     def similarity(self, a: str, b: str) -> float:
         # One comparison is one request carrying both texts, equal or not.
@@ -232,13 +231,14 @@ class RemoteBackend(SimilarityBackend):
         """Embed ``texts`` in order, batching requests at ``batch_size``."""
         vectors: list[np.ndarray] = []
         for start in range(0, len(texts), self.batch_size):
-            vectors.extend(self._post_batch(list(texts[start : start + self.batch_size])))
+            batch = list(texts[start : start + self.batch_size])
+            vectors.extend(self._post_batch(batch, vectors[0].size if vectors else None))
         return vectors
 
-    def _post_batch(self, batch: list[str]) -> list[np.ndarray]:
+    def _post_batch(self, batch: list[str], dimension: int | None) -> list[np.ndarray]:
         body = json.dumps({"texts": batch}).encode("utf-8")
         last_error: Exception | None = None
-        for attempt in range(1, max(1, self.retries) + 1):
+        for attempt in range(1, self.retries + 1):
             try:
                 # urllib also opens file:// and ftp:// URLs; only HTTP speaks the protocol.
                 scheme = urllib.parse.urlsplit(self.endpoint).scheme
@@ -250,7 +250,7 @@ class RemoteBackend(SimilarityBackend):
                 # urlopen follows redirects and raises HTTPError for any other non-2xx status.
                 with urllib.request.urlopen(request, timeout=self.timeout) as response:
                     payload = json.load(response)
-                return _parse_vectors(payload, expected=len(batch))
+                return _parse_vectors(payload, len(batch), dimension)
             except urllib.error.HTTPError as error:
                 error.close()
                 last_error = error
@@ -265,20 +265,34 @@ class RemoteBackend(SimilarityBackend):
         )
 
 
-def _parse_vectors(payload: object, expected: int) -> list[np.ndarray]:
+def _parse_vectors(payload: object, expected: int, dimension: int | None) -> list[np.ndarray]:
     if not isinstance(payload, dict) or "vectors" not in payload:
         raise ValueError("response body must be an object with a 'vectors' field")
     raw = payload["vectors"]
     if not isinstance(raw, list) or len(raw) != expected:
         raise ValueError(f"expected {expected} vectors, got {len(raw) if isinstance(raw, list) else type(raw)}")
-    arrays = [np.asarray(item) for item in raw]
-    # Only JSON numbers pass: strings, booleans and nulls give another dtype kind.
-    if any(array.dtype.kind not in "iuf" or array.ndim != 1 or array.size == 0 for array in arrays):
-        raise ValueError("each vector must be a non-empty flat array of numbers")
-    vectors = [array.astype(float) for array in arrays]
-    if not all(np.isfinite(vector).all() for vector in vectors):
-        raise ValueError("vectors must have finite components (no NaN or inf)")
-    dimensions = {len(vector) for vector in vectors}
-    if len(dimensions) > 1:
-        raise ValueError(f"vectors have mixed dimensions: {sorted(dimensions)}")
+    vectors = []
+    for index, item in enumerate(raw):
+        vectors.append(_checked_vector(item, dimension, f"response vector {index}"))
+        dimension = vectors[0].size
     return vectors
+
+
+def _checked_vector(raw: object, dimension: int | None, name: str) -> np.ndarray:
+    """``raw`` as a float vector, if it is a non-empty flat array of int or float
+    numbers, all finite, with ``dimension`` components unless that is None.
+
+    Anything else raises ``ValueError`` naming ``name``. Booleans, strings and
+    nulls fail: numpy gives them another dtype kind.
+    """
+    try:
+        array = np.asarray(raw)
+    except ValueError:  # a ragged nesting has no array form
+        array = np.asarray(None)
+    if array.dtype.kind not in "iuf" or array.ndim != 1 or array.size == 0:
+        raise ValueError(f"{name} must be a non-empty flat array of numbers")
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must have finite components (no NaN or inf)")
+    if dimension is not None and array.size != dimension:
+        raise ValueError(f"mixed dimensions: {name} has {array.size} components, expected {dimension}")
+    return array.astype(float, copy=False)

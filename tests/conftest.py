@@ -71,6 +71,9 @@ class _StubHandler(BaseHTTPRequestHandler):
             payload = {"vectors": [[True, False] for _ in texts]}
         elif stub.mode == "empty_vectors":
             payload = {"vectors": [[] for _ in texts]}
+        elif stub.mode == "growing_dims":
+            # The n-th POST answers vectors of n + 1 components.
+            payload = {"vectors": [[1.0] * (len(stub.batches) + 1) for _ in texts]}
         else:
             raise AssertionError(f"unknown stub mode {stub.mode}")
         self._respond(200, json.dumps(payload).encode("utf-8"))

@@ -16,6 +16,7 @@ from sapphire_novelty import (
     make_constructs,
     save_corpus,
 )
+from sapphire_novelty.corpus_store import problem_from_record
 from sapphire_novelty.data import current_corpus_path, past_corpus_path
 
 from conftest import random_corpus
@@ -152,6 +153,30 @@ class TestLoadCorpus:
         path = write_lines(tmp_path / "c.jsonl", record("A", provenance="historic"))
         with pytest.raises(CorpusFormatError, match="provenance"):
             load_corpus(path, Provenance.PAST, strict=True)
+
+
+class TestProblemFromRecord:
+    def parse(self, strict=True, **overrides):
+        return problem_from_record(json.loads(record("A", **overrides)), line_no=3, strict=strict)
+
+    def test_constructs_must_be_an_object(self):
+        with pytest.raises(CorpusFormatError, match="line 3: 'constructs' must be an object"):
+            self.parse(constructs=["spilling of liquid"])
+
+    def test_construct_value_must_be_a_string(self):
+        with pytest.raises(CorpusFormatError, match="line 3: construct 'effect' must be a string"):
+            self.parse(constructs={"action": "spilling of liquid", "effect": 1})
+
+    @pytest.mark.parametrize("field", ["id", "label", "source", "context"])
+    def test_text_fields_must_be_strings(self, field):
+        with pytest.raises(CorpusFormatError, match=f"line 3: '{field}' must be a string"):
+            self.parse(**{field: 7})
+
+    def test_lenient_unknown_construct_key_is_ignored_with_warning(self):
+        constructs = {"action": "spilling of liquid", "smell": "burnt"}
+        with pytest.warns(CorpusWarning, match=r"line 3: unknown construct key 'smell' \(ignored\)"):
+            problem = self.parse(strict=False, constructs=constructs)
+        assert dict(problem.constructs) == {ConstructLevel.ACTION: "spilling of liquid"}
 
 
 class TestSaveCorpus:
@@ -314,6 +339,53 @@ class TestImportSurveyCsv:
         with pytest.warns(CorpusWarning, match="duplicate id"):
             corpus = import_survey_csv(path, context="kettle", strict=False)
         assert [p.label for p in corpus.problems] == ["first"]
+
+    def test_whitespace_id_strict_names_row(self, tmp_path):
+        path = write_lines(tmp_path / "survey.csv", SURVEY_HEADER, "R 1,label,src,spill,,,,,,")
+        with pytest.raises(
+            CorpusFormatError, match="row 1: invalid record: id: must not contain whitespace"
+        ):
+            import_survey_csv(path, context="kettle", strict=True)
+
+    def test_whitespace_id_lenient_skips_row_and_the_rest_saves(self, tmp_path):
+        path = write_lines(
+            tmp_path / "survey.csv",
+            SURVEY_HEADER,
+            "R 1,label,src,spill a,,,,,,",
+            "R2,label,src,spill b,,,,,,",
+        )
+        with pytest.warns(CorpusWarning, match=r"row 1: .*whitespace.*\(skipped\)$"):
+            corpus = import_survey_csv(path, context="kettle", strict=False)
+        assert [p.id for p in corpus.problems] == ["R2"]
+        save_corpus(corpus, tmp_path / "survey.jsonl")
+
+    def test_lenient_skips_use_the_jsonl_record_messages(self, tmp_path):
+        path = write_lines(
+            tmp_path / "survey.csv",
+            SURVEY_HEADER,
+            "R1,label,src,spill,,,,,,",
+            "R2,label,src,,,,,,,",
+            "R1,label,src,spill again,,,,,,",
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            corpus = import_survey_csv(path, context="kettle", strict=False)
+        assert [str(w.message) for w in caught] == [
+            f"{path}: row 2: invalid record: constructs[action]: "
+            "the Action construct is mandatory and must be non-empty (skipped)",
+            f"{path}: row 3: duplicate id 'R1' (first on row 1) (skipped)",
+        ]
+        assert [p.id for p in corpus.problems] == ["R1"]
+
+    def test_all_rows_skipped_is_not_reported_as_no_data_rows(self, tmp_path):
+        path = write_lines(tmp_path / "survey.csv", SURVEY_HEADER, "R 1,label,src,spill,,,,,,")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            corpus = import_survey_csv(path, context="kettle", strict=False)
+        assert [str(w.message) for w in caught] == [
+            f"{path}: row 1: invalid record: id: must not contain whitespace: 'R 1' (skipped)"
+        ]
+        assert corpus.problems == ()
 
     def test_missing_action_column_rejected(self, tmp_path):
         path = write_lines(tmp_path / "survey.csv", "id,label,source", "R1,x,y")

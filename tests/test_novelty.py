@@ -10,6 +10,7 @@ from sapphire_novelty import (
     LexicalBackend,
     NoveltyBand,
     OScoreInput,
+    PairAssessment,
     ProblemCorpus,
     ProblemSapphire,
     Provenance,
@@ -219,6 +220,18 @@ class TestAssessPair:
         assert assessment.included_levels == tuple(NON_ACTION)
         assert ConstructLevel.ACTION not in assessment.included_levels
         assert assessment.construct_similarity[ConstructLevel.ACTION] == 1.0
+
+    def test_action_cannot_be_an_included_level(self):
+        with pytest.raises(ValueError, match="Action level cannot be part of the average"):
+            PairAssessment(
+                past_id="P",
+                current_id="C",
+                construct_similarity={ConstructLevel.ACTION: 1.0},
+                construct_novelty={ConstructLevel.ACTION: 0.0},
+                included_levels=(ConstructLevel.ACTION,),
+                average_novelty=0.0,
+                band=NoveltyBand.LOW,
+            )
 
     def test_novelty_is_complement_of_similarity_for_every_level(self):
         past, current, backend = load_case_study()

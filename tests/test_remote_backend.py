@@ -161,10 +161,58 @@ class TestErrorPaths:
             backend.embed_texts(["a", "b"])
         assert len(embed_stub.batches) == 2
 
+    def test_dimension_change_across_batches_is_retried_then_unavailable(self, embed_stub):
+        embed_stub.mode = "growing_dims"
+        backend = RemoteBackend(endpoint=embed_stub.url, batch_size=1, retries=2)
+        with pytest.raises(
+            BackendUnavailableError,
+            match="after 2 attempt.*mixed dimensions: response vector 0 has 4 components, expected 2",
+        ):
+            backend.similarity("a", "b")
+        assert embed_stub.batches == [["a"], ["b"], ["b"]]
+
+    def test_dimension_change_across_batches_exits_2_from_the_cli(
+        self, embed_stub, tmp_path, capsys
+    ):
+        embed_stub.mode = "growing_dims"
+        paths = {}
+        for role in ("past", "current"):
+            # 2 x 20 distinct Action texts: the gate call needs two batches of 32.
+            records = [
+                {"id": f"{role}{i}", "provenance": role, "constructs": {"action": f"{role} {i}"}}
+                for i in range(20)
+            ]
+            paths[role] = tmp_path / f"{role}.jsonl"
+            paths[role].write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+        argv = [
+            "rank",
+            "--past", str(paths["past"]),
+            "--current", str(paths["current"]),
+            "--backend", "remote",
+            "--endpoint", embed_stub.url,
+            "--threshold", "0",
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "embedding backend failure" in err
+        assert "mixed dimensions" in err
+        assert [len(batch) for batch in embed_stub.batches] == [32, 8, 8, 8]
+
     def test_unreachable_endpoint(self):
         backend = RemoteBackend(endpoint="http://127.0.0.1:9/embed", retries=2, timeout=1)
         with pytest.raises(BackendUnavailableError):
             backend.embed_texts(["a"])
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        with pytest.raises(ValueError, match=f"batch_size must be at least 1, got {batch_size}"):
+            RemoteBackend(endpoint="http://127.0.0.1:9/embed", batch_size=batch_size)
+
+    def test_retries_below_one_rejected(self):
+        with pytest.raises(ValueError, match="retries must be at least 1, got 0"):
+            RemoteBackend(endpoint="http://127.0.0.1:9/embed", retries=0)
 
 
 class TestEndpointScheme:

@@ -9,6 +9,7 @@ from sapphire_novelty import (
     rank_current_problems,
     render_csv,
     render_json,
+    render_report,
     render_table,
 )
 from sapphire_novelty.cli import main
@@ -97,6 +98,10 @@ class TestRenderers:
         assert "rank,current_id,min_novelty,band" in csv_text
         assert "1,PS5,0.70,High Novelty" in csv_text
 
+    def test_unknown_format_rejected(self, case_report):
+        with pytest.raises(ValueError, match="unknown report format: 'xml'"):
+            render_report(case_report, "xml")
+
     def test_summary_only_drops_the_grids(self, case_report):
         summary = render_table(case_report, summary_only=True)
         assert "comparison with past problem" not in summary
@@ -154,6 +159,15 @@ class TestCmdAssess:
         argv[argv.index("--past") + 1] = str(bad)
         assert main(argv) == 1
         assert "invalid corpus" in capsys.readouterr().err
+
+    def test_lenient_run_without_a_valid_past_record_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"id": "A 1", "provenance": "past", "constructs": {}}\n', encoding="utf-8")
+        argv = assess_argv()
+        argv[argv.index("--past") + 1] = str(bad)
+        with warnings.catch_warnings(record=True):
+            assert main(argv) == 1
+        assert f"past corpus {bad} contains no valid problems" in capsys.readouterr().err
 
     def test_identity_run_scores_zero_low_rank_one(self, tmp_path, capsys):
         record = {
@@ -301,6 +315,34 @@ class TestCmdAssess:
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
+
+    def test_fixture_backend_requires_fixtures_flag(self):
+        argv = assess_argv()
+        del argv[argv.index("--fixtures") : argv.index("--fixtures") + 2]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+
+    def test_missing_vectors_file_exits_2(self, tmp_path, capsys):
+        argv = assess_argv()
+        argv[argv.index("--backend") + 1] = "wordvec"
+        argv += ["--vectors", str(tmp_path / "missing.txt")]
+        assert main(argv) == 2
+        assert "cannot read backend data" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "backend, flag, content",
+        [("wordvec", "--vectors", "hot 1.0\ncold x\n"), ("fixture", "--fixtures", "a\tb\t0.5\na\tb\n")],
+    )
+    def test_malformed_backend_data_exits_1(self, backend, flag, content, tmp_path, capsys):
+        data = tmp_path / "data.txt"
+        data.write_text(content, encoding="utf-8")
+        argv = assess_argv()
+        argv[argv.index("--backend") + 1] = backend
+        del argv[argv.index("--fixtures") : argv.index("--fixtures") + 2]
+        argv += [flag, str(data)]
+        assert main(argv) == 1
+        assert "invalid backend data: line 2" in capsys.readouterr().err
 
 
 def validate_record(problem_id="P1", **overrides):

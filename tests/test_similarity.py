@@ -140,6 +140,19 @@ class TestWordVectorBackendTable:
         with pytest.raises(ValueError, match=message):
             WordVectorBackend(table=table)
 
+    @pytest.mark.parametrize(
+        "vector",
+        [[], [True, False], ["1.5", "2"], [1.0, None], [[1.0], [1.0, 2.0]]],
+        ids=["empty", "boolean", "string", "null", "ragged"],
+    )
+    def test_non_number_or_empty_vectors_rejected_at_construction(self, vector):
+        with pytest.raises(ValueError, match="'hot' must be a non-empty flat array of numbers"):
+            WordVectorBackend(table={"hot": vector, "cold": vector})
+
+    def test_int_components_are_numbers(self):
+        backend = WordVectorBackend(table={"hot": [1, 0], "cold": [1, 1]})
+        assert backend.similarity("hot", "cold") == pytest.approx(2 ** -0.5)
+
 
 class TestLoadWordVectors:
     def test_with_header(self, tmp_path):
@@ -158,6 +171,12 @@ class TestLoadWordVectors:
         path = tmp_path / "vec.txt"
         path.write_text("hot 1 0 0\ncold 0 1\n", encoding="utf-8")
         with pytest.raises(WordVectorFormatError, match="line 2"):
+            load_word_vectors(path)
+
+    def test_word_without_components_names_line(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("hot 1.0 0.0\ncold\n", encoding="utf-8")
+        with pytest.raises(WordVectorFormatError, match="line 2: expected a word followed by floats"):
             load_word_vectors(path)
 
     def test_non_numeric_component_names_line(self, tmp_path):
@@ -220,6 +239,12 @@ class TestLoadFixtureSimilarities:
         path = tmp_path / "fix.tsv"
         path.write_text("a\tb\t0.5\nb\ta\t0.5\n", encoding="utf-8")
         assert len(load_fixture_similarities(path)) == 1
+
+    def test_non_decimal_similarity_names_line(self, tmp_path):
+        path = tmp_path / "fix.tsv"
+        path.write_text("a\tb\t0.5\na\tc\thigh\n", encoding="utf-8")
+        with pytest.raises(FixtureFormatError, match="line 2: similarity 'high' is not a decimal"):
+            load_fixture_similarities(path)
 
     def test_wrong_field_count_names_line(self, tmp_path):
         path = tmp_path / "fix.tsv"
