@@ -63,7 +63,7 @@ class OovWarning(UserWarning):
 
 
 class WordVectorFormatError(ValueError):
-    """A word-vector file line that does not follow the format; names the line."""
+    """A word-vector file that does not follow the format, or holds no vector; names the bad line."""
 
 
 class FixtureFormatError(ValueError):

@@ -7,7 +7,12 @@ access. The contract, the exceptions and the tokenizer stay in
 :mod:`sapphire_novelty.similarity`.
 
 * ``WordVectorBackend`` — mean-pooled pre-trained word vectors loaded from the
-  standard text format; out-of-vocabulary tokens are skipped.
+  standard text format; out-of-vocabulary tokens are skipped. The vectors are
+  held as one :class:`WordVectors` value: a float matrix with a word -> row
+  index, checked once when it is built. ``load_word_vectors`` reads the file
+  once and parses all its numbers in one ``np.loadtxt`` call; a file that
+  call does not take whole goes to a line-by-line parser, whose errors name
+  the line.
 * ``RemoteBackend`` — a sentence-embedding HTTP service (POST ``{"texts": [...]}``,
   response ``{"vectors": [[...], ...]}``) with batching and retries.
 
@@ -21,13 +26,14 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import urllib.error
 import urllib.parse
 import urllib.request
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -74,6 +80,31 @@ def cosine_similarity(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.n
     return min(1.0, max(-1.0, value))
 
 
+class WordVectors(Mapping[str, np.ndarray]):
+    """A read-only word -> vector table: one float matrix and a word -> row index.
+
+    ``table[word]`` is a read-only view of the word's row. The builders,
+    :func:`load_word_vectors` and :class:`WordVectorBackend`, check the vectors
+    once before they build this value; it does not check them again.
+    """
+
+    __slots__ = ("index", "matrix")
+
+    def __init__(self, index: dict[str, int], matrix: np.ndarray) -> None:
+        matrix.flags.writeable = False
+        self.index = index
+        self.matrix = matrix
+
+    def __getitem__(self, word: str) -> np.ndarray:
+        return self.matrix[self.index[word]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.index)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+
 def embed_wordvector(tokens: Sequence[str], table: Mapping[str, np.ndarray]) -> np.ndarray:
     """Mean of the vectors of in-vocabulary tokens.
 
@@ -82,69 +113,125 @@ def embed_wordvector(tokens: Sequence[str], table: Mapping[str, np.ndarray]) -> 
     """
     if not table:
         raise ValueError("word-vector table must be non-empty")
-    dimension = len(next(iter(table.values())))
-    hits = [table[token] for token in tokens if token in table]
-    if not hits:
+    if isinstance(table, WordVectors):
+        index = table.index
+        rows = [index[token] for token in tokens if token in index]
+        hits = table.matrix[rows] if rows else None
+    else:
+        vectors = [table[token] for token in tokens if token in table]
+        hits = np.stack(vectors) if vectors else None
+    if hits is None:
         warnings.warn(
             f"no in-vocabulary token among {list(tokens)!r}; returning the zero sentinel",
             OovWarning,
         )
-        return np.zeros(dimension, dtype=float)
-    return np.mean(np.stack(hits), axis=0)
+        return np.zeros(len(next(iter(table.values()))), dtype=float)
+    return np.mean(hits, axis=0)
 
 
-def load_word_vectors(path: str | Path) -> dict[str, np.ndarray]:
-    """Parse the standard text word-vector format into a word -> vector table.
+def load_word_vectors(path: str | Path) -> Mapping[str, np.ndarray]:
+    """Parse the standard text word-vector format into a read-only word -> vector table.
 
     An optional first line ``<count> <dim>`` is treated as a header; every
-    other line is ``word v1 v2 ... vd``. All vectors must share one dimension
-    and hold finite components.
-    Duplicate words keep the first occurrence, with a warning.
+    other non-blank line is ``word v1 v2 ... vd``. All vectors must share one
+    dimension and hold finite components, and the file must hold at least one.
+    Duplicate words keep the first occurrence, with a warning. Anything else
+    raises :class:`WordVectorFormatError` naming the line.
+
+    The file is read once, and its numbers are parsed by numpy in one call and
+    checked once. A file that this fast path does not take whole (a bad or
+    non-finite component, a short line, a change of dimension, a duplicate
+    word, or a number only Python's ``float`` reads, such as ``1_0``) is read
+    line by line instead, and that reading is the result.
     """
-    table: dict[str, np.ndarray] = {}
-    dimension: int | None = None
     with open(path, "r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split()
-            if line_no == 1 and len(parts) == 2 and _is_int(parts[0]) and _is_int(parts[1]):
-                continue  # header line
-            if len(parts) < 2:
-                raise WordVectorFormatError(
-                    f"line {line_no}: expected a word followed by floats, got {line!r}"
-                )
-            word, values = parts[0], parts[1:]
-            try:
-                vector = np.array([float(x) for x in values], dtype=float)
-            except ValueError:
-                raise WordVectorFormatError(
-                    f"line {line_no}: non-numeric vector component in {line!r}"
-                ) from None
-            if not np.isfinite(vector).all():
-                raise WordVectorFormatError(
-                    f"line {line_no}: non-finite vector component in {line!r}"
-                )
-            if dimension is None:
-                dimension = len(vector)
-            elif len(vector) != dimension:
-                raise WordVectorFormatError(
-                    f"line {line_no}: expected {dimension} floats, found {len(vector)}"
-                )
-            if word in table:
-                warnings.warn(
-                    f"line {line_no}: duplicate word {word!r}; keeping the first occurrence",
-                    UserWarning,
-                )
-                continue
-            table[word] = vector
-    return table
+        # The lines that iterating the file gives: not splitlines(), which also
+        # breaks at \x0c, \x85, \u2028 and other characters split() skips as blanks.
+        lines = handle.read().split("\n")
+    table = _read_matrix(lines)
+    return table if table is not None else _read_lines(lines)
 
 
-def _is_int(text: str) -> bool:
+def _read_matrix(lines: list[str]) -> WordVectors | None:
+    """The table of ``lines`` in one numpy parse, or None to leave them to :func:`_read_lines`.
+
+    Whenever this returns a table, :func:`_read_lines` returns the same one,
+    bit for bit, and warns nothing.
+    """
+    words: list[str] = []
+    rests: list[str] = []
+    for _, line in _vector_lines(lines):
+        parts = line.split(None, 1)
+        if len(parts) < 2:
+            return None
+        words.append(parts[0])
+        rests.append(parts[1])
+    if not rests:
+        return None
     try:
-        int(text)
+        # Whole remainders, not usecols: loadtxt then raises on any change of
+        # column count, as the line parser does, instead of dropping columns.
+        matrix = np.loadtxt(rests, comments=None, quotechar=None, dtype=float, ndmin=2)
+    except ValueError:
+        return None
+    index = dict(zip(words, range(len(words))))
+    if len(index) < len(words) or not np.isfinite(matrix).all():
+        return None
+    return WordVectors(index, matrix)
+
+
+def _read_lines(lines: list[str]) -> WordVectors:
+    """The table of ``lines``, checked line by line with Python's ``float``."""
+    index: dict[str, int] = {}
+    rows: list[np.ndarray] = []
+    for line_no, line in _vector_lines(lines):
+        parts = line.split()
+        if len(parts) < 2:
+            raise WordVectorFormatError(
+                f"line {line_no}: expected a word followed by floats, got {line!r}"
+            )
+        word, values = parts[0], parts[1:]
+        try:
+            vector = np.array([float(x) for x in values], dtype=float)
+        except ValueError:
+            raise WordVectorFormatError(
+                f"line {line_no}: non-numeric vector component in {line!r}"
+            ) from None
+        if not np.isfinite(vector).all():
+            raise WordVectorFormatError(
+                f"line {line_no}: non-finite vector component in {line!r}"
+            )
+        if rows and len(vector) != len(rows[0]):
+            raise WordVectorFormatError(
+                f"line {line_no}: expected {len(rows[0])} floats, found {len(vector)}"
+            )
+        if word in index:
+            warnings.warn(
+                f"line {line_no}: duplicate word {word!r}; keeping the first occurrence",
+                UserWarning,
+            )
+            continue
+        index[word] = len(rows)
+        rows.append(vector)
+    if not rows:
+        raise WordVectorFormatError("no word vectors: every line is blank or the header")
+    return WordVectors(index, np.stack(rows))
+
+
+def _vector_lines(lines: list[str]) -> Iterator[tuple[int, str]]:
+    """Each line number and line that is neither blank nor the header."""
+    for line_no, line in enumerate(lines, start=1):
+        if line.strip() and not (line_no == 1 and _is_header(line)):
+            yield line_no, line
+
+
+def _is_header(line: str) -> bool:
+    """Whether ``line`` is ``<count> <dim>``: two integers."""
+    parts = line.split()
+    if len(parts) != 2:
+        return False
+    try:
+        int(parts[0]), int(parts[1])
     except ValueError:
         return False
     return True
@@ -154,17 +241,26 @@ def _is_int(text: str) -> bool:
 class WordVectorBackend(SimilarityBackend):
     """Cosine over mean-pooled pre-trained word vectors.
 
-    Every vector in ``table`` must meet the rule of :func:`_checked_vector`,
-    all of one dimension; anything else raises ``ValueError`` at construction.
+    ``table`` is the value :func:`load_word_vectors` returns, used as it is, or
+    any other non-empty mapping, whose vectors must each meet the rule of
+    :func:`_checked_vector`, all of one dimension: it is checked and converted
+    to a :class:`WordVectors` once, at construction. An empty table or a bad
+    vector raises ``ValueError``.
     """
 
     table: Mapping[str, np.ndarray]
     kind: str = field(default="wordvec", init=False, repr=False)
 
     def __post_init__(self) -> None:
-        dimension: int | None = None
+        if not self.table:
+            raise ValueError("word-vector table must be non-empty")
+        if isinstance(self.table, WordVectors):
+            return
+        rows: list[np.ndarray] = []
         for word, vector in self.table.items():
-            dimension = _checked_vector(vector, dimension, f"vector of {word!r}").size
+            rows.append(_checked_vector(vector, rows[0].size if rows else None, f"vector of {word!r}"))
+        index = dict(zip(self.table, range(len(rows))))
+        object.__setattr__(self, "table", WordVectors(index, np.stack(rows)))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "WordVectorBackend":
@@ -203,7 +299,8 @@ class RemoteBackend(SimilarityBackend):
     once. Any other scheme, transport failure, 408, 429, 5xx or other non-2xx
     status, or response breaking the vector rule is retried; after
     ``retries`` attempts the call raises :class:`BackendUnavailableError`.
-    ``batch_size`` and ``retries`` below 1 raise ``ValueError`` at construction.
+    ``batch_size`` and ``retries`` below 1, and a ``timeout`` that is not a
+    finite number above 0, raise ``ValueError`` at construction.
     """
 
     endpoint: str
@@ -216,6 +313,8 @@ class RemoteBackend(SimilarityBackend):
         for name in ("batch_size", "retries"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be a finite number of seconds above 0, got {self.timeout}")
 
     def similarity(self, a: str, b: str) -> float:
         # One comparison is one request carrying both texts, equal or not.

@@ -214,6 +214,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="retries must be at least 1, got 0"):
             RemoteBackend(endpoint="http://127.0.0.1:9/embed", retries=0)
 
+    @pytest.mark.parametrize("timeout", [0, -1, float("nan"), float("inf")])
+    def test_timeout_not_finite_and_above_zero_rejected(self, timeout):
+        with pytest.raises(ValueError, match=f"timeout must be a finite number .* got {timeout}"):
+            RemoteBackend(endpoint="http://127.0.0.1:9/embed", timeout=timeout)
+
 
 class TestEndpointScheme:
     @pytest.mark.parametrize("kind", ["file", "ftp", "scheme-less"])

@@ -344,6 +344,15 @@ class TestCmdAssess:
         assert main(argv) == 1
         assert "invalid backend data: line 2" in capsys.readouterr().err
 
+    def test_vector_file_without_vectors_exits_1(self, tmp_path, capsys):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("3 2\n", encoding="utf-8")
+        argv = assess_argv()
+        argv[argv.index("--backend") + 1] = "wordvec"
+        argv += ["--vectors", str(vectors)]
+        assert main(argv) == 1
+        assert "invalid backend data: no word vectors" in capsys.readouterr().err
+
 
 def validate_record(problem_id="P1", **overrides):
     base = {

@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -134,6 +135,7 @@ class TestWordVectorBackendTable:
             ({"hot": [1.0, 0.0], "cold": [float("inf"), 0.0]}, "'cold'.*finite"),
             ({"hot": [1.0, 0.0], "cold": [1.0, 0.0, 0.0]}, "'cold' has 3 components, expected 2"),
             ({"hot": [[1.0, 0.0]]}, "'hot'.*flat"),
+            ({}, "table must be non-empty"),
         ],
     )
     def test_bad_in_memory_table_rejected_at_construction(self, table, message):
@@ -167,11 +169,33 @@ class TestLoadWordVectors:
         path.write_text("hot 1 0 0\n", encoding="utf-8")
         assert set(load_word_vectors(path)) == {"hot"}
 
-    def test_inconsistent_dimension_names_line(self, tmp_path):
+    @pytest.mark.parametrize("content", ["hot 1 0 0\ncold 0 1\n", "hot 1 0\ncold 0 1 7\n"])
+    def test_inconsistent_dimension_names_line(self, tmp_path, content):
         path = tmp_path / "vec.txt"
-        path.write_text("hot 1 0 0\ncold 0 1\n", encoding="utf-8")
+        path.write_text(content, encoding="utf-8")
         with pytest.raises(WordVectorFormatError, match="line 2"):
             load_word_vectors(path)
+
+    @pytest.mark.parametrize("content", ["", "3 2\n", "\n \n", "3 2\n\n\t\n"])
+    def test_file_without_vectors_rejected(self, tmp_path, content):
+        path = tmp_path / "vec.txt"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(WordVectorFormatError, match="no word vectors"):
+            load_word_vectors(path)
+
+    def test_python_float_syntax_is_kept(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("hot 1_0 \uff12\ncold -0 .5\n", encoding="utf-8")
+        table = load_word_vectors(path)
+        assert [list(table["hot"]), list(table["cold"])] == [[10.0, 2.0], [-0.0, 0.5]]
+
+    def test_table_is_read_only(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("hot 1 0\ncold 0 1\n", encoding="utf-8")
+        table = load_word_vectors(path)
+        assert isinstance(table, Mapping) and not isinstance(table, dict)
+        with pytest.raises(ValueError, match="read-only"):
+            table["hot"][0] = 5.0
 
     def test_word_without_components_names_line(self, tmp_path):
         path = tmp_path / "v.txt"
@@ -424,6 +448,28 @@ class TestBulkMatchesScalar:
         table = {word: np.array([rng.uniform(-1, 1) for _ in range(8)]) for word in self.WORDS}
         backend = WordVectorBackend(table=table)
         self._assert_bulk_equals_scalar(backend, self._pairs(rng, self._texts(rng)))
+
+    def test_wordvector_file_table_equals_dict_table(self, tmp_path):
+        rng = random.Random(47)
+        lines = [
+            " ".join([word] + [rng.choice([repr, "{:.4f}".format, "{:e}".format])(rng.uniform(-1, 1))
+                               for _ in range(8)])
+            for word in self.WORDS
+        ]
+        path = tmp_path / "vectors.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        table = {
+            parts[0]: np.array([float(x) for x in parts[1:]]) for parts in map(str.split, lines)
+        }
+        from_file, from_dict = WordVectorBackend.from_file(path), WordVectorBackend(table=table)
+        pairs = self._pairs(rng, self._texts(rng))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OovWarning)
+            assert from_file.similarities(pairs) == from_dict.similarities(pairs)
+            for text in self._texts(rng):
+                tokens = tokenize(text)
+                pooled = embed_wordvector(tokens, from_file.table)
+                assert pooled.tobytes() == embed_wordvector(tokens, table).tobytes()
 
     def test_remote(self, embed_stub):
         rng = random.Random(41)
