@@ -141,8 +141,10 @@ def _read_records(path: Path, strict: bool) -> Iterator[tuple[int, ProblemSapphi
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as error:
-            yield line_no, f"line {line_no}: malformed JSON ({error.msg})"
+        except (ValueError, RecursionError) as error:
+            # Besides syntax errors: an integer past Python's digit limit, or
+            # nesting past the recursion limit.
+            yield line_no, f"line {line_no}: malformed JSON ({getattr(error, 'msg', error)})"
             continue
         try:
             yield line_no, problem_from_record(record, line_no=line_no, strict=strict)
@@ -243,6 +245,8 @@ def import_survey_csv(
             header = next(reader)
         except StopIteration:
             raise CorpusFormatError(f"{path}: missing header row") from None
+        except csv.Error as error:
+            raise CorpusFormatError(f"{path}: unreadable header row ({error})") from None
         header = [column.strip() for column in header]
         missing = [column for column in _SURVEY_REQUIRED_COLUMNS if column not in header]
         if missing:
@@ -253,16 +257,33 @@ def import_survey_csv(
             warnings.warn(f"{path}: ignoring unknown column(s) {unknown}", CorpusWarning)
         position = {column: i for i, column in enumerate(header)}
 
-        rows = (row for row in reader if any(cell.strip() for cell in row))
-        items = (
-            (row_no, _survey_problem(row, position, row_no, context))
-            for row_no, row in enumerate(rows, start=1)
-        )
+        items = _survey_items(reader, position, context)
         problems, last_row = _admit_records(items, path, Provenance.CURRENT, strict, "row")
 
     if not last_row:
         warnings.warn(f"{path}: survey file contains no data rows", CorpusWarning)
     return ProblemCorpus(name=path.stem, role=Provenance.CURRENT, problems=tuple(problems))
+
+
+def _survey_items(
+    reader: Iterator[list[str]], position: dict[str, int], context: str
+) -> Iterator[tuple[int, ProblemSapphire | str]]:
+    """Each non-blank data row's number and problem, or a message naming a row
+    that the csv module cannot read (a field past its size limit); reading
+    goes on at the next line."""
+    row_no = 0
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as error:
+            row_no += 1
+            yield row_no, f"row {row_no}: unreadable CSV ({error})"
+            continue
+        if any(cell.strip() for cell in row):
+            row_no += 1
+            yield row_no, _survey_problem(row, position, row_no, context)
 
 
 def _survey_problem(

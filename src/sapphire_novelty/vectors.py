@@ -10,14 +10,19 @@ access. The contract, the exceptions and the tokenizer stay in
   standard text format; out-of-vocabulary tokens are skipped. The vectors are
   held as one :class:`WordVectors` value: a float matrix with a word -> row
   index, checked once when it is built. ``load_word_vectors`` reads the file
-  once and parses all its numbers in one ``np.loadtxt`` call; a file that
-  call does not take whole goes to a line-by-line parser, whose errors name
-  the line.
+  once and parses all its numbers in one ``np.loadtxt`` call, keeping the
+  first row of a duplicate word; a file that call does not take whole goes
+  to a line-by-line parser, whose errors name the line.
 * ``RemoteBackend`` — a sentence-embedding HTTP service (POST ``{"texts": [...]}``,
   response ``{"vectors": [[...], ...]}``) with batching and retries.
 
 Both score a list of pairs in one ``similarities`` call, tokenizing and
-embedding each unique text once. Texts are tokenized through
+embedding each unique text once, as arrays: ``WordVectorBackend`` pools the
+texts with the same number of in-vocabulary tokens in one grouped reduction,
+and both take every norm and every pair's dot product in one batched BLAS
+call (:func:`_cosines`). Each value is bit-identical to
+:func:`cosine_similarity` of the :func:`embed_wordvector` vectors, which
+stay as the scalar reference. Texts are tokenized through
 ``similarity.tokenize``, looked up on every call, so one replacement of that
 module attribute is seen by every backend.
 """
@@ -80,6 +85,32 @@ def cosine_similarity(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.n
     return min(1.0, max(-1.0, value))
 
 
+def _cosines(matrix: np.ndarray, index_pairs: Sequence[tuple[int, int]]) -> list[float]:
+    """``cosine_similarity`` of each pair of rows of ``matrix``, bit for bit.
+
+    Every row norm, then every pair's dot product, comes from one stacked
+    ``(1, d) @ (d, 1)`` matmul, which numpy runs as the BLAS ``ddot`` that
+    ``np.dot`` and ``np.linalg.norm`` call. The quotient and the clamp are
+    taken per pair in Python floats. A pair with a zero or non-finite norm
+    goes to :func:`cosine_similarity` itself, which warns, raises or returns
+    as it always has.
+    """
+    left = [i for i, _ in index_pairs]
+    right = [j for _, j in index_pairs]
+    # Overflow is part of the result, as it is in np.dot, which reports none.
+    with np.errstate(all="ignore"):
+        norms = np.sqrt(np.matmul(matrix[:, None, :], matrix[:, :, None])).ravel().tolist()
+        dots = np.matmul(matrix[left][:, None, :], matrix[right][:, :, None]).ravel().tolist()
+    values = []
+    for i, j, dot in zip(left, right, dots):
+        norm_u, norm_v = norms[i], norms[j]
+        if 0.0 < norm_u < math.inf and 0.0 < norm_v < math.inf:
+            values.append(min(1.0, max(-1.0, dot / (norm_u * norm_v))))
+        else:
+            values.append(cosine_similarity(matrix[i], matrix[j]))
+    return values
+
+
 class WordVectors(Mapping[str, np.ndarray]):
     """A read-only word -> vector table: one float matrix and a word -> row index.
 
@@ -140,9 +171,9 @@ def load_word_vectors(path: str | Path) -> Mapping[str, np.ndarray]:
 
     The file is read once, and its numbers are parsed by numpy in one call and
     checked once. A file that this fast path does not take whole (a bad or
-    non-finite component, a short line, a change of dimension, a duplicate
-    word, or a number only Python's ``float`` reads, such as ``1_0``) is read
-    line by line instead, and that reading is the result.
+    non-finite component, a short line, a change of dimension, or a number
+    only Python's ``float`` reads, such as ``1_0``) is read line by line
+    instead, and that reading is the result.
     """
     with open(path, "r", encoding="utf-8") as handle:
         # The lines that iterating the file gives: not splitlines(), which also
@@ -156,7 +187,7 @@ def _read_matrix(lines: list[str]) -> WordVectors | None:
     """The table of ``lines`` in one numpy parse, or None to leave them to :func:`_read_lines`.
 
     Whenever this returns a table, :func:`_read_lines` returns the same one,
-    bit for bit, and warns nothing.
+    bit for bit, with the same duplicate-word warnings.
     """
     words: list[str] = []
     rests: list[str] = []
@@ -174,9 +205,16 @@ def _read_matrix(lines: list[str]) -> WordVectors | None:
         matrix = np.loadtxt(rests, comments=None, quotechar=None, dtype=float, ndmin=2)
     except ValueError:
         return None
-    index = dict(zip(words, range(len(words))))
-    if len(index) < len(words) or not np.isfinite(matrix).all():
+    if not np.isfinite(matrix).all():
         return None
+    index = dict(zip(words, range(len(words))))
+    if len(index) < len(words):  # each word keeps its first row, as in the line parser
+        index = {}
+        for row, (line_no, _) in enumerate(_vector_lines(lines)):
+            if index.setdefault(words[row], row) != row:
+                _warn_duplicate(line_no, words[row])
+        matrix = matrix[list(index.values())]
+        index = dict(zip(index, range(len(index))))
     return WordVectors(index, matrix)
 
 
@@ -206,16 +244,19 @@ def _read_lines(lines: list[str]) -> WordVectors:
                 f"line {line_no}: expected {len(rows[0])} floats, found {len(vector)}"
             )
         if word in index:
-            warnings.warn(
-                f"line {line_no}: duplicate word {word!r}; keeping the first occurrence",
-                UserWarning,
-            )
+            _warn_duplicate(line_no, word)
             continue
         index[word] = len(rows)
         rows.append(vector)
     if not rows:
         raise WordVectorFormatError("no word vectors: every line is blank or the header")
     return WordVectors(index, np.stack(rows))
+
+
+def _warn_duplicate(line_no: int, word: str) -> None:
+    warnings.warn(
+        f"line {line_no}: duplicate word {word!r}; keeping the first occurrence", UserWarning
+    )
 
 
 def _vector_lines(lines: list[str]) -> Iterator[tuple[int, str]]:
@@ -270,19 +311,40 @@ class WordVectorBackend(SimilarityBackend):
         return self.similarities([(a, b)])[0]
 
     def similarities(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
-        pooled: dict[str, tuple[list[str], np.ndarray]] = {}
-        for text in _unique_texts(pairs):
-            tokens = _similarity.tokenize(text)
-            pooled[text] = (tokens, embed_wordvector(tokens, self.table))
-        values = []
+        texts = _unique_texts(pairs)
+        where = {text: position for position, text in enumerate(texts)}
+        tokens = [_similarity.tokenize(text) for text in texts]
+        index, matrix = self.table.index, self.table.matrix
+        pooled = np.zeros((len(texts), matrix.shape[1]))
+        # Texts grouped by their number of in-vocabulary tokens: positions, rows.
+        groups: dict[int, tuple[list[int], list[list[int]]]] = {}
+        for position, text_tokens in enumerate(tokens):
+            rows = [index[token] for token in text_tokens if token in index]
+            if rows:
+                positions, members = groups.setdefault(len(rows), ([], []))
+                positions.append(position)
+                members.append(rows)
+            else:
+                embed_wordvector(text_tokens, self.table)  # warns; the row stays the zero sentinel
+        for hits, (positions, members) in groups.items():
+            # Adds each text's rows in order, then divides, as np.mean(axis=0) does.
+            pooled[positions] = np.add.reduce(matrix[members], axis=1) / hits
+        nonzero = pooled.any(axis=1).tolist()
+        values: list[float] = []
+        slots: list[int] = []
+        scored: list[tuple[int, int]] = []
         for a, b in pairs:
-            (tokens_a, u), (tokens_b, v) = pooled[a], pooled[b]
-            if not (u.any() and v.any()):
+            i, j = where[a], where[b]
+            if not (nonzero[i] and nonzero[j]):
                 values.append(0.0)  # the zero sentinel matches nothing; pooling warned
-            elif tokens_a == tokens_b:
+            elif tokens[i] == tokens[j]:
                 values.append(1.0)
             else:
-                values.append(max(0.0, cosine_similarity(u, v)))
+                slots.append(len(values))
+                scored.append((i, j))
+                values.append(0.0)
+        for slot, value in zip(slots, _cosines(pooled, scored)):
+            values[slot] = max(0.0, value)
         return values
 
 
@@ -322,9 +384,12 @@ class RemoteBackend(SimilarityBackend):
         return max(0.0, cosine_similarity(u, v))
 
     def similarities(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
+        if not pairs:
+            return []
         texts = _unique_texts(pairs)
-        vectors = dict(zip(texts, self.embed_texts(texts)))
-        return [max(0.0, cosine_similarity(vectors[a], vectors[b])) for a, b in pairs]
+        where = {text: position for position, text in enumerate(texts)}
+        matrix = np.stack(self.embed_texts(texts))
+        return [max(0.0, value) for value in _cosines(matrix, [(where[a], where[b]) for a, b in pairs])]
 
     def embed_texts(self, texts: Sequence[str]) -> list[np.ndarray]:
         """Embed ``texts`` in order, batching requests at ``batch_size``."""

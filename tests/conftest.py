@@ -71,6 +71,8 @@ class _StubHandler(BaseHTTPRequestHandler):
             payload = {"vectors": [[True, False] for _ in texts]}
         elif stub.mode == "empty_vectors":
             payload = {"vectors": [[] for _ in texts]}
+        elif stub.mode == "table":
+            payload = {"vectors": [stub.table[t] for t in texts]}
         elif stub.mode == "growing_dims":
             # The n-th POST answers vectors of n + 1 components.
             payload = {"vectors": [[1.0] * (len(stub.batches) + 1) for _ in texts]}
@@ -98,6 +100,8 @@ class EmbeddingStub:
         self.fail_remaining = 0
         self.fail_status = 500
         self.mode = "ok"
+        # The vector of each text in mode "table".
+        self.table: dict[str, list[float]] = {}
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
         self._server.stub = self  # type: ignore[attr-defined]
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
