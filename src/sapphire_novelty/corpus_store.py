@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import warnings
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -124,20 +125,34 @@ def _duplicate_message(where: str, number: int, problem_id: str, first: int) -> 
     return f"{where} {number}: duplicate id {problem_id!r} (first on {where} {first})"
 
 
+# Read with errors="surrogateescape", a byte that is not UTF-8 becomes one of
+# these characters, so the bad record can be named and the rest still read.
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
+def _not_utf8(text: str) -> str | None:
+    """What is wrong with ``text`` if it holds a byte that is not UTF-8, else None."""
+    match = _UNDECODED.search(text)
+    return None if match is None else f"not UTF-8 (byte {ord(match.group()) - 0xDC00:#04x})"
+
+
 def _read_records(path: Path, strict: bool) -> Iterator[tuple[int, ProblemSapphire | str]]:
     """Yield ``(line_no, problem)`` per record line, or ``(line_no, message)``
     for a line that is not a record; the message names the line.
 
     Blank lines after the last record (a trailing newline among them) are not
-    findings; a blank interior line is. ``strict`` is passed on to
-    :func:`problem_from_record`.
+    findings; a blank interior line is, and so is a line holding a byte that
+    is not UTF-8. ``strict`` is passed on to :func:`problem_from_record`.
     """
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         lines = handle.read().split("\n")
     last = max((i for i, line in enumerate(lines, start=1) if line.strip()), default=0)
     for line_no, line in enumerate(lines[:last], start=1):
         if not line.strip():
             yield line_no, f"line {line_no}: blank interior line"
+            continue
+        if reason := _not_utf8(line):
+            yield line_no, f"line {line_no}: {reason}"
             continue
         try:
             record = json.loads(line)
@@ -239,7 +254,7 @@ def import_survey_csv(
     warnings naming the data row.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -247,6 +262,8 @@ def import_survey_csv(
             raise CorpusFormatError(f"{path}: missing header row") from None
         except csv.Error as error:
             raise CorpusFormatError(f"{path}: unreadable header row ({error})") from None
+        if reason := _not_utf8(",".join(header)):
+            raise CorpusFormatError(f"{path}: unreadable header row ({reason})")
         header = [column.strip() for column in header]
         missing = [column for column in _SURVEY_REQUIRED_COLUMNS if column not in header]
         if missing:
@@ -269,8 +286,8 @@ def _survey_items(
     reader: Iterator[list[str]], position: dict[str, int], context: str
 ) -> Iterator[tuple[int, ProblemSapphire | str]]:
     """Each non-blank data row's number and problem, or a message naming a row
-    that the csv module cannot read (a field past its size limit); reading
-    goes on at the next line."""
+    that the csv module cannot read (a field past its size limit) or that
+    holds a byte that is not UTF-8; reading goes on at the next line."""
     row_no = 0
     while True:
         try:
@@ -283,7 +300,10 @@ def _survey_items(
             continue
         if any(cell.strip() for cell in row):
             row_no += 1
-            yield row_no, _survey_problem(row, position, row_no, context)
+            if reason := _not_utf8(",".join(row)):
+                yield row_no, f"row {row_no}: unreadable CSV ({reason})"
+            else:
+                yield row_no, _survey_problem(row, position, row_no, context)
 
 
 def _survey_problem(

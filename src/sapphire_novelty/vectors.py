@@ -10,17 +10,18 @@ access. The contract, the exceptions and the tokenizer stay in
   standard text format; out-of-vocabulary tokens are skipped. The vectors are
   held as one :class:`WordVectors` value: a float matrix with a word -> row
   index, checked once when it is built. ``load_word_vectors`` reads the file
-  once and parses all its numbers in one ``np.loadtxt`` call, keeping the
-  first row of a duplicate word; a file that call does not take whole goes
-  to a line-by-line parser, whose errors name the line.
+  once and parses all its numbers in one ``np.loadtxt`` call; a file that
+  call does not take whole goes to a line-by-line parser, whose errors name
+  the line.
 * ``RemoteBackend`` — a sentence-embedding HTTP service (POST ``{"texts": [...]}``,
   response ``{"vectors": [[...], ...]}``) with batching and retries.
 
 Both score a list of pairs in one ``similarities`` call, tokenizing and
 embedding each unique text once, as arrays: ``WordVectorBackend`` pools the
-texts with the same number of in-vocabulary tokens in one grouped reduction,
-and both take every norm and every pair's dot product in one batched BLAS
-call (:func:`_cosines`). Each value is bit-identical to
+texts with the same number of in-vocabulary tokens in a grouped reduction,
+and both take the norms and the pairs' dot products in batched BLAS calls
+(:func:`_cosines`), each over at most ``_BLOCK_ROWS`` rows, so memory does
+not grow with pairs times dimension. Each value is bit-identical to
 :func:`cosine_similarity` of the :func:`embed_wordvector` vectors, which
 stay as the scalar reference. Texts are tokenized through
 ``similarity.tokenize``, looked up on every call, so one replacement of that
@@ -85,29 +86,38 @@ def cosine_similarity(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.n
     return min(1.0, max(-1.0, value))
 
 
+# The most rows the array steps gather at once (pooled texts' rows, pair
+# operands), so their memory is bounded whatever the number of texts or
+# pairs: 1,024 rows of 300 floats take 2.3 MiB.
+_BLOCK_ROWS = 1024
+
+
 def _cosines(matrix: np.ndarray, index_pairs: Sequence[tuple[int, int]]) -> list[float]:
     """``cosine_similarity`` of each pair of rows of ``matrix``, bit for bit.
 
-    Every row norm, then every pair's dot product, comes from one stacked
-    ``(1, d) @ (d, 1)`` matmul, which numpy runs as the BLAS ``ddot`` that
-    ``np.dot`` and ``np.linalg.norm`` call. The quotient and the clamp are
+    Every row norm, then the dot product of each block of pairs, comes from
+    one stacked ``(1, d) @ (d, 1)`` matmul, which numpy runs as the BLAS
+    ``ddot`` that ``np.dot`` and ``np.linalg.norm`` call, one pair at a time,
+    so the blocking does not change a bit. The quotient and the clamp are
     taken per pair in Python floats. A pair with a zero or non-finite norm
     goes to :func:`cosine_similarity` itself, which warns, raises or returns
     as it always has.
     """
-    left = [i for i, _ in index_pairs]
-    right = [j for _, j in index_pairs]
     # Overflow is part of the result, as it is in np.dot, which reports none.
     with np.errstate(all="ignore"):
         norms = np.sqrt(np.matmul(matrix[:, None, :], matrix[:, :, None])).ravel().tolist()
-        dots = np.matmul(matrix[left][:, None, :], matrix[right][:, :, None]).ravel().tolist()
     values = []
-    for i, j, dot in zip(left, right, dots):
-        norm_u, norm_v = norms[i], norms[j]
-        if 0.0 < norm_u < math.inf and 0.0 < norm_v < math.inf:
-            values.append(min(1.0, max(-1.0, dot / (norm_u * norm_v))))
-        else:
-            values.append(cosine_similarity(matrix[i], matrix[j]))
+    for start in range(0, len(index_pairs), _BLOCK_ROWS):
+        left = [i for i, _ in index_pairs[start : start + _BLOCK_ROWS]]
+        right = [j for _, j in index_pairs[start : start + _BLOCK_ROWS]]
+        with np.errstate(all="ignore"):
+            dots = np.matmul(matrix[left][:, None, :], matrix[right][:, :, None]).ravel().tolist()
+        for i, j, dot in zip(left, right, dots):
+            norm_u, norm_v = norms[i], norms[j]
+            if 0.0 < norm_u < math.inf and 0.0 < norm_v < math.inf:
+                values.append(min(1.0, max(-1.0, dot / (norm_u * norm_v))))
+            else:
+                values.append(cosine_similarity(matrix[i], matrix[j]))
     return values
 
 
@@ -171,9 +181,9 @@ def load_word_vectors(path: str | Path) -> Mapping[str, np.ndarray]:
 
     The file is read once, and its numbers are parsed by numpy in one call and
     checked once. A file that this fast path does not take whole (a bad or
-    non-finite component, a short line, a change of dimension, or a number
-    only Python's ``float`` reads, such as ``1_0``) is read line by line
-    instead, and that reading is the result.
+    non-finite component, a short line, a change of dimension, a duplicate
+    word, or a number only Python's ``float`` reads, such as ``1_0``) is read
+    line by line instead, and that reading is the result.
     """
     with open(path, "r", encoding="utf-8") as handle:
         # The lines that iterating the file gives: not splitlines(), which also
@@ -187,7 +197,7 @@ def _read_matrix(lines: list[str]) -> WordVectors | None:
     """The table of ``lines`` in one numpy parse, or None to leave them to :func:`_read_lines`.
 
     Whenever this returns a table, :func:`_read_lines` returns the same one,
-    bit for bit, with the same duplicate-word warnings.
+    bit for bit, and warns nothing.
     """
     words: list[str] = []
     rests: list[str] = []
@@ -205,16 +215,9 @@ def _read_matrix(lines: list[str]) -> WordVectors | None:
         matrix = np.loadtxt(rests, comments=None, quotechar=None, dtype=float, ndmin=2)
     except ValueError:
         return None
-    if not np.isfinite(matrix).all():
-        return None
     index = dict(zip(words, range(len(words))))
-    if len(index) < len(words):  # each word keeps its first row, as in the line parser
-        index = {}
-        for row, (line_no, _) in enumerate(_vector_lines(lines)):
-            if index.setdefault(words[row], row) != row:
-                _warn_duplicate(line_no, words[row])
-        matrix = matrix[list(index.values())]
-        index = dict(zip(index, range(len(index))))
+    if len(index) < len(words) or not np.isfinite(matrix).all():
+        return None
     return WordVectors(index, matrix)
 
 
@@ -244,19 +247,16 @@ def _read_lines(lines: list[str]) -> WordVectors:
                 f"line {line_no}: expected {len(rows[0])} floats, found {len(vector)}"
             )
         if word in index:
-            _warn_duplicate(line_no, word)
+            warnings.warn(
+                f"line {line_no}: duplicate word {word!r}; keeping the first occurrence",
+                UserWarning,
+            )
             continue
         index[word] = len(rows)
         rows.append(vector)
     if not rows:
         raise WordVectorFormatError("no word vectors: every line is blank or the header")
     return WordVectors(index, np.stack(rows))
-
-
-def _warn_duplicate(line_no: int, word: str) -> None:
-    warnings.warn(
-        f"line {line_no}: duplicate word {word!r}; keeping the first occurrence", UserWarning
-    )
 
 
 def _vector_lines(lines: list[str]) -> Iterator[tuple[int, str]]:
@@ -327,8 +327,11 @@ class WordVectorBackend(SimilarityBackend):
             else:
                 embed_wordvector(text_tokens, self.table)  # warns; the row stays the zero sentinel
         for hits, (positions, members) in groups.items():
-            # Adds each text's rows in order, then divides, as np.mean(axis=0) does.
-            pooled[positions] = np.add.reduce(matrix[members], axis=1) / hits
+            step = max(1, _BLOCK_ROWS // hits)
+            for start in range(0, len(positions), step):
+                # Adds each text's rows in order, then divides, as np.mean(axis=0) does.
+                rows = matrix[members[start : start + step]]
+                pooled[positions[start : start + step]] = np.add.reduce(rows, axis=1) / hits
         nonzero = pooled.any(axis=1).tolist()
         values: list[float] = []
         slots: list[int] = []

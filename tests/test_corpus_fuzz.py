@@ -1,5 +1,5 @@
-"""Any JSONL or survey CSV text: the loaders raise only ``CorpusFormatError``
-in strict mode; in lenient mode they keep the valid records and skip the rest
+"""Any JSONL or survey CSV file, UTF-8 or not: the loaders raise only
+``CorpusFormatError`` in strict mode; in lenient mode they keep the valid records and skip the rest
 with a ``CorpusWarning``. Only a survey file without a usable header row fails
 in lenient mode too: it has no records to skip."""
 
@@ -16,8 +16,10 @@ from sapphire_novelty import (
     Provenance,
     import_survey_csv,
     load_corpus,
+    save_corpus,
     validate_problem,
 )
+from sapphire_novelty.corpus_store import validate_corpus_file
 from sapphire_novelty.problem_model import CANONICAL_LEVEL_KEYS
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -37,6 +39,15 @@ json_values = st.recursive(
     max_leaves=6,
 )
 ids = st.sampled_from(["P1", "P2", "R 1", "", " "])
+# Bytes that are not UTF-8 on their own: a stray continuation byte, a lead
+# byte without its continuation, an encoded surrogate, and 0xff.
+NOT_UTF8 = [b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xff", b"caf\xe9"]
+raw_bytes = st.one_of(st.binary(max_size=8), st.sampled_from(NOT_UTF8))
+
+
+def _utf8(text):
+    return text.encode("utf-8")
+
 phrases = st.one_of(st.sampled_from(["spill", " ", "", "hot lid"]), st.text(max_size=6))
 
 
@@ -57,38 +68,58 @@ def records(draw):
     return record
 
 
+@st.composite
+def bad_records(draw):
+    """A record line with bytes that are not UTF-8 in it: in a string of an
+    otherwise valid record, or anywhere in an arbitrary one."""
+    bad = draw(raw_bytes)
+    if draw(st.booleans()):
+        record = {"id": draw(ids), "provenance": draw(st.sampled_from(["past", "current"])), "constructs": {"action": "spill"}}
+        return _utf8(json.dumps(record)).replace(b"spill", b"sp" + bad + b"ill")
+    line = _utf8(json.dumps(draw(records()), ensure_ascii=False))
+    at = draw(st.integers(0, len(line)))
+    return line[:at] + bad + line[at:]
+
+
 jsonl_lines = st.one_of(
-    records().map(json.dumps),
-    records().map(lambda record: json.dumps(record)[:-1]),
-    st.text(max_size=20),
-    st.sampled_from(["", " ", "[]", "null", HUGE_INTEGER, '{"id": ' + HUGE_INTEGER + "}", DEEP_NESTING]),
+    records().map(json.dumps).map(_utf8),
+    records().map(lambda record: json.dumps(record)[:-1]).map(_utf8),
+    records().map(lambda record: json.dumps(record, ensure_ascii=False)).map(_utf8),
+    st.text(max_size=20).map(_utf8),
+    st.sampled_from(["", " ", "[]", "null", HUGE_INTEGER, '{"id": ' + HUGE_INTEGER + "}", DEEP_NESTING]).map(_utf8),
+    raw_bytes,
+    bad_records(),
 )
 
 
 @st.composite
-def jsonl_texts(draw):
-    ending = draw(st.sampled_from(["\n", "\r\n"]))
-    return ending.join(draw(st.lists(jsonl_lines, max_size=6))) + draw(st.sampled_from(["", ending]))
+def jsonl_files(draw):
+    ending = draw(st.sampled_from([b"\n", b"\r\n"]))
+    return ending.join(draw(st.lists(jsonl_lines, max_size=6))) + draw(st.sampled_from([b"", ending]))
 
 
 cells = st.one_of(
-    st.text(max_size=8),
-    st.sampled_from(["", " ", "P1", "R 1", "spill", '"', '""', '"a,b"', '"q"x', '"line\nbreak"', HUGE_FIELD]),
+    st.text(max_size=8).map(_utf8),
+    st.sampled_from(["", " ", "P1", "R 1", "spill", '"', '""', '"a,b"', '"q"x', '"line\nbreak"', HUGE_FIELD]).map(_utf8),
+    raw_bytes,
 )
-REQUIRED_COLUMNS = ["id", "label", "source", "action"]
-columns = st.sampled_from([*REQUIRED_COLUMNS, "effect", "parts", "notes", " action ", '"id"', HUGE_FIELD])
+REQUIRED_COLUMNS = [_utf8(column) for column in ("id", "label", "source", "action")]
+columns = st.one_of(
+    st.sampled_from([*REQUIRED_COLUMNS, b"effect", b"parts", b"notes", b" action ", b'"id"', _utf8(HUGE_FIELD)]),
+    raw_bytes,
+)
 
 
 @st.composite
-def survey_texts(draw):
+def survey_files(draw):
     if draw(st.integers(0, 9)) == 0:
-        return draw(st.text())
+        return draw(st.one_of(st.text().map(_utf8), st.binary()))
     header = draw(st.lists(columns, max_size=4))
     if draw(st.integers(0, 4)):  # most headers are complete, so the rows are read
         header = draw(st.permutations(header + REQUIRED_COLUMNS))
     rows = draw(st.lists(st.lists(cells, max_size=len(header) + 1), max_size=6))
-    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    return ending.join(",".join(row) for row in [header, *rows]) + draw(st.sampled_from(["", ending]))
+    ending = draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    return ending.join(b",".join(row) for row in [header, *rows]) + draw(st.sampled_from([b"", ending]))
 
 
 def _load(reader, path, strict):
@@ -106,29 +137,32 @@ def _load(reader, path, strict):
 def _check(reader, content, role, header_errors):
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "corpus.txt"
-        path.write_text(content, encoding="utf-8", newline="")
+        path.write_bytes(content)
         strict, _ = _load(reader, path, True)
         lenient, skipped = _load(reader, path, False)
-    if isinstance(lenient, CorpusFormatError):
-        assert header_errors and any(phrase in str(lenient) for phrase in header_errors), lenient
-        assert isinstance(strict, CorpusFormatError)
-        return
-    for problem in lenient:
-        assert not validate_problem(problem) and problem.provenance is role
-    assert len({problem.id for problem in lenient}) == len(lenient)
+        if isinstance(lenient, CorpusFormatError):
+            assert header_errors and any(phrase in str(lenient) for phrase in header_errors), lenient
+            assert isinstance(strict, CorpusFormatError)
+            return
+        for problem in lenient:
+            assert not validate_problem(problem) and problem.provenance is role
+        assert len({problem.id for problem in lenient}) == len(lenient)
+        if lenient.problems:  # whole UTF-8 text, so they save and reload unchanged
+            save_corpus(lenient, Path(directory) / "saved.jsonl")
+            assert load_corpus(Path(directory) / "saved.jsonl", role).problems == lenient.problems
     if not isinstance(strict, CorpusFormatError):
         assert strict.problems == lenient.problems
         assert not any(message.endswith("(skipped)") for message in skipped)
 
 
 @hypothesis.settings(max_examples=300, deadline=None)
-@hypothesis.given(content=jsonl_texts(), role=st.sampled_from(Provenance))
+@hypothesis.given(content=jsonl_files(), role=st.sampled_from(Provenance))
 def test_jsonl_loader_fails_only_with_corpus_errors(content, role):
     _check(lambda path, strict: load_corpus(path, role, strict=strict), content, role, ())
 
 
 @hypothesis.settings(max_examples=300, deadline=None)
-@hypothesis.given(content=survey_texts())
+@hypothesis.given(content=survey_files())
 def test_survey_importer_fails_only_with_corpus_errors(content):
     _check(
         lambda path, strict: import_survey_csv(path, "kettle", strict=strict),
@@ -168,4 +202,31 @@ class TestInputsThePythonParsersRefuse:
         path = self._write(tmp_path, "survey.csv", [f"id,label,source,action,{HUGE_FIELD}", "R1,a,s,spill"])
         for strict in (True, False):
             with pytest.raises(CorpusFormatError, match=r"unreadable header row \(field larger than field limit"):
+                import_survey_csv(path, "kettle", strict=strict)
+
+    def test_jsonl_line_not_utf8(self, tmp_path):
+        good = json.dumps({"id": "P1", "provenance": "past", "constructs": {"action": "spill"}})
+        path = tmp_path / "past.jsonl"
+        path.write_bytes(f"{good}\n".encode() + b'{"id": "P2", "provenance": "past", "constructs": {"action": "sp\xffill"}}\n')
+        with pytest.raises(CorpusFormatError, match=r"line 2: not UTF-8 \(byte 0xff\)$"):
+            load_corpus(path, Provenance.PAST)
+        with pytest.warns(CorpusWarning, match=r"line 2: not UTF-8 \(byte 0xff\) \(skipped\)$"):
+            corpus = load_corpus(path, Provenance.PAST, strict=False)
+        assert [problem.id for problem in corpus] == ["P1"]
+        assert validate_corpus_file(path) == ["line 2: not UTF-8 (byte 0xff)"]
+
+    def test_survey_row_not_utf8(self, tmp_path):
+        path = tmp_path / "survey.csv"
+        path.write_bytes(b"id,label,source,action\nR1,a,s,spill\nR2,caf\xe9,s,spill\nR3,c,s,leak\n")
+        with pytest.raises(CorpusFormatError, match=r"row 2: unreadable CSV \(not UTF-8 \(byte 0xe9\)\)$"):
+            import_survey_csv(path, "kettle")
+        with pytest.warns(CorpusWarning, match=r"row 2: unreadable CSV \(not UTF-8 \(byte 0xe9\)\) \(skipped\)$"):
+            corpus = import_survey_csv(path, "kettle", strict=False)
+        assert [problem.id for problem in corpus] == ["R1", "R3"]
+
+    def test_survey_header_not_utf8(self, tmp_path):
+        path = tmp_path / "survey.csv"
+        path.write_bytes(b"id,label,source,action,\xffnotes\nR1,a,s,spill\n")
+        for strict in (True, False):
+            with pytest.raises(CorpusFormatError, match=r"unreadable header row \(not UTF-8 \(byte 0xff\)\)$"):
                 import_survey_csv(path, "kettle", strict=strict)

