@@ -24,8 +24,8 @@ inherited ``similarities`` calls it once per pair. The lexical, word-vector
 and remote backends score a whole list of pairs in one ``similarities``
 call, tokenizing and embedding each unique text once (the remote backend
 sends one set of batched requests per call); the two vector backends pool
-by grouped reduction and score all cosines in one batched BLAS call,
-bit-identical to ``cosine_similarity``. The lexical and word-vector
+by grouped reduction and score the cosines in batched BLAS calls over
+bounded blocks of rows, bit-identical to ``cosine_similarity``. The lexical and word-vector
 ``similarity`` is the one-pair case of it; the remote ``similarity`` sends
 its two texts in one request, as one comparison always has, even when they
 are equal. Nothing is cached between calls, so an out-of-vocabulary text
