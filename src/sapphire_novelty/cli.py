@@ -27,6 +27,7 @@ from .similarity import (
     LexicalBackend,
     MissingFixtureError,
     SimilarityBackend,
+    WordVectorFormatError,
 )
 
 __all__ = ["main", "cmd_validate", "cmd_assess", "cmd_oscore"]
@@ -109,6 +110,9 @@ def cmd_assess(args: argparse.Namespace, backend: SimilarityBackend) -> int:
     except BackendUnavailableError as error:
         print(f"embedding backend failure: {error}", file=sys.stderr)
         return EXIT_ENVIRONMENT
+    except WordVectorFormatError as error:
+        print(f"invalid backend data: {error}", file=sys.stderr)
+        return EXIT_DATA
 
     rendered = render_report(report, args.format, summary_only=args.command == "rank")
     if args.out:

@@ -14,9 +14,12 @@ that a similarity read from a report (say 0.314) converts to exactly the
 complement a human would write down (0.686), with no binary-float drift.
 
 Everything here is a pure function over immutable inputs, and the report's
-order is fixed by sorting, not by the order pairs were scored in. Each
-ranking call reads every problem's level texts once and converts each
-distinct similarity to novelty once; nothing is cached between calls.
+order is fixed by sorting, not by the order pairs were scored in. A pair
+record holds its scores as tuples aligned with its levels, in canonical
+order, and the renderers walk those tuples. Which levels two problems share
+follows from their presence masks, and each distinct layout is computed
+once. Each ranking call reads every problem's level texts once and converts
+each distinct similarity to novelty once; nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from functools import total_ordering
 from itertools import product
-from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .problem_model import (
     ConstructLevel,
@@ -137,6 +139,40 @@ def aggregate_novelty(
     return sum(ordered) / len(ordered)
 
 
+class _LevelMap(Mapping[ConstructLevel, float]):
+    """A read-only level -> score map held as two tuples: ``levels`` in
+    canonical order, and ``scores`` aligned with them."""
+
+    __slots__ = ("levels", "scores")
+
+    def __init__(self, levels: tuple[ConstructLevel, ...], scores: tuple[float, ...]) -> None:
+        self.levels = levels
+        self.scores = scores
+
+    @classmethod
+    def of(cls, scores: Mapping[ConstructLevel, float]) -> "_LevelMap":
+        """``scores`` in canonical level order; a key that is not a level raises ``ValueError``."""
+        levels = tuple(level for level in ConstructLevel if level in scores)
+        if len(levels) != len(scores):
+            raise ValueError(f"score map keys must be construct levels: {dict(scores)!r}")
+        return cls(levels, tuple(scores[level] for level in levels))
+
+    def __getitem__(self, level: ConstructLevel) -> float:
+        for present, score in zip(self.levels, self.scores):
+            if present is level:
+                return score
+        raise KeyError(level)
+
+    def __iter__(self) -> Iterator[ConstructLevel]:
+        return iter(self.levels)
+
+    def __len__(self) -> int:
+        return len(self.levels)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(zip(self.levels, self.scores))!r})"
+
+
 @dataclass(frozen=True)
 class PairAssessment:
     """Scores for one gated (past, current) pair.
@@ -145,6 +181,8 @@ class PairAssessment:
     present iff both problems carry that construct. ``included_levels`` are the
     non-Action levels that were averaged; when the pair shares none,
     ``no_comparable_constructs`` is set and the average and band are absent.
+    Both score maps are read-only and iterate in canonical level order,
+    whatever order the maps given to the constructor were built in.
     """
 
     past_id: str
@@ -159,12 +197,10 @@ class PairAssessment:
     def __post_init__(self) -> None:
         if ConstructLevel.ACTION in self.included_levels:
             raise ValueError("the Action level cannot be part of the average")
-        object.__setattr__(
-            self, "construct_similarity", MappingProxyType(dict(self.construct_similarity))
-        )
-        object.__setattr__(
-            self, "construct_novelty", MappingProxyType(dict(self.construct_novelty))
-        )
+        for name in ("construct_similarity", "construct_novelty"):
+            scores = getattr(self, name)
+            if not isinstance(scores, _LevelMap):
+                object.__setattr__(self, name, _LevelMap.of(scores))
 
 
 @dataclass(frozen=True)
@@ -233,46 +269,65 @@ def _level_texts(problem: ProblemSapphire) -> tuple[Optional[str], ...]:
     return tuple(construct_text(problem, level) for level in _NON_ACTION_LEVELS)
 
 
-def _shared_levels(
-    past_texts: tuple[Optional[str], ...], current_texts: tuple[Optional[str], ...]
-) -> list[tuple[ConstructLevel, tuple[str, str]]]:
-    """Each non-Action level both problems carry, with its (past, current) texts."""
-    return [
-        (level, (past_text, current_text))
-        for level, past_text, current_text in zip(_NON_ACTION_LEVELS, past_texts, current_texts)
-        if past_text is not None and current_text is not None
-    ]
+def _presence(texts: tuple[Optional[str], ...]) -> int:
+    """Bit ``i`` is set iff the problem carries the ``i``-th non-Action level."""
+    return sum(1 << position for position, text in enumerate(texts) if text is not None)
 
 
-def _assessment(
-    past: ProblemSapphire,
-    current: ProblemSapphire,
-    action_similarity: float,
-    shared: list[tuple[ConstructLevel, tuple[str, str]]],
-    scores: Mapping[tuple[str, str], float],
-    novelty: _Memo,
-    band: _Memo,
-) -> PairAssessment:
-    """Build a gated pair's assessment from the similarities of its shared level texts.
+class _Layout(NamedTuple):
+    """The non-Action levels two problems share: their positions, the levels
+    (averaged), and the Action level followed by them (the score maps' keys)."""
 
-    ``novelty`` and ``band`` are the caller's memos of :func:`construct_novelty`
-    and :func:`classify_novelty`.
+    positions: tuple[int, ...]
+    included: tuple[ConstructLevel, ...]
+    levels: tuple[ConstructLevel, ...]
+
+
+def _layout(shared: int) -> _Layout:
+    positions = tuple(p for p in range(len(_NON_ACTION_LEVELS)) if shared >> p & 1)
+    included = tuple(_NON_ACTION_LEVELS[p] for p in positions)
+    return _Layout(positions, included, (_ACTION,) + included)
+
+
+#: The layout of each presence mask two problems can share, indexed by that mask.
+_LAYOUTS = tuple(map(_layout, range(1 << len(_NON_ACTION_LEVELS))))
+
+
+def _assessor(scores: Mapping[tuple[str, str], float]):
+    """The function that makes every gated pair's :class:`PairAssessment`, and its band memo.
+
+    It reads each shared level's similarity from ``scores``, keyed by
+    (past text, current text), and converts and bands each distinct value once.
+    It averages in canonical level order, as :func:`aggregate_novelty` does.
     """
-    similarities = {_ACTION: action_similarity}
-    similarities.update((level, scores[texts]) for level, texts in shared)
-    novelties = {level: novelty[value] for level, value in similarities.items()}
-    included = tuple(level for level, _ in shared)
-    average = aggregate_novelty(novelties, included) if included else None
-    return PairAssessment(
-        past_id=past.id,
-        current_id=current.id,
-        construct_similarity=similarities,
-        construct_novelty=novelties,
-        included_levels=included,
-        average_novelty=average,
-        band=band[average] if included else None,
-        no_comparable_constructs=not included,
-    )
+    novelty = _Memo(construct_novelty)
+    band = _Memo(classify_novelty)
+
+    def assess(
+        past_id: str,
+        past_texts: tuple[Optional[str], ...],
+        current_id: str,
+        current_texts: tuple[Optional[str], ...],
+        action_similarity: float,
+        layout: _Layout,
+    ) -> PairAssessment:
+        positions, included, levels = layout
+        shared = [scores[past_texts[p], current_texts[p]] for p in positions]
+        similarities = (action_similarity, *shared)
+        novelties = tuple([novelty[value] for value in similarities])
+        average = sum(novelties[1:]) / len(included) if included else None
+        return PairAssessment(
+            past_id=past_id,
+            current_id=current_id,
+            construct_similarity=_LevelMap(levels, similarities),
+            construct_novelty=_LevelMap(levels, novelties),
+            included_levels=included,
+            average_novelty=average,
+            band=band[average] if included else None,
+            no_comparable_constructs=not included,
+        )
+
+    return assess, band
 
 
 def _scored(
@@ -312,12 +367,11 @@ def assess_pair(
     matched, action_similarity = action_match(past, current, backend, threshold)
     if not matched:
         return None
-    shared = _shared_levels(_level_texts(past), _level_texts(current))
-    scores = _scored((texts for _, texts in shared), backend)
-    return _assessment(
-        past, current, action_similarity, shared, scores,
-        _Memo(construct_novelty), _Memo(classify_novelty),
-    )
+    past_texts, current_texts = _level_texts(past), _level_texts(current)
+    layout = _LAYOUTS[_presence(past_texts) & _presence(current_texts)]
+    scores = _scored(((past_texts[p], current_texts[p]) for p in layout.positions), backend)
+    assess, _ = _assessor(scores)
+    return assess(past.id, past_texts, current.id, current_texts, action_similarity, layout)
 
 
 def rank_current_problems(
@@ -359,26 +413,33 @@ def rank_current_problems(
         for action in unique_current_actions
     }
     past_texts = [_level_texts(problem) for problem in past.problems]
-    # Each gated pair as (past problem, Action similarity, shared levels), per current problem.
+    past_masks = list(map(_presence, past_texts))
+    current_texts = [_level_texts(problem) for problem in current.problems]
+    # Each gated pair as (past index, Action similarity, layout), per current problem.
     gated_pairs = [
         [
-            (past.problems[i], gate[past_actions[i], action], _shared_levels(past_texts[i], texts))
+            (i, gate[past_actions[i], action], _LAYOUTS[past_masks[i] & mask])
             for i in matches[action]
         ]
-        for texts, action in zip(map(_level_texts, current.problems), current_actions)
+        for mask, action in zip(map(_presence, current_texts), current_actions)
     ]
     scores = _scored(
-        (texts for pairs in gated_pairs for *_, shared in pairs for _, texts in shared), backend
+        (
+            (past_texts[i][p], texts[p])
+            for texts, pairs in zip(current_texts, gated_pairs)
+            for i, _, layout in pairs
+            for p in layout.positions
+        ),
+        backend,
     )
 
-    novelty = _Memo(construct_novelty)
-    band = _Memo(classify_novelty)
+    assess, band = _assessor(scores)
     scored: list[ProblemNovelty] = []
     unmatched: list[ProblemNovelty] = []
-    for problem, pairs in zip(current.problems, gated_pairs):
+    for problem, texts, pairs in zip(current.problems, current_texts, gated_pairs):
         assessments = tuple(
-            _assessment(reference, problem, similarity, shared, scores, novelty, band)
-            for reference, similarity, shared in pairs
+            assess(past.problems[i].id, past_texts[i], problem.id, texts, similarity, layout)
+            for i, similarity, layout in pairs
         )
         averages = [a.average_novelty for a in assessments if a.average_novelty is not None]
         if averages:

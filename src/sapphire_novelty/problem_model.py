@@ -130,16 +130,29 @@ class ProblemCorpus:
         return iter(self.problems)
 
 
+def _unencodable(text: str) -> Optional[str]:
+    """Why ``text`` cannot be written as UTF-8 (it holds a lone surrogate), else None."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as error:
+        return f"must be writable as UTF-8, but holds the lone surrogate {text[error.start]!r}"
+    return None
+
+
 def validate_problem(problem: ProblemSapphire) -> list[Violation]:
     """Check every ProblemSapphire invariant; empty list means the record is ok.
 
     Violations are data, not failures: callers decide whether to abort or skip.
+    Every text must encode as UTF-8, so that a valid corpus can be saved.
     """
     violations: list[Violation] = []
     if not problem.id:
         violations.append(Violation("id", "must be non-empty"))
     elif any(ch.isspace() for ch in problem.id):
         violations.append(Violation("id", f"must not contain whitespace: {problem.id!r}"))
+    for name in ("id", "label", "source", "context"):
+        if reason := _unencodable(getattr(problem, name)):
+            violations.append(Violation(name, reason))
 
     action = problem.constructs.get(ConstructLevel.ACTION)
     if action is None or not action.strip():
@@ -152,9 +165,9 @@ def validate_problem(problem: ProblemSapphire) -> list[Violation]:
         )
 
     for level, text in problem.constructs.items():
-        if level is ConstructLevel.ACTION:
-            continue
-        if not text.strip():
+        if reason := _unencodable(text):
+            violations.append(Violation("constructs", reason, level=level))
+        elif level is not ConstructLevel.ACTION and not text.strip():
             violations.append(
                 Violation("constructs", "present construct text must be non-empty", level=level)
             )

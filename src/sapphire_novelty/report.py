@@ -6,7 +6,9 @@ levels followed by the average novelty and its band. Construct novelty is
 shown at three decimals and averages at two (half-up); the JSON payload
 additionally carries every score at full precision so nothing is lost to
 display rounding. All three formats show identical display scores and are
-byte-stable given the same inputs.
+byte-stable given the same inputs. The renderers walk each pair's
+level-aligned score tuples, so a level a pair lacks costs nothing, and lay
+out each distinct set of levels once per render.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from itertools import groupby
 from json import JSONEncoder
 from json.encoder import encode_basestring
 from operator import attrgetter
-from typing import Mapping
 
 from .novelty import (
     NoveltyBand,
@@ -45,9 +46,8 @@ _float = float.__repr__
 _scalar = JSONEncoder(ensure_ascii=False).encode
 _BOOLS = ("false", "true")
 _BANDS = {band: encode_basestring(band.value) for band in NoveltyBand}
-# How each level opens its entry in a pair's score maps, and its item in included_levels.
-_LEVEL_ENTRIES = tuple((level, f'\n        "{level.key}": ') for level in ConstructLevel)
-_LEVEL_ITEMS = {level: f'\n        "{level.key}"' for level in ConstructLevel}
+# Each level's row in the score grid.
+_ROWS = {level: row for row, level in enumerate(ConstructLevel)}
 
 
 def _fmt3(value: float) -> str:
@@ -80,23 +80,24 @@ def _pair_columns(report: NoveltyReport) -> list[PairAssessment]:
 
 def _grid_rows(pairs: list[PairAssessment], fmt3: _Memo, fmt2: _Memo) -> list[list[str]]:
     """The score grid shared by the table and CSV renderers."""
-    header = ["Constructs"] + [f"{a.past_id}-{a.current_id}" for a in pairs]
-    rows = [header]
-    for level in ConstructLevel:
-        cells = [level.label]
-        for assessment in pairs:
-            value = assessment.construct_novelty.get(level)
-            cells.append(fmt3[_float(value)] if value is not None else "-")
-        rows.append(cells)
-    rows.append(
+    rows = [[level.label] for level in ConstructLevel]
+    for assessment in pairs:
+        cells = ["-"] * len(rows)
+        novelty = assessment.construct_novelty
+        for level, value in zip(novelty.levels, novelty.scores):
+            cells[_ROWS[level]] = fmt3[_float(value)]
+        for row, cell in zip(rows, cells):
+            row.append(cell)
+    return [
+        ["Constructs"] + [f"{a.past_id}-{a.current_id}" for a in pairs],
+        *rows,
         [_AVERAGE_ROW]
         + [
             fmt2[_float(a.average_novelty)] if a.average_novelty is not None else "-"
             for a in pairs
-        ]
-    )
-    rows.append([_BAND_ROW] + [_band_label(a.band) for a in pairs])
-    return rows
+        ],
+        [_BAND_ROW] + [_band_label(a.band) for a in pairs],
+    ]
 
 
 def _ranking_rows(report: NoveltyReport) -> list[list[str]]:
@@ -167,11 +168,6 @@ def render_csv(report: NoveltyReport, summary_only: bool = False) -> str:
     return buffer.getvalue()
 
 
-def _score_texts(scores: Mapping[ConstructLevel, float]) -> list[tuple[str, str]]:
-    """(entry opening, encoded score) for each level in ``scores``, in canonical level order."""
-    return [(entry, _float(scores[level])) for level, entry in _LEVEL_ENTRIES if level in scores]
-
-
 def _json_block(entries: list[str], opening: str, closing: str, indent: str) -> str:
     """A JSON array or object from its encoded entries, laid out as ``indent=2`` lays it out."""
     if not entries:
@@ -179,15 +175,29 @@ def _json_block(entries: list[str], opening: str, closing: str, indent: str) -> 
     return opening + ",".join(entries) + "\n" + indent + closing
 
 
-def _json_map(items: list[tuple[str, str]]) -> str:
-    """A pair's per-level map from its (entry opening, encoded value) items."""
-    return _json_block([entry + text for entry, text in items], "{", "}", "      ")
+def _json_levels(
+    levels: tuple[ConstructLevel, ...], entry: str, opening: str, closing: str
+) -> str:
+    """A JSON block inside a pair with ``entry`` filled in with each level's key."""
+    return _json_block([entry.format(level.key) for level in levels], opening, closing, "      ")
 
 
-def _json_pair(assessment: PairAssessment, display3: _Memo, display2: _Memo) -> str:
+def _json_layouts() -> tuple[_Memo, _Memo]:
+    """Memos, for one render, keyed by a tuple of levels: the %-template of a
+    pair's score map over those levels, and their "included_levels" array."""
+    maps = _Memo(lambda levels: _json_levels(levels, '\n        "{}": %s', "{", "}"))
+    included = _Memo(lambda levels: _json_levels(levels, '\n        "{}"', "[", "]"))
+    return maps, included
+
+
+def _json_pair(
+    assessment: PairAssessment, maps: _Memo, included: _Memo, display3: _Memo, display2: _Memo
+) -> str:
     """One element of the report's "pairs" array."""
-    novelty = _score_texts(assessment.construct_novelty)
-    included = [_LEVEL_ITEMS[level] for level in assessment.included_levels]
+    similarity = assessment.construct_similarity
+    novelty = assessment.construct_novelty
+    novelty_map = maps[novelty.levels]
+    novelty_texts = tuple(map(_float, novelty.scores))
     average = assessment.average_novelty
     average_text = "null" if average is None else _float(average)
     band = assessment.band
@@ -195,11 +205,12 @@ def _json_pair(assessment: PairAssessment, display3: _Memo, display2: _Memo) -> 
         "\n    {"
         f'\n      "past_id": {encode_basestring(assessment.past_id)},'
         f'\n      "current_id": {encode_basestring(assessment.current_id)},'
-        f'\n      "construct_similarity": {_json_map(_score_texts(assessment.construct_similarity))},'
-        f'\n      "construct_novelty": {_json_map(novelty)},'
+        f'\n      "construct_similarity": '
+        f"{maps[similarity.levels] % tuple(map(_float, similarity.scores))},"
+        f'\n      "construct_novelty": {novelty_map % novelty_texts},'
         f'\n      "construct_novelty_display": '
-        f"{_json_map([(entry, display3[text]) for entry, text in novelty])},"
-        f'\n      "included_levels": {_json_block(included, "[", "]", "      ")},'
+        f"{novelty_map % tuple(map(display3.__getitem__, novelty_texts))},"
+        f'\n      "included_levels": {included[assessment.included_levels]},'
         f'\n      "average_novelty": {average_text},'
         f'\n      "average_novelty_display": '
         f'{"null" if average is None else display2[average_text]},'
@@ -240,7 +251,8 @@ def render_json(report: NoveltyReport, summary_only: bool = False) -> str:
         f'\n  "current_corpus": {_scalar(report.current_corpus)},'
     ]
     if not summary_only:
-        pairs = [_json_pair(a, display3, display2) for a in _pair_columns(report)]
+        maps, included = _json_layouts()
+        pairs = [_json_pair(a, maps, included, display3, display2) for a in _pair_columns(report)]
         parts += ['\n  "pairs": ', _json_block(pairs, "[", "]", "  "), ","]
     ranking = [_json_ranked(entry, display2) for entry in report.ranked]
     unmatched = ["\n    " + encode_basestring(entry.current_id) for entry in report.unmatched]

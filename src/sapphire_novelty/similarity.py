@@ -65,7 +65,11 @@ class OovWarning(UserWarning):
 
 
 class WordVectorFormatError(ValueError):
-    """A word-vector file that does not follow the format, or holds no vector; names the bad line."""
+    """A word-vector file that does not follow the format, or holds no vector; names the bad line.
+
+    Also raised when the vectors of one text are too large to pool (their sum
+    overflows); that error names the text.
+    """
 
 
 class FixtureFormatError(ValueError):

@@ -331,7 +331,15 @@ class WordVectorBackend(SimilarityBackend):
             for start in range(0, len(positions), step):
                 # Adds each text's rows in order, then divides, as np.mean(axis=0) does.
                 rows = matrix[members[start : start + step]]
-                pooled[positions[start : start + step]] = np.add.reduce(rows, axis=1) / hits
+                with np.errstate(over="ignore"):  # an overflow is reported below
+                    pooled[positions[start : start + step]] = np.add.reduce(rows, axis=1) / hits
+        finite = np.isfinite(pooled).all(axis=1)
+        if not finite.all():
+            text = texts[int(np.argmin(finite))]
+            raise WordVectorFormatError(
+                f"the word vectors of {text!r} pool to a vector that is not finite: "
+                "their sum overflows"
+            )
         nonzero = pooled.any(axis=1).tolist()
         values: list[float] = []
         slots: list[int] = []

@@ -33,12 +33,21 @@ HUGE_INTEGER = "1" * 5000
 DEEP_NESTING = "[" * 100_000
 HUGE_FIELD = "x" * 140_000
 
+# Any character, lone surrogates included and drawn often: a JSON escape such
+# as "\udcff" reads as one, and a file cannot hold one as UTF-8.
+characters = st.one_of(st.characters(), st.characters(categories=["Cs"]))
+
+
+def texts(max_size=None):
+    return st.text(characters, max_size=max_size)
+
+
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
-    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    st.none() | st.booleans() | st.integers() | st.floats() | texts(6),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(texts(4), children, max_size=3),
     max_leaves=6,
 )
-ids = st.sampled_from(["P1", "P2", "R 1", "", " "])
+ids = st.sampled_from(["P1", "P2", "R 1", "", " ", "P\ud800"])
 # Bytes that are not UTF-8 on their own: a stray continuation byte, a lead
 # byte without its continuation, an encoded surrogate, and 0xff.
 NOT_UTF8 = [b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xff", b"caf\xe9"]
@@ -46,9 +55,10 @@ raw_bytes = st.one_of(st.binary(max_size=8), st.sampled_from(NOT_UTF8))
 
 
 def _utf8(text):
-    return text.encode("utf-8")
+    """``text`` as UTF-8, a lone surrogate as the three bytes that are not UTF-8."""
+    return text.encode("utf-8", "surrogatepass")
 
-phrases = st.one_of(st.sampled_from(["spill", " ", "", "hot lid"]), st.text(max_size=6))
+phrases = st.one_of(st.sampled_from(["spill", " ", "", "hot lid", "sp\udcffill"]), texts(6))
 
 
 @st.composite
@@ -69,6 +79,13 @@ def records(draw):
 
 
 @st.composite
+def plain_records(draw):
+    """A record that is valid unless one of its drawn texts is not."""
+    role = draw(st.sampled_from(["past", "current"]))
+    return {"id": draw(ids), "label": draw(phrases), "provenance": role, "constructs": {"action": draw(phrases)}}
+
+
+@st.composite
 def bad_records(draw):
     """A record line with bytes that are not UTF-8 in it: in a string of an
     otherwise valid record, or anywhere in an arbitrary one."""
@@ -83,9 +100,10 @@ def bad_records(draw):
 
 jsonl_lines = st.one_of(
     records().map(json.dumps).map(_utf8),
+    plain_records().map(json.dumps).map(_utf8),
     records().map(lambda record: json.dumps(record)[:-1]).map(_utf8),
     records().map(lambda record: json.dumps(record, ensure_ascii=False)).map(_utf8),
-    st.text(max_size=20).map(_utf8),
+    texts(20).map(_utf8),
     st.sampled_from(["", " ", "[]", "null", HUGE_INTEGER, '{"id": ' + HUGE_INTEGER + "}", DEEP_NESTING]).map(_utf8),
     raw_bytes,
     bad_records(),
@@ -99,7 +117,7 @@ def jsonl_files(draw):
 
 
 cells = st.one_of(
-    st.text(max_size=8).map(_utf8),
+    texts(8).map(_utf8),
     st.sampled_from(["", " ", "P1", "R 1", "spill", '"', '""', '"a,b"', '"q"x', '"line\nbreak"', HUGE_FIELD]).map(_utf8),
     raw_bytes,
 )
@@ -113,7 +131,7 @@ columns = st.one_of(
 @st.composite
 def survey_files(draw):
     if draw(st.integers(0, 9)) == 0:
-        return draw(st.one_of(st.text().map(_utf8), st.binary()))
+        return draw(st.one_of(texts().map(_utf8), st.binary()))
     header = draw(st.lists(columns, max_size=4))
     if draw(st.integers(0, 4)):  # most headers are complete, so the rows are read
         header = draw(st.permutations(header + REQUIRED_COLUMNS))

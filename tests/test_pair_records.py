@@ -1,0 +1,146 @@
+"""Pair records as ranking builds them, against the scalar reference and
+``assess_pair``, and the read-only level maps the records hold their scores in.
+
+Ranking builds each record from level-aligned tuples and averages inline; the
+public scalar functions (``construct_novelty``, ``aggregate_novelty``,
+``classify_novelty``) and ``assess_pair`` must agree with it bit for bit.
+"""
+
+from collections.abc import Mapping
+from dataclasses import FrozenInstanceError, replace
+
+import pytest
+
+from sapphire_novelty import (
+    ConstructLevel,
+    LexicalBackend,
+    PairAssessment,
+    ProblemCorpus,
+    ProblemSapphire,
+    Provenance,
+    aggregate_novelty,
+    assess_pair,
+    classify_novelty,
+    construct_novelty,
+    construct_text,
+    rank_current_problems,
+)
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+LEVELS = list(ConstructLevel)
+ACTION = ConstructLevel.ACTION
+NON_ACTION = LEVELS[1:]
+ACTIONS = ["boil water", "heat water", "spill liquid", "clean base"]
+WORDS = ["heat", "lid", "spout", "steam", "water", "coil", "base"]
+# Phrases that repeat and overlap, so similarities take many values; a blank
+# phrase counts as an absent level.
+phrases = st.one_of(st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join), st.just("  "))
+
+
+@st.composite
+def corpora(draw, role, prefix):
+    """1 to 4 problems, each carrying a random subset of the non-Action levels."""
+    problems = []
+    for index in range(draw(st.integers(1, 4))):
+        constructs = {ACTION: draw(st.sampled_from(ACTIONS))}
+        for level in draw(st.sets(st.sampled_from(NON_ACTION))):
+            constructs[level] = draw(phrases)
+        problems.append(ProblemSapphire(f"{prefix}{index}", "", role, constructs=constructs))
+    return ProblemCorpus(role.value, role, tuple(problems))
+
+
+def _bits(scores):
+    return [(level, value.hex()) for level, value in scores.items()]
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(
+    past=corpora(Provenance.PAST, "P"),
+    current=corpora(Provenance.CURRENT, "C"),
+    threshold=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+)
+def test_ranked_records_match_the_scalar_reference_and_assess_pair(past, current, threshold):
+    backend = LexicalBackend()
+    report = rank_current_problems(past, current, backend, threshold)
+    records = {(a.past_id, a.current_id): a for entry in report.entries for a in entry.assessments}
+    for reference in past.problems:
+        for problem in current.problems:
+            single = assess_pair(reference, problem, backend, threshold)
+            record = records.pop((reference.id, problem.id), None)
+            assert record == single
+            if record is None:
+                continue
+            assert _bits(record.construct_similarity) == _bits(single.construct_similarity)
+            assert _bits(record.construct_novelty) == _bits(single.construct_novelty)
+            shared = tuple(
+                level
+                for level in NON_ACTION
+                if construct_text(reference, level) and construct_text(problem, level)
+            )
+            assert record.included_levels == shared
+            assert list(record.construct_similarity) == [ACTION, *shared] == list(record.construct_novelty)
+            for level, similarity in record.construct_similarity.items():
+                assert record.construct_novelty[level].hex() == construct_novelty(similarity).hex()
+            if shared:
+                reference_average = aggregate_novelty(dict(record.construct_novelty), shared)
+                assert record.average_novelty.hex() == reference_average.hex()
+                assert record.band is classify_novelty(reference_average)
+                assert not record.no_comparable_constructs
+            else:
+                assert (record.average_novelty, record.band) == (None, None)
+                assert record.no_comparable_constructs
+    assert not records  # every record ranking built is a pair assess_pair gates in
+
+
+@st.composite
+def level_maps(draw):
+    """A level -> score map over a random subset of levels, in random insertion order."""
+    levels = draw(st.lists(st.sampled_from(LEVELS), unique=True))
+    return {level: draw(st.floats(0.0, 1.0)) for level in levels}
+
+
+def _record(similarity, novelty):
+    return PairAssessment("P", "C", similarity, novelty, (), None, None, True)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(similarity=level_maps(), novelty=level_maps())
+def test_record_maps_are_canonical_read_only_mappings(similarity, novelty):
+    record = _record(similarity, novelty)
+    for given, held in ((similarity, record.construct_similarity), (novelty, record.construct_novelty)):
+        assert isinstance(held, Mapping)
+        assert held == given and given == held
+        assert list(held) == list(held.keys()) == [level for level in LEVELS if level in given]
+        assert list(held.values()) == [given[level] for level in held]
+        assert list(held.items()) == [(level, given[level]) for level in held]
+        assert len(held) == len(given)
+        for level in LEVELS:
+            assert (level in held) is (level in given)
+            assert held.get(level) is given.get(level)
+            assert held.get(level, "absent") is given.get(level, "absent")
+            if level in given:
+                assert held[level] is given[level]
+            else:
+                with pytest.raises(KeyError):
+                    held[level]
+        with pytest.raises(TypeError):
+            held[ACTION] = 0.5
+        with pytest.raises(TypeError):
+            del held[ACTION]
+    assert record == _record(dict(reversed(similarity.items())), dict(reversed(novelty.items())))
+
+
+def test_record_maps_pass_through_a_copy_of_the_record_uncopied():
+    record = _record({ACTION: 0.9, ConstructLevel.PARTS: 0.3}, {ConstructLevel.PARTS: 0.7, ACTION: 0.1})
+    copy = replace(record, past_id="Q")
+    assert copy.construct_similarity is record.construct_similarity
+    assert copy.construct_novelty is record.construct_novelty
+    with pytest.raises(FrozenInstanceError):
+        record.construct_novelty = {}
+
+
+def test_record_maps_reject_keys_that_are_not_levels():
+    with pytest.raises(ValueError, match="keys must be construct levels"):
+        _record({ACTION: 0.9, "parts": 0.3}, {})

@@ -101,6 +101,22 @@ class TestValidateProblem:
         violations = validate_problem(problem)
         assert [v.level for v in violations] == [ConstructLevel.ORGAN]
 
+    @pytest.mark.parametrize("name", ["id", "label", "source", "context", "action", "organ"])
+    def test_text_that_cannot_be_written_as_utf8_names_its_field(self, name):
+        fields = {"id": "P1", "label": "x", "source": "", "context": ""}
+        texts = {"action": "spilling", "organ": "lid"}
+        if name in fields:
+            fields[name] = "sp\udcffill"
+        else:
+            texts[name] = "sp\udcffill"
+        problem = ProblemSapphire(
+            provenance=Provenance.PAST, constructs=make_constructs(**texts), **fields
+        )
+        [violation] = validate_problem(problem)
+        level = None if name in fields else ConstructLevel.from_key(name)
+        assert (violation.field, violation.level) == (name if level is None else "constructs", level)
+        assert violation.message.endswith("lone surrogate '\\udcff'")
+
     def test_validation_is_pure(self):
         problem = full_problem()
         assert validate_problem(problem) == validate_problem(problem)

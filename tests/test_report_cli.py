@@ -352,6 +352,24 @@ class TestCmdAssess:
         assert main(argv) == 1
         assert "invalid backend data: line 2" in capsys.readouterr().err
 
+    def test_vectors_that_overflow_when_pooled_exit_1_naming_the_text(self, tmp_path, capsys):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("heat 1e308 1\nlid 1e308 -1\nboil 1 0\n", encoding="utf-8")
+        paths = []
+        for role, effect in (("past", "heat lid"), ("current", "lid heat")):
+            record = {"id": "P1", "provenance": role, "constructs": {"action": "boil", "effect": effect}}
+            paths.append(tmp_path / f"{role}.jsonl")
+            paths[-1].write_text(json.dumps(record) + "\n", encoding="utf-8")
+        argv = ["assess", "--past", str(paths[0]), "--current", str(paths[1])]
+        argv += ["--backend", "wordvec", "--vectors", str(vectors)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "invalid backend data: the word vectors of 'heat lid' pool to a vector"
+            " that is not finite: their sum overflows\n"
+        )
+
     def test_vector_file_without_vectors_exits_1(self, tmp_path, capsys):
         vectors = tmp_path / "vectors.txt"
         vectors.write_text("3 2\n", encoding="utf-8")
@@ -400,6 +418,15 @@ VALIDATE_FINDINGS = {
     "whitespace_in_id": (
         [validate_record("P 1")],
         ["line 1: id: must not contain whitespace: 'P 1'"],
+    ),
+    # A JSON escape of a lone surrogate is plain ASCII in the file, but the
+    # text it reads as cannot be written back as UTF-8.
+    "lone_surrogate": (
+        [validate_record("P\ud800"), validate_record("P2", constructs={"action": "sp\udcffill"})],
+        [
+            "line 1: id: must be writable as UTF-8, but holds the lone surrogate '\\ud800'",
+            "line 2: constructs[action]: must be writable as UTF-8, but holds the lone surrogate '\\udcff'",
+        ],
     ),
     # Per-line findings come first, then duplicates, then the mixed-role finding;
     # an invalid record still counts as the first occurrence of its id.

@@ -1,7 +1,9 @@
 """The vector backends score a list of pairs in bulk exactly as the per-pair
 formula does: ``cosine_similarity`` of the pooled or fetched vectors, clamped
 at 0, after the zero-sentinel and equal-token rules. Values match bit for bit,
-with the same warnings in the same order, or the call raises the same error."""
+with the same warnings in the same order, or the call raises the same error.
+The one exception is a text whose pooled vector overflows: the bulk call
+names it in a ``WordVectorFormatError``, before it scores any pair."""
 
 import warnings
 from unittest import mock
@@ -14,6 +16,7 @@ from sapphire_novelty import (
     OovWarning,
     RemoteBackend,
     WordVectorBackend,
+    WordVectorFormatError,
     cosine_similarity,
     embed_wordvector,
     tokenize,
@@ -140,16 +143,20 @@ def test_remote_bulk_matches_per_pair_formula(embed_stub, data):
     assert bulk == _outcome(per_pair, pairs)
 
 
-def test_pooled_overflow_raises_as_the_per_pair_formula_does():
+def test_pooled_overflow_names_the_text():
     backend = WordVectorBackend(table={"heat": np.array([1e308, 1.0]), "lid": np.array([1e308, -1.0])})
-    pairs = [("heat lid", "heat lid"), ("heat", "lid"), ("heat lid", "heat")]
+    pairs = [("heat", "lid"), ("heat lid", "heat"), ("heat lid", "heat lid")]
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow in the pooling sum
-        with pytest.raises(ValueError, match="non-finite component") as bulk:
+        warnings.simplefilter("error")  # numpy's overflow warning is not passed on
+        with pytest.raises(WordVectorFormatError) as bulk:
             backend.similarities(pairs)
-        with pytest.raises(ValueError) as per_pair:
+    assert str(bulk.value) == (
+        "the word vectors of 'heat lid' pool to a vector that is not finite: their sum overflows"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError, match="non-finite component"):
             _wordvec_per_pair(backend, pairs)
-    assert str(bulk.value) == str(per_pair.value)
 
 
 class TestEmptyAndDegenerateCalls:
