@@ -35,6 +35,7 @@ from .problem_model import (
     ConstructLevel,
     ProblemCorpus,
     ProblemSapphire,
+    Provenance,
     construct_text,
 )
 from .similarity import SimilarityBackend, text_similarities, text_similarity
@@ -293,43 +294,6 @@ def _layout(shared: int) -> _Layout:
 _LAYOUTS = tuple(map(_layout, range(1 << len(_NON_ACTION_LEVELS))))
 
 
-def _assessor(scores: Mapping[tuple[str, str], float]):
-    """The function that makes every gated pair's :class:`PairAssessment`, and its band memo.
-
-    It reads each shared level's similarity from ``scores``, keyed by
-    (past text, current text), and converts and bands each distinct value once.
-    It averages in canonical level order, as :func:`aggregate_novelty` does.
-    """
-    novelty = _Memo(construct_novelty)
-    band = _Memo(classify_novelty)
-
-    def assess(
-        past_id: str,
-        past_texts: tuple[Optional[str], ...],
-        current_id: str,
-        current_texts: tuple[Optional[str], ...],
-        action_similarity: float,
-        layout: _Layout,
-    ) -> PairAssessment:
-        positions, included, levels = layout
-        shared = [scores[past_texts[p], current_texts[p]] for p in positions]
-        similarities = (action_similarity, *shared)
-        novelties = tuple([novelty[value] for value in similarities])
-        average = sum(novelties[1:]) / len(included) if included else None
-        return PairAssessment(
-            past_id=past_id,
-            current_id=current_id,
-            construct_similarity=_LevelMap(levels, similarities),
-            construct_novelty=_LevelMap(levels, novelties),
-            included_levels=included,
-            average_novelty=average,
-            band=band[average] if included else None,
-            no_comparable_constructs=not included,
-        )
-
-    return assess, band
-
-
 def _scored(
     pairs: Iterable[tuple[str, str]], backend: SimilarityBackend
 ) -> dict[tuple[str, str], float]:
@@ -362,16 +326,14 @@ def assess_pair(
     """Assess one (past, current) pair; None when the action gate fails.
 
     Action similarity and novelty are recorded but excluded from the average;
-    the average runs over the non-Action levels present in both problems.
+    the average runs over the non-Action levels present in both problems. The
+    record is the one :func:`rank_current_problems` builds for this pair when
+    it ranks the one-problem corpora ``(past,)`` and ``(current,)``.
     """
-    matched, action_similarity = action_match(past, current, backend, threshold)
-    if not matched:
-        return None
-    past_texts, current_texts = _level_texts(past), _level_texts(current)
-    layout = _LAYOUTS[_presence(past_texts) & _presence(current_texts)]
-    scores = _scored(((past_texts[p], current_texts[p]) for p in layout.positions), backend)
-    assess, _ = _assessor(scores)
-    return assess(past.id, past_texts, current.id, current_texts, action_similarity, layout)
+    past_corpus = ProblemCorpus("", Provenance.PAST, (past,))
+    current_corpus = ProblemCorpus("", Provenance.CURRENT, (current,))
+    (entry,) = rank_current_problems(past_corpus, current_corpus, backend, threshold).entries
+    return entry.assessments[0] if entry.assessments else None
 
 
 def rank_current_problems(
@@ -433,14 +395,30 @@ def rank_current_problems(
         backend,
     )
 
-    assess, band = _assessor(scores)
+    novelty = _Memo(construct_novelty)
+    band = _Memo(classify_novelty)
     scored: list[ProblemNovelty] = []
     unmatched: list[ProblemNovelty] = []
     for problem, texts, pairs in zip(current.problems, current_texts, gated_pairs):
-        assessments = tuple(
-            assess(past.problems[i].id, past_texts[i], problem.id, texts, similarity, layout)
-            for i, similarity, layout in pairs
-        )
+        records = []
+        for i, action_similarity, (positions, included, levels) in pairs:
+            similarities = (action_similarity, *[scores[past_texts[i][p], texts[p]] for p in positions])
+            novelties = tuple([novelty[value] for value in similarities])
+            # Summed in canonical level order, as aggregate_novelty does.
+            average = sum(novelties[1:]) / len(included) if included else None
+            records.append(
+                PairAssessment(
+                    past_id=past.problems[i].id,
+                    current_id=problem.id,
+                    construct_similarity=_LevelMap(levels, similarities),
+                    construct_novelty=_LevelMap(levels, novelties),
+                    included_levels=included,
+                    average_novelty=average,
+                    band=band[average] if included else None,
+                    no_comparable_constructs=not included,
+                )
+            )
+        assessments = tuple(records)
         averages = [a.average_novelty for a in assessments if a.average_novelty is not None]
         if averages:
             minimum = min(averages)

@@ -25,11 +25,13 @@ and remote backends score a whole list of pairs in one ``similarities``
 call, tokenizing and embedding each unique text once (the remote backend
 sends one set of batched requests per call); the two vector backends pool
 by grouped reduction and score the cosines in batched BLAS calls over
-bounded blocks of rows, bit-identical to ``cosine_similarity``. The lexical and word-vector
-``similarity`` is the one-pair case of it; the remote ``similarity`` sends
-its two texts in one request, as one comparison always has, even when they
-are equal. Nothing is cached between calls, so an out-of-vocabulary text
-warns once in every call that scores it.
+bounded blocks of rows, bit-identical to ``cosine_similarity``. Their
+``similarity`` is the one-pair case of it, so the remote backend sends the
+unique texts of one comparison in one request: one text when the two are
+equal. The package itself reaches a backend only through ``similarities``:
+``text_similarity`` is the one-pair case of ``text_similarities``. Nothing is
+cached between calls, so an out-of-vocabulary text warns once in every call
+that scores it.
 
 All similarity calls are pure given a backend; backends are immutable after
 construction and safe for concurrent use.
@@ -61,14 +63,15 @@ __all__ = [
 
 
 class OovWarning(UserWarning):
-    """Raised when pooling finds no in-vocabulary token, or both vectors are zero."""
+    """Raised when pooling finds no in-vocabulary token or vectors that cancel, or both vectors are zero."""
 
 
 class WordVectorFormatError(ValueError):
     """A word-vector file that does not follow the format, or holds no vector; names the bad line.
 
-    Also raised when the vectors of one text are too large to pool (their sum
-    overflows); that error names the text.
+    Also raised when the vectors of one text pool to a vector with no cosine:
+    their sum overflows, or its squared norm overflows or underflows. That
+    error names the text.
     """
 
 
@@ -232,23 +235,14 @@ def text_similarity(a: str, b: str, backend: SimilarityBackend) -> float:
     Symmetric in (a, b); negative cosines are clamped to 0 so downstream
     novelty stays in [0, 1]. Under the lexical and word-vector backends two
     texts identical after tokenization score exactly 1.0 (given at least one
-    in-vocabulary token).
+    in-vocabulary token). It is the one-pair case of :func:`text_similarities`.
     """
-    _require_texts([(a, b)])
-    return _clamp(backend.similarity(a, b))
+    return text_similarities([(a, b)], backend)[0]
 
 
 def text_similarities(pairs: Sequence[tuple[str, str]], backend: SimilarityBackend) -> list[float]:
     """:func:`text_similarity` of every ``(a, b)`` in ``pairs``, in order, from one
     ``backend.similarities`` call."""
-    _require_texts(pairs)
-    return [_clamp(value) for value in backend.similarities(pairs)]
-
-
-def _require_texts(pairs: Iterable[tuple[str, str]]) -> None:
     if not all(a.strip() and b.strip() for a, b in pairs):
         raise ValueError("text_similarity requires two non-empty texts")
-
-
-def _clamp(value: float) -> float:
-    return min(1.0, max(0.0, value))
+    return [min(1.0, max(0.0, value)) for value in backend.similarities(pairs)]

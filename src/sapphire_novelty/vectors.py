@@ -23,7 +23,11 @@ and both take the norms and the pairs' dot products in batched BLAS calls
 (:func:`_cosines`), each over at most ``_BLOCK_ROWS`` rows, so memory does
 not grow with pairs times dimension. Each value is bit-identical to
 :func:`cosine_similarity` of the :func:`embed_wordvector` vectors, which
-stay as the scalar reference. Texts are tokenized through
+stay as the scalar reference; each backend's ``similarity`` is the one-pair
+case of its ``similarities``. A vector that gets scored (a text's pooled
+vector, a response vector) and is nonzero must have a squared norm that is
+finite and at least ``np.finfo(float).tiny`` (:func:`_unscorable`), so that
+its cosine is not an overflow's or an underflow's. Texts are tokenized through
 ``similarity.tokenize``, looked up on every call, so one replacement of that
 module attribute is seen by every backend.
 """
@@ -67,7 +71,8 @@ def cosine_similarity(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.n
     A zero vector is the out-of-vocabulary sentinel and matches nothing, so the
     similarity is 0.0 whenever either norm vanishes; the zero-vs-zero case also
     emits an :class:`OovWarning`. A NaN or inf component raises ``ValueError``:
-    it has no cosine, and must not pass for a dissimilar (novel) pair.
+    it has no cosine, and must not pass for a dissimilar (novel) pair. So does
+    a vector that breaks the rule of :func:`_unscorable`.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -75,6 +80,8 @@ def cosine_similarity(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.n
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise ValueError("cosine of a vector with a non-finite component (NaN or inf)")
+    if _unscorable(np.stack([u.ravel(), v.ravel()])).any():
+        raise ValueError("cosine of a nonzero vector whose squared norm overflows or underflows")
     norm_u = float(np.linalg.norm(u))
     norm_v = float(np.linalg.norm(v))
     if norm_u == 0.0 and norm_v == 0.0:
@@ -84,6 +91,19 @@ def cosine_similarity(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.n
         return 0.0
     value = float(np.dot(u, v)) / (norm_u * norm_v)
     return min(1.0, max(-1.0, value))
+
+
+_TINY = np.finfo(float).tiny
+
+
+def _unscorable(matrix: np.ndarray) -> np.ndarray:
+    """Whether each row of ``matrix`` is nonzero with a squared norm that is not
+    finite or is below ``np.finfo(float).tiny``: its cosine would be that of an
+    overflow or an underflow, not of the vector.
+    """
+    with np.errstate(all="ignore"):
+        squares = np.matmul(matrix[:, None, :], matrix[:, :, None]).ravel()
+    return matrix.any(axis=1) & ~((squares >= _TINY) & (squares < math.inf))
 
 
 # The most rows the array steps gather at once (pooled texts' rows, pair
@@ -150,24 +170,25 @@ def embed_wordvector(tokens: Sequence[str], table: Mapping[str, np.ndarray]) -> 
     """Mean of the vectors of in-vocabulary tokens.
 
     Out-of-vocabulary tokens are skipped; if no token is in vocabulary the
-    all-zero sentinel is returned and an :class:`OovWarning` is emitted.
+    all-zero sentinel is returned and an :class:`OovWarning` is emitted. So is
+    one when the vectors of the in-vocabulary tokens sum to zero.
     """
     if not table:
         raise ValueError("word-vector table must be non-empty")
-    if isinstance(table, WordVectors):
-        index = table.index
-        rows = [index[token] for token in tokens if token in index]
-        hits = table.matrix[rows] if rows else None
-    else:
-        vectors = [table[token] for token in tokens if token in table]
-        hits = np.stack(vectors) if vectors else None
-    if hits is None:
+    vectors = [table[token] for token in tokens if token in table]
+    if not vectors:
         warnings.warn(
             f"no in-vocabulary token among {list(tokens)!r}; returning the zero sentinel",
             OovWarning,
         )
         return np.zeros(len(next(iter(table.values()))), dtype=float)
-    return np.mean(hits, axis=0)
+    mean = np.mean(np.stack(vectors), axis=0)
+    if not mean.any():
+        warnings.warn(
+            f"the in-vocabulary vectors of {list(tokens)!r} sum to zero; returning the zero sentinel",
+            OovWarning,
+        )
+    return mean
 
 
 def load_word_vectors(path: str | Path) -> Mapping[str, np.ndarray]:
@@ -324,8 +345,6 @@ class WordVectorBackend(SimilarityBackend):
                 positions, members = groups.setdefault(len(rows), ([], []))
                 positions.append(position)
                 members.append(rows)
-            else:
-                embed_wordvector(text_tokens, self.table)  # warns; the row stays the zero sentinel
         for hits, (positions, members) in groups.items():
             step = max(1, _BLOCK_ROWS // hits)
             for start in range(0, len(positions), step):
@@ -333,6 +352,10 @@ class WordVectorBackend(SimilarityBackend):
                 rows = matrix[members[start : start + step]]
                 with np.errstate(over="ignore"):  # an overflow is reported below
                     pooled[positions[start : start + step]] = np.add.reduce(rows, axis=1) / hits
+        nonzero = pooled.any(axis=1).tolist()
+        for text_tokens, pooled_nonzero in zip(tokens, nonzero):
+            if not pooled_nonzero:
+                embed_wordvector(text_tokens, self.table)  # warns: no token has a vector, or they cancel
         finite = np.isfinite(pooled).all(axis=1)
         if not finite.all():
             text = texts[int(np.argmin(finite))]
@@ -340,7 +363,13 @@ class WordVectorBackend(SimilarityBackend):
                 f"the word vectors of {text!r} pool to a vector that is not finite: "
                 "their sum overflows"
             )
-        nonzero = pooled.any(axis=1).tolist()
+        unscorable = _unscorable(pooled)
+        if unscorable.any():
+            text = texts[int(np.argmax(unscorable))]
+            raise WordVectorFormatError(
+                f"the word vectors of {text!r} pool to a nonzero vector whose squared norm "
+                "overflows or underflows"
+            )
         values: list[float] = []
         slots: list[int] = []
         scored: list[tuple[int, int]] = []
@@ -366,11 +395,12 @@ class RemoteBackend(SimilarityBackend):
     Wire protocol: POST to an ``http`` or ``https`` ``endpoint`` with JSON
     body ``{"texts": [...]}``; the response must be ``{"vectors": [[...], ...]}``
     with one vector per input text, in the same order, each meeting the rule
-    of :func:`_checked_vector`; all vectors of one call to :meth:`embed_texts`,
+    of :func:`_checked_vector` and, if nonzero, with a squared norm that
+    :func:`_unscorable` accepts; all vectors of one call to :meth:`embed_texts`,
     across its batches, share one dimension. A 4xx status other than 408 and
     429 is the request's fault and raises :class:`BackendUnavailableError` at
     once. Any other scheme, transport failure, 408, 429, 5xx or other non-2xx
-    status, or response breaking the vector rule is retried; after
+    status, or response breaking a vector rule is retried; after
     ``retries`` attempts the call raises :class:`BackendUnavailableError`.
     ``batch_size`` and ``retries`` below 1, and a ``timeout`` that is not a
     finite number above 0, raise ``ValueError`` at construction.
@@ -390,9 +420,7 @@ class RemoteBackend(SimilarityBackend):
             raise ValueError(f"timeout must be a finite number of seconds above 0, got {self.timeout}")
 
     def similarity(self, a: str, b: str) -> float:
-        # One comparison is one request carrying both texts, equal or not.
-        u, v = self.embed_texts([a, b])
-        return max(0.0, cosine_similarity(u, v))
+        return self.similarities([(a, b)])[0]
 
     def similarities(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
         if not pairs:
@@ -450,6 +478,12 @@ def _parse_vectors(payload: object, expected: int, dimension: int | None) -> lis
     for index, item in enumerate(raw):
         vectors.append(_checked_vector(item, dimension, f"response vector {index}"))
         dimension = vectors[0].size
+    unscorable = _unscorable(np.stack(vectors))
+    if unscorable.any():
+        raise ValueError(
+            f"response vector {int(np.argmax(unscorable))} is nonzero, but its squared norm "
+            "overflows or underflows"
+        )
     return vectors
 
 

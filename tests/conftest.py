@@ -104,7 +104,10 @@ class EmbeddingStub:
         self.table: dict[str, list[float]] = {}
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
         self._server.stub = self  # type: ignore[attr-defined]
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # A short poll interval: close() waits up to one interval for the server loop.
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
         self._thread.start()
         self.url = f"http://127.0.0.1:{self._server.server_port}/embed"
 

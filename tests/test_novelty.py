@@ -1,5 +1,6 @@
 import random
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from sapphire_novelty import (
     FixtureBackend,
     LexicalBackend,
     NoveltyBand,
+    OovWarning,
     OScoreInput,
     PairAssessment,
     ProblemCorpus,
     ProblemSapphire,
     Provenance,
+    RemoteBackend,
     SimilarityBackend,
     WordVectorBackend,
     action_match,
@@ -27,6 +30,7 @@ from sapphire_novelty import (
     rank_current_problems,
     render_report,
     round_half_up,
+    text_similarity,
 )
 from sapphire_novelty.data import load_case_study
 
@@ -530,6 +534,29 @@ class TestRankMatchesAssessPair:
         values = [v for a in alone.values() for v in a.construct_similarity.values()]
         assert len(set(values)) < len(values), "similarity values must repeat"
         assert any(len(a.included_levels) < len(NON_ACTION) for a in alone.values())
+
+
+class TestOneScoringPath:
+    """The package reaches a bulk backend only through ``similarities``: one
+    pair is scored as the one-pair case of a bulk call."""
+
+    @pytest.mark.parametrize("kind", ["lexical", "wordvec", "remote"])
+    def test_scalar_similarity_is_never_called(self, kind, embed_stub):
+        if kind == "lexical":
+            backend = LexicalBackend()
+        elif kind == "wordvec":
+            table = {"spilling": [1.0, 0.0], "liquid": [0.5, 1.0], "lid": [0.0, 1.0], "water": [1.0, 1.0]}
+            backend = WordVectorBackend(table=table)
+        else:
+            backend = RemoteBackend(endpoint=embed_stub.url)
+        past, current, _ = load_case_study()
+        scalar = mock.patch.object(type(backend), "similarity", side_effect=AssertionError("scalar path"))
+        with scalar, warnings.catch_warnings():
+            warnings.simplefilter("ignore", OovWarning)
+            text_similarity("spilling of liquid", "kettle lid", backend)
+            action_match(past.problems[0], current.problems[0], backend)
+            assert assess_pair(past.problems[0], current.problems[0], backend, threshold=0.0)
+            assert rank_current_problems(past, current, backend, threshold=0.0).ranked
 
 
 class TestOScore:

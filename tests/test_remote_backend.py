@@ -59,11 +59,11 @@ class TestSimilarity:
         )
         assert text_similarity(a, b, backend) == expected
 
-    def test_one_comparison_is_one_request_with_both_texts(self, embed_stub):
+    def test_one_comparison_is_one_request_with_its_unique_texts(self, embed_stub):
         backend = RemoteBackend(endpoint=embed_stub.url)
         for a, b in [("a b", "c d"), ("spill", "spill")]:
             text_similarity(a, b, backend)
-        assert embed_stub.batches == [["a b", "c d"], ["spill", "spill"]]
+        assert embed_stub.batches == [["a b", "c d"], ["spill"]]
 
     def test_similarity_symmetric(self, embed_stub):
         backend = RemoteBackend(endpoint=embed_stub.url)
@@ -160,6 +160,34 @@ class TestErrorPaths:
         with pytest.raises(BackendUnavailableError, match="non-empty flat array of numbers"):
             backend.embed_texts(["a", "b"])
         assert len(embed_stub.batches) == 2
+
+    @pytest.mark.parametrize("vector", [[1e200, 1.0], [1e-170, 1e-170]], ids=["overflow", "underflow"])
+    def test_squared_norm_that_overflows_or_underflows_is_retried(self, embed_stub, vector):
+        embed_stub.mode = "table"
+        embed_stub.table = {"a b": [1.0, 0.0], "c d": vector}
+        backend = RemoteBackend(endpoint=embed_stub.url, retries=2)
+        with pytest.raises(
+            BackendUnavailableError,
+            match="after 2 attempt.*response vector 1 is nonzero, but its squared norm overflows or underflows",
+        ):
+            text_similarity("a b", "c d", backend)
+        assert embed_stub.batches == [["a b", "c d"]] * 2
+
+    def test_squared_norm_that_underflows_exits_2_from_the_cli(self, embed_stub, tmp_path, capsys):
+        embed_stub.mode = "table"
+        embed_stub.table = {"boil": [1e-170, 1e-170]}
+        paths = []
+        for role in ("past", "current"):
+            record = {"id": "P1", "provenance": role, "constructs": {"action": "boil"}}
+            paths.append(tmp_path / f"{role}.jsonl")
+            paths[-1].write_text(json.dumps(record) + "\n", encoding="utf-8")
+        argv = ["assess", "--past", str(paths[0]), "--current", str(paths[1])]
+        argv += ["--backend", "remote", "--endpoint", embed_stub.url]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "embedding backend failure" in err
+        assert "squared norm overflows or underflows" in err
+        assert embed_stub.batches == [["boil"]] * 3
 
     def test_dimension_change_across_batches_is_retried_then_unavailable(self, embed_stub):
         embed_stub.mode = "growing_dims"

@@ -352,9 +352,26 @@ class TestCmdAssess:
         assert main(argv) == 1
         assert "invalid backend data: line 2" in capsys.readouterr().err
 
-    def test_vectors_that_overflow_when_pooled_exit_1_naming_the_text(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            ("heat 1e308 1\nlid 1e308 -1\n", "a vector that is not finite: their sum overflows"),
+            (
+                "heat 1e200 1\nlid 1e200 -1\n",
+                "a nonzero vector whose squared norm overflows or underflows",
+            ),
+            (
+                "heat 1e-170 1e-170\nlid 1e-170 -1e-170\n",
+                "a nonzero vector whose squared norm overflows or underflows",
+            ),
+        ],
+        ids=["sum", "squared-norm-overflow", "squared-norm-underflow"],
+    )
+    def test_vectors_that_overflow_when_pooled_exit_1_naming_the_text(
+        self, content, reason, tmp_path, capsys
+    ):
         vectors = tmp_path / "vectors.txt"
-        vectors.write_text("heat 1e308 1\nlid 1e308 -1\nboil 1 0\n", encoding="utf-8")
+        vectors.write_text(content + "boil 1 0\n", encoding="utf-8")
         paths = []
         for role, effect in (("past", "heat lid"), ("current", "lid heat")):
             record = {"id": "P1", "provenance": role, "constructs": {"action": "boil", "effect": effect}}
@@ -362,13 +379,13 @@ class TestCmdAssess:
             paths[-1].write_text(json.dumps(record) + "\n", encoding="utf-8")
         argv = ["assess", "--past", str(paths[0]), "--current", str(paths[1])]
         argv += ["--backend", "wordvec", "--vectors", str(vectors)]
-        assert main(argv) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 1
+        assert caught == []
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            "invalid backend data: the word vectors of 'heat lid' pool to a vector"
-            " that is not finite: their sum overflows\n"
-        )
+        assert captured.err == f"invalid backend data: the word vectors of 'heat lid' pool to {reason}\n"
 
     def test_vector_file_without_vectors_exits_1(self, tmp_path, capsys):
         vectors = tmp_path / "vectors.txt"

@@ -98,6 +98,22 @@ class TestCosineSimilarity:
         with pytest.raises(ValueError, match="non-finite"):
             cosine_similarity([1.0, 0.0], [1.0, bad])
 
+    @pytest.mark.parametrize(
+        "vector",
+        [[1e200, 1.0], [1.4e154], [1e-170, 1e-170], [1e-160, 0.0], [np.nextafter(2.0**-511, 0.0)]],
+        ids=["overflow", "overflow-at-the-edge", "underflow", "subnormal", "underflow-at-the-edge"],
+    )
+    def test_squared_norm_that_overflows_or_underflows_rejected(self, vector):
+        other = [1.0] + [0.0] * (len(vector) - 1)
+        for u, v in ((vector, other), (other, vector)):
+            with pytest.raises(ValueError, match="squared norm overflows or underflows"):
+                cosine_similarity(u, v)
+
+    def test_squared_norms_at_the_edges_are_scored(self):
+        # 2**-511 squares to the smallest normal float; 1.3e154 squares to about 1.7e308.
+        assert cosine_similarity([2.0**-511, 0.0], [1.0, 0.0]) == 1.0
+        assert cosine_similarity([1.3e154, 0.0], [1.0, 1.0]) == pytest.approx(2**-0.5)
+
     def test_result_stays_within_unit_interval(self):
         rng = random.Random(3)
         for _ in range(200):
@@ -125,6 +141,12 @@ class TestEmbedWordVector:
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             embed_wordvector(["hot"], {})
+
+    def test_vectors_that_cancel_return_zero_sentinel_with_warning(self):
+        table = {"heat": np.array([1.0, 0.0]), "cold": np.array([-1.0, 0.0])}
+        with pytest.warns(OovWarning, match=r"vectors of \['heat', 'cold'\] sum to zero"):
+            vector = embed_wordvector(["heat", "cold"], table)
+        assert list(vector) == [0.0, 0.0]
 
 
 class TestWordVectorBackendTable:

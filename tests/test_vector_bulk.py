@@ -2,9 +2,14 @@
 formula does: ``cosine_similarity`` of the pooled or fetched vectors, clamped
 at 0, after the zero-sentinel and equal-token rules. Values match bit for bit,
 with the same warnings in the same order, or the call raises the same error.
-The one exception is a text whose pooled vector overflows: the bulk call
-names it in a ``WordVectorFormatError``, before it scores any pair."""
+The exception is a vector that has no cosine although it is finite: a text's
+pooled vector that overflows, or a nonzero pooled or fetched vector whose
+squared norm overflows or underflows. The bulk call rejects the first such
+vector before it scores any pair, where the per-pair formula would fail at
+the first pair that uses one, or not at all; so the reference applies the
+same rule to every vector before it scores a pair."""
 
+import math
 import warnings
 from unittest import mock
 
@@ -13,6 +18,7 @@ import pytest
 
 from sapphire_novelty import vectors as vector_backends
 from sapphire_novelty import (
+    BackendUnavailableError,
     OovWarning,
     RemoteBackend,
     WordVectorBackend,
@@ -42,18 +48,37 @@ def _outcome(score, pairs):
         warnings.simplefilter("always")
         try:
             result = ("values", [value.hex() for value in score(pairs)])
-        except ValueError as error:
+        except (ValueError, BackendUnavailableError) as error:
             result = ("error", type(error), str(error))
     return result, [(w.category, str(w.message)) for w in caught]
 
 
+def _breaks_norm_rule(vector):
+    """Nonzero, with a squared norm that is not finite or below the smallest normal float."""
+    with np.errstate(all="ignore"):
+        square = float(np.dot(vector, vector))
+    return bool(vector.any()) and not np.finfo(float).tiny <= square < math.inf
+
+
 def _wordvec_per_pair(backend, pairs):
     """The per-pair formula: pool each unique text with ``embed_wordvector``,
-    then score each pair with ``cosine_similarity``."""
+    reject the first pooled vector that overflowed, then the first that breaks
+    the norm rule, and score each pair with ``cosine_similarity``."""
     pooled = {}
     for text in dict.fromkeys(text for pair in pairs for text in pair):
         tokens = tokenize(text)
         pooled[text] = (tokens, embed_wordvector(tokens, backend.table))
+    for text, (_, vector) in pooled.items():
+        if not np.isfinite(vector).all():
+            raise WordVectorFormatError(
+                f"the word vectors of {text!r} pool to a vector that is not finite: their sum overflows"
+            )
+    for text, (_, vector) in pooled.items():
+        if _breaks_norm_rule(vector):
+            raise WordVectorFormatError(
+                f"the word vectors of {text!r} pool to a nonzero vector whose squared norm "
+                "overflows or underflows"
+            )
     values = []
     for a, b in pairs:
         (tokens_a, u), (tokens_b, v) = pooled[a], pooled[b]
@@ -136,6 +161,12 @@ def test_remote_bulk_matches_per_pair_formula(embed_stub, data):
 
     def per_pair(pairs):
         fetched = {text: np.array(vector) for text, vector in embed_stub.table.items()}
+        for index, vector in enumerate(fetched.values()):
+            if _breaks_norm_rule(vector):  # every attempt gets the same response
+                raise BackendUnavailableError(
+                    f"embedding service at {embed_stub.url} failed after 3 attempt(s): response "
+                    f"vector {index} is nonzero, but its squared norm overflows or underflows"
+                )
         return [max(0.0, cosine_similarity(fetched[a], fetched[b])) for a, b in pairs]
 
     with mock.patch.object(vector_backends, "_BLOCK_ROWS", data.draw(BLOCKS)):
@@ -155,8 +186,9 @@ def test_pooled_overflow_names_the_text():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(ValueError, match="non-finite component"):
+        with pytest.raises(WordVectorFormatError) as per_pair:
             _wordvec_per_pair(backend, pairs)
+    assert str(per_pair.value) == str(bulk.value)
 
 
 class TestEmptyAndDegenerateCalls:
@@ -179,6 +211,17 @@ class TestEmptyAndDegenerateCalls:
         assert [(w.category, str(w.message)) for w in caught] == [
             (OovWarning, f"no in-vocabulary token among [{word!r}]; returning the zero sentinel")
             for word in ("xyzzy", "plugh", "frobozz")
+        ]
+
+    def test_wordvector_vectors_that_cancel_warn_once(self):
+        backend = WordVectorBackend(table={"heat": np.array([1.0, 0.0]), "cold": np.array([-1.0, 0.0])})
+        pairs = [("heat cold", "heat"), ("heat", "heat cold"), ("heat cold", "heat cold")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            values = backend.similarities(pairs)
+        assert values == [0.0] * len(pairs)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (OovWarning, "the in-vocabulary vectors of ['heat', 'cold'] sum to zero; returning the zero sentinel")
         ]
 
     def test_remote_every_vector_zero_warns_per_pair(self, embed_stub):
