@@ -18,20 +18,20 @@ an HTTP client. The two vector backends and their helpers
 :mod:`sapphire_novelty.vectors`, which is imported only when one of them is
 asked for; import them from there or from the package.
 
-The contract has a scalar and a bulk method: ``similarity(a, b)`` and
-``similarities(pairs)``. A custom backend needs only ``similarity``; the
-inherited ``similarities`` calls it once per pair. The lexical, word-vector
-and remote backends score a whole list of pairs in one ``similarities``
-call, tokenizing and embedding each unique text once (the remote backend
-sends one set of batched requests per call); the two vector backends pool
-by grouped reduction and score the cosines in batched BLAS calls over
-bounded blocks of rows, bit-identical to ``cosine_similarity``. Their
-``similarity`` is the one-pair case of it, so the remote backend sends the
-unique texts of one comparison in one request: one text when the two are
-equal. The package itself reaches a backend only through ``similarities``:
-``text_similarity`` is the one-pair case of ``text_similarities``. Nothing is
-cached between calls, so an out-of-vocabulary text warns once in every call
-that scores it.
+The contract has a bulk and a scalar method: ``similarities(pairs)`` and
+``similarity(a, b)``. A backend defines one of them and inherits the other:
+``similarity(a, b)`` is ``similarities([(a, b)])[0]``, and ``similarities``
+calls ``similarity`` once per pair. The lexical, word-vector and remote
+backends define only ``similarities``, which scores a whole list of pairs,
+tokenizing and embedding each unique text once (the remote backend sends one
+set of batched requests per call, so one comparison of equal texts sends that
+text once); the two vector backends pool by grouped reduction and score the
+pairs in batched BLAS calls over bounded blocks of rows, bit-identical to
+``cosine_similarity`` clamped at 0. The fixture backend defines only
+``similarity``. The package itself reaches a backend only through
+``similarities``: ``text_similarity`` is the one-pair case of
+``text_similarities``. Nothing is cached between calls, so an
+out-of-vocabulary text warns once in every call that scores it.
 
 All similarity calls are pure given a backend; backends are immutable after
 construction and safe for concurrent use.
@@ -152,16 +152,19 @@ def load_fixture_similarities(path: str | Path) -> dict[tuple[str, str], float]:
 class SimilarityBackend:
     """Contract shared by every backend: (text, text) -> similarity in [0, 1].
 
-    A backend defines ``similarity``. ``similarities`` scores a list of pairs
-    in order and by default calls ``similarity`` once per pair; a backend that
-    can share work between pairs overrides it and must return, pair for pair,
-    exactly what ``similarity`` returns.
+    A backend defines one of two methods. ``similarities`` scores a list of
+    pairs in order; a backend that shares work between pairs defines it, and
+    its ``similarity(a, b)`` is ``similarities([(a, b)])[0]``. A backend that
+    defines only ``similarity`` gets a ``similarities`` that calls it once per
+    pair. One that defines neither raises ``NotImplementedError`` from both.
     """
 
     kind: str = ""
 
     def similarity(self, a: str, b: str) -> float:
-        raise NotImplementedError
+        if type(self).similarities is SimilarityBackend.similarities:
+            raise NotImplementedError("a backend defines similarity or similarities")
+        return self.similarities([(a, b)])[0]
 
     def similarities(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
         return [self.similarity(a, b) for a, b in pairs]
@@ -183,9 +186,6 @@ class LexicalBackend(SimilarityBackend):
 
     stopwords: frozenset[str] = frozenset()
     kind: str = field(default="lexical", init=False, repr=False)
-
-    def similarity(self, a: str, b: str) -> float:
-        return self.similarities([(a, b)])[0]
 
     def similarities(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
         scored: dict[str, tuple[list[str], Counter[str], float]] = {}

@@ -16,20 +16,20 @@ access. The contract, the exceptions and the tokenizer stay in
 * ``RemoteBackend`` — a sentence-embedding HTTP service (POST ``{"texts": [...]}``,
   response ``{"vectors": [[...], ...]}``) with batching and retries.
 
-Both score a list of pairs in one ``similarities`` call, tokenizing and
-embedding each unique text once, as arrays: ``WordVectorBackend`` pools the
-texts with the same number of in-vocabulary tokens in a grouped reduction,
-and both take the norms and the pairs' dot products in batched BLAS calls
-(:func:`_cosines`), each over at most ``_BLOCK_ROWS`` rows, so memory does
-not grow with pairs times dimension. Each value is bit-identical to
-:func:`cosine_similarity` of the :func:`embed_wordvector` vectors, which
-stay as the scalar reference; each backend's ``similarity`` is the one-pair
-case of its ``similarities``. A vector that gets scored (a text's pooled
-vector, a response vector) and is nonzero must have a squared norm that is
-finite and at least ``np.finfo(float).tiny`` (:func:`_unscorable`), so that
-its cosine is not an overflow's or an underflow's. Texts are tokenized through
-``similarity.tokenize``, looked up on every call, so one replacement of that
-module attribute is seen by every backend.
+Both define only ``similarities`` (``similarity`` is the contract's one-pair
+case of it), which scores a list of pairs as arrays, embedding each unique
+text once: ``WordVectorBackend`` pools the texts with the same number of
+in-vocabulary tokens in a grouped reduction, and both score every pair in
+batched BLAS calls (:func:`_cosines`), each over at most ``_BLOCK_ROWS`` rows,
+so memory does not grow with pairs times dimension. Each value and warning is
+bit-identical to :func:`cosine_similarity` of the :func:`embed_wordvector`
+vectors, clamped at 0; those two are the scalar references, and the backends
+do not call them. A vector that gets scored (a text's pooled vector, a
+response vector) and is nonzero must have a squared norm that is finite and
+at least ``np.finfo(float).tiny`` (:func:`_unscorable`), so that its cosine is
+not an overflow's or an underflow's and :func:`_cosines` needs no fallback.
+Texts are tokenized through ``similarity.tokenize``, looked up on every call,
+so one replacement of that module attribute is seen by every backend.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def cosine_similarity(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.n
     norm_u = float(np.linalg.norm(u))
     norm_v = float(np.linalg.norm(v))
     if norm_u == 0.0 and norm_v == 0.0:
-        warnings.warn("cosine of two all-zero vectors (OOV vs OOV); defined as 0.0", OovWarning)
+        warnings.warn(_ZERO_PAIR, OovWarning)
         return 0.0
     if norm_u == 0.0 or norm_v == 0.0:
         return 0.0
@@ -93,6 +93,7 @@ def cosine_similarity(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.n
     return min(1.0, max(-1.0, value))
 
 
+_ZERO_PAIR = "cosine of two all-zero vectors (OOV vs OOV); defined as 0.0"
 _TINY = np.finfo(float).tiny
 
 
@@ -113,31 +114,25 @@ _BLOCK_ROWS = 1024
 
 
 def _cosines(matrix: np.ndarray, index_pairs: Sequence[tuple[int, int]]) -> list[float]:
-    """``cosine_similarity`` of each pair of rows of ``matrix``, bit for bit.
+    """``max(0.0, cosine_similarity)`` of each pair of rows of ``matrix``, bit for bit, warning nothing.
 
-    Every row norm, then the dot product of each block of pairs, comes from
-    one stacked ``(1, d) @ (d, 1)`` matmul, which numpy runs as the BLAS
-    ``ddot`` that ``np.dot`` and ``np.linalg.norm`` call, one pair at a time,
-    so the blocking does not change a bit. The quotient and the clamp are
-    taken per pair in Python floats. A pair with a zero or non-finite norm
-    goes to :func:`cosine_similarity` itself, which warns, raises or returns
-    as it always has.
+    Every row must be zero or meet the rule of :func:`_unscorable`, so a
+    product of two norms is finite, and zero only for a zero row (score 0.0),
+    and no dot product overflows. Every row norm, then the dot product of each
+    block of pairs, comes from one stacked ``(1, d) @ (d, 1)`` matmul, which
+    numpy runs as the BLAS ``ddot`` that ``np.dot`` and ``np.linalg.norm``
+    call, one pair at a time, so the blocking does not change a bit. The
+    quotient and the clamp are taken per pair in Python floats.
     """
-    # Overflow is part of the result, as it is in np.dot, which reports none.
-    with np.errstate(all="ignore"):
-        norms = np.sqrt(np.matmul(matrix[:, None, :], matrix[:, :, None])).ravel().tolist()
+    norms = np.sqrt(np.matmul(matrix[:, None, :], matrix[:, :, None])).ravel().tolist()
     values = []
     for start in range(0, len(index_pairs), _BLOCK_ROWS):
         left = [i for i, _ in index_pairs[start : start + _BLOCK_ROWS]]
         right = [j for _, j in index_pairs[start : start + _BLOCK_ROWS]]
-        with np.errstate(all="ignore"):
-            dots = np.matmul(matrix[left][:, None, :], matrix[right][:, :, None]).ravel().tolist()
+        dots = np.matmul(matrix[left][:, None, :], matrix[right][:, :, None]).ravel().tolist()
         for i, j, dot in zip(left, right, dots):
-            norm_u, norm_v = norms[i], norms[j]
-            if 0.0 < norm_u < math.inf and 0.0 < norm_v < math.inf:
-                values.append(min(1.0, max(-1.0, dot / (norm_u * norm_v))))
-            else:
-                values.append(cosine_similarity(matrix[i], matrix[j]))
+            norm = norms[i] * norms[j]
+            values.append(min(1.0, max(0.0, dot / norm)) if norm else 0.0)
     return values
 
 
@@ -177,18 +172,22 @@ def embed_wordvector(tokens: Sequence[str], table: Mapping[str, np.ndarray]) -> 
         raise ValueError("word-vector table must be non-empty")
     vectors = [table[token] for token in tokens if token in table]
     if not vectors:
-        warnings.warn(
-            f"no in-vocabulary token among {list(tokens)!r}; returning the zero sentinel",
-            OovWarning,
-        )
+        _warn_zero_sentinel(tokens, found=False)
         return np.zeros(len(next(iter(table.values()))), dtype=float)
     mean = np.mean(np.stack(vectors), axis=0)
     if not mean.any():
-        warnings.warn(
-            f"the in-vocabulary vectors of {list(tokens)!r} sum to zero; returning the zero sentinel",
-            OovWarning,
-        )
+        _warn_zero_sentinel(tokens, found=True)
     return mean
+
+
+def _warn_zero_sentinel(tokens: Sequence[str], found: bool) -> None:
+    """Warn that ``tokens`` pool to the zero sentinel: none has a vector, or the
+    vectors of those that do (``found``) sum to zero."""
+    if found:
+        reason = f"the in-vocabulary vectors of {list(tokens)!r} sum to zero"
+    else:
+        reason = f"no in-vocabulary token among {list(tokens)!r}"
+    warnings.warn(f"{reason}; returning the zero sentinel", OovWarning)
 
 
 def load_word_vectors(path: str | Path) -> Mapping[str, np.ndarray]:
@@ -328,9 +327,6 @@ class WordVectorBackend(SimilarityBackend):
     def from_file(cls, path: str | Path) -> "WordVectorBackend":
         return cls(table=load_word_vectors(path))
 
-    def similarity(self, a: str, b: str) -> float:
-        return self.similarities([(a, b)])[0]
-
     def similarities(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
         texts = _unique_texts(pairs)
         where = {text: position for position, text in enumerate(texts)}
@@ -355,7 +351,7 @@ class WordVectorBackend(SimilarityBackend):
         nonzero = pooled.any(axis=1).tolist()
         for text_tokens, pooled_nonzero in zip(tokens, nonzero):
             if not pooled_nonzero:
-                embed_wordvector(text_tokens, self.table)  # warns: no token has a vector, or they cancel
+                _warn_zero_sentinel(text_tokens, found=any(token in index for token in text_tokens))
         finite = np.isfinite(pooled).all(axis=1)
         if not finite.all():
             text = texts[int(np.argmin(finite))]
@@ -370,22 +366,10 @@ class WordVectorBackend(SimilarityBackend):
                 f"the word vectors of {text!r} pool to a nonzero vector whose squared norm "
                 "overflows or underflows"
             )
-        values: list[float] = []
-        slots: list[int] = []
-        scored: list[tuple[int, int]] = []
-        for a, b in pairs:
-            i, j = where[a], where[b]
-            if not (nonzero[i] and nonzero[j]):
-                values.append(0.0)  # the zero sentinel matches nothing; pooling warned
-            elif tokens[i] == tokens[j]:
-                values.append(1.0)
-            else:
-                slots.append(len(values))
-                scored.append((i, j))
-                values.append(0.0)
-        for slot, value in zip(slots, _cosines(pooled, scored)):
-            values[slot] = max(0.0, value)
-        return values
+        index_pairs = [(where[a], where[b]) for a, b in pairs]
+        values = _cosines(pooled, index_pairs)
+        # Equal tokens pool to one vector, whose cosine with itself is 1.0 only up to rounding.
+        return [1.0 if value and tokens[i] == tokens[j] else value for (i, j), value in zip(index_pairs, values)]
 
 
 @dataclass(frozen=True)
@@ -419,16 +403,18 @@ class RemoteBackend(SimilarityBackend):
         if not 0 < self.timeout < math.inf:
             raise ValueError(f"timeout must be a finite number of seconds above 0, got {self.timeout}")
 
-    def similarity(self, a: str, b: str) -> float:
-        return self.similarities([(a, b)])[0]
-
     def similarities(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
         if not pairs:
             return []
         texts = _unique_texts(pairs)
         where = {text: position for position, text in enumerate(texts)}
         matrix = np.stack(self.embed_texts(texts))
-        return [max(0.0, value) for value in _cosines(matrix, [(where[a], where[b]) for a, b in pairs])]
+        index_pairs = [(where[a], where[b]) for a, b in pairs]
+        zero = (~matrix.any(axis=1)).tolist()
+        for i, j in index_pairs:
+            if zero[i] and zero[j]:
+                warnings.warn(_ZERO_PAIR, OovWarning)
+        return _cosines(matrix, index_pairs)
 
     def embed_texts(self, texts: Sequence[str]) -> list[np.ndarray]:
         """Embed ``texts`` in order, batching requests at ``batch_size``."""

@@ -13,6 +13,7 @@ from sapphire_novelty import (
     MissingFixtureError,
     OovWarning,
     RemoteBackend,
+    SimilarityBackend,
     WordVectorBackend,
     WordVectorFormatError,
     cosine_similarity,
@@ -505,6 +506,33 @@ class TestBulkMatchesScalar:
         pairs = [rng.choice(pinned) for _ in range(60)]
         pairs += [(b.upper(), f"  {a}") for a, b in pairs[:20]]  # reversed, case, space
         self._assert_bulk_equals_scalar(backend, pairs)
+
+
+class TestContract:
+    """A backend defines ``similarities`` or ``similarity`` and inherits the other."""
+
+    def test_neither_method_is_not_implemented(self):
+        class Neither(SimilarityBackend):
+            pass
+
+        with pytest.raises(NotImplementedError):
+            Neither().similarity("kettle", "lid")
+        with pytest.raises(NotImplementedError):
+            Neither().similarities([("kettle", "lid")])
+
+    def test_similarity_is_the_one_pair_case_of_similarities(self):
+        class BulkOnly(SimilarityBackend):
+            def __init__(self):
+                self.calls = []
+
+            def similarities(self, pairs):
+                self.calls.append(list(pairs))
+                return [0.25 * len(a) / len(b) for a, b in pairs]
+
+        backend = BulkOnly()
+        assert backend.similarity("spout", "lid") == 0.25 * 5 / 3
+        assert backend.calls == [[("spout", "lid")]]
+        assert text_similarity("lid", "spout", backend) == 0.25 * 3 / 5
 
 
 class TestOovWarningsPerUniqueText:
