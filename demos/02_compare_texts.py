@@ -6,6 +6,7 @@
 # (pinned pair scores) appear in demo 04.
 
 import tempfile
+from pathlib import Path
 
 from sapphire_novelty import (
     LexicalBackend,
@@ -33,15 +34,19 @@ print("cosine((1,1,0), (1,0,0)) =", cosine_similarity((1, 1, 0), (1, 0, 0)))
 
 # The word-vector backend mean-pools pre-trained vectors from the standard
 # text format: optional "<count> <dim>" header, then "word v1 ... vd" lines.
-with tempfile.NamedTemporaryFile("w", suffix=".txt", delete=False) as handle:
-    handle.write("4 3\n")
-    handle.write("water 0.9 0.1 0.0\n")
-    handle.write("liquid 0.8 0.2 0.1\n")
-    handle.write("steam 0.2 0.9 0.1\n")
-    handle.write("lid 0.0 0.1 0.9\n")
-    vector_path = handle.name
+# The backend holds the parsed vectors, so the file can go once it is read.
+with tempfile.TemporaryDirectory() as directory:
+    vector_path = Path(directory) / "vectors.txt"
+    vector_path.write_text(
+        "4 3\n"
+        "water 0.9 0.1 0.0\n"
+        "liquid 0.8 0.2 0.1\n"
+        "steam 0.2 0.9 0.1\n"
+        "lid 0.0 0.1 0.9\n",
+        encoding="utf-8",
+    )
+    wordvec = WordVectorBackend.from_file(vector_path)
 
-wordvec = WordVectorBackend.from_file(vector_path)
 print("wordvec water/liquid =", text_similarity("water", "liquid", wordvec))
 print("wordvec water/lid    =", text_similarity("water", "lid", wordvec))
 

@@ -19,23 +19,24 @@ for corpus in (past, current):
 
 # Round-trip: save writes canonical key order, one line per problem, and a
 # strict reload reproduces the corpus exactly.
-workdir = Path(tempfile.mkdtemp())
-copy_path = workdir / f"{past.name}.jsonl"
-save_corpus(past, copy_path)
-print("round-trip identical:", load_corpus(copy_path, Provenance.PAST, strict=True) == past)
+with tempfile.TemporaryDirectory() as directory:
+    workdir = Path(directory)
+    copy_path = workdir / f"{past.name}.jsonl"
+    save_corpus(past, copy_path)
+    print("round-trip identical:", load_corpus(copy_path, Provenance.PAST, strict=True) == past)
 
-# Survey import: header id,label,source,action,... - construct columns after
-# action are optional, empty cells become absent levels, and rows without an
-# id get CUR-<row>.
-survey = workdir / "survey.csv"
-survey.write_text(
-    "id,label,source,action,state_change,phenomena,effect,input,organ,parts\n"
-    ",When water overboils it spills out,respondent 4,spilling of liquid,"
-    "static to movable liquid,,,,,\n"
-    ",The conical shape makes it difficult to wash,respondent 8,hard to clean shape,"
-    ",,,,conical body,\n",
-    encoding="utf-8",
-)
-imported = import_survey_csv(survey, context="electric kettle")
-for problem in imported.problems:
-    print(problem.id, "->", problem.label)
+    # Survey import: header id,label,source,action,... - construct columns after
+    # action are optional, empty cells become absent levels, and rows without an
+    # id get CUR-<row>.
+    survey = workdir / "survey.csv"
+    survey.write_text(
+        "id,label,source,action,state_change,phenomena,effect,input,organ,parts\n"
+        ",When water overboils it spills out,respondent 4,spilling of liquid,"
+        "static to movable liquid,,,,,\n"
+        ",The conical shape makes it difficult to wash,respondent 8,hard to clean shape,"
+        ",,,,conical body,\n",
+        encoding="utf-8",
+    )
+    imported = import_survey_csv(survey, context="electric kettle")
+    for problem in imported.problems:
+        print(problem.id, "->", problem.label)

@@ -116,8 +116,12 @@ def cmd_assess(args: argparse.Namespace, backend: SimilarityBackend) -> int:
 
     rendered = render_report(report, args.format, summary_only=args.command == "rank")
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(rendered)
+        except OSError as error:
+            print(f"cannot write report: {error}", file=sys.stderr)
+            return EXIT_ENVIRONMENT
     else:
         sys.stdout.write(rendered)
     return EXIT_OK

@@ -144,7 +144,7 @@ def _read_records(path: Path, strict: bool) -> Iterator[tuple[int, ProblemSapphi
     findings; a blank interior line is, and so is a line holding a byte that
     is not UTF-8. ``strict`` is passed on to :func:`problem_from_record`.
     """
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
         lines = handle.read().split("\n")
     last = max((i for i, line in enumerate(lines, start=1) if line.strip()), default=0)
     for line_no, line in enumerate(lines[:last], start=1):
@@ -254,7 +254,7 @@ def import_survey_csv(
     warnings naming the data row.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

@@ -118,7 +118,7 @@ def load_fixture_similarities(path: str | Path) -> dict[tuple[str, str], float]:
     a duplicate pair with a conflicting value is a parse error.
     """
     table: dict[tuple[str, str], float] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
             if not line.strip():

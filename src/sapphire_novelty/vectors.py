@@ -205,7 +205,7 @@ def load_word_vectors(path: str | Path) -> Mapping[str, np.ndarray]:
     word, or a number only Python's ``float`` reads, such as ``1_0``) is read
     line by line instead, and that reading is the result.
     """
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         # The lines that iterating the file gives: not splitlines(), which also
         # breaks at \x0c, \x85, \u2028 and other characters split() skips as blanks.
         lines = handle.read().split("\n")

@@ -67,6 +67,16 @@ class TestLoadCorpus:
         with pytest.raises(OSError):
             load_corpus(tmp_path / "nope.jsonl", Provenance.PAST)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = "".join(line + "\n" for line in (record("A"), record("B")))
+        (tmp_path / "bom").mkdir()
+        (tmp_path / "bom" / "c.jsonl").write_text(text, encoding="utf-8-sig")
+        (tmp_path / "c.jsonl").write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with_bom = load_corpus(tmp_path / "bom" / "c.jsonl", Provenance.PAST, strict=True)
+        assert with_bom == load_corpus(tmp_path / "c.jsonl", Provenance.PAST)
+
     def test_malformed_json_strict_names_line(self, tmp_path):
         path = write_lines(tmp_path / "c.jsonl", record("A"), "{not json")
         with pytest.raises(CorpusFormatError, match="line 2"):
@@ -291,6 +301,17 @@ class TestImportSurveyCsv:
         )
         corpus = import_survey_csv(path, context="kettle")
         assert [p.id for p in corpus.problems] == ["CUR-1", "CUR-2"]
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a byte-order mark.
+        text = f"{SURVEY_HEADER}\r\nR1,label,src,spill,,,,,,\r\n,second,src,boil,,,,,,\r\n"
+        (tmp_path / "bom.csv").write_text(text, encoding="utf-8-sig")
+        (tmp_path / "plain.csv").write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with_bom = import_survey_csv(tmp_path / "bom.csv", context="kettle", strict=True)
+        assert with_bom.problems == import_survey_csv(tmp_path / "plain.csv", context="kettle").problems
+        assert [p.id for p in with_bom.problems] == ["R1", "CUR-2"]
 
     def test_header_only_warns_and_yields_empty_corpus(self, tmp_path):
         path = write_lines(tmp_path / "survey.csv", SURVEY_HEADER)

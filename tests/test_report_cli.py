@@ -128,6 +128,15 @@ class TestCmdAssess:
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert [entry["current_id"] for entry in payload["ranking"]] == ["PS5", "PS4", "PS3"]
 
+    def test_out_into_a_missing_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.txt"
+        assert main(assess_argv(out=out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cannot write report: ")
+        assert str(out) in captured.err
+        assert not out.parent.exists()
+
     def test_two_runs_are_byte_identical(self, tmp_path):
         for fmt in ("table", "csv", "json"):
             first = tmp_path / f"one.{fmt}"

@@ -192,6 +192,14 @@ class TestLoadWordVectors:
         path.write_text("hot 1 0 0\n", encoding="utf-8")
         assert set(load_word_vectors(path)) == {"hot"}
 
+    @pytest.mark.parametrize("content", ["2 3\nhot 1 0 0\ncold 0 1 0\n", "hot 1 0 0\ncold 0 1 0\n"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, content):
+        (tmp_path / "bom.txt").write_text(content, encoding="utf-8-sig")
+        (tmp_path / "plain.txt").write_text(content, encoding="utf-8")
+        with_bom, plain = load_word_vectors(tmp_path / "bom.txt"), load_word_vectors(tmp_path / "plain.txt")
+        assert with_bom.index == plain.index == {"hot": 0, "cold": 1}
+        assert with_bom.matrix.tobytes() == plain.matrix.tobytes()
+
     @pytest.mark.parametrize("content", ["hot 1 0 0\ncold 0 1\n", "hot 1 0\ncold 0 1 7\n"])
     def test_inconsistent_dimension_names_line(self, tmp_path, content):
         path = tmp_path / "vec.txt"
@@ -256,6 +264,14 @@ class TestLoadFixtureSimilarities:
         backend = FixtureBackend.from_file(path)
         assert backend.similarity("Contained to leak body", "static to movable liquid") == 0.314
         assert backend.similarity("static to movable liquid", "Contained to leak body") == 0.314
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        content = "spill\tleak\t0.25\nHot Water\tCold water\t0.5\n"
+        (tmp_path / "bom.tsv").write_text(content, encoding="utf-8-sig")
+        (tmp_path / "plain.tsv").write_text(content, encoding="utf-8")
+        table = load_fixture_similarities(tmp_path / "bom.tsv")
+        assert table == load_fixture_similarities(tmp_path / "plain.tsv")
+        assert FixtureBackend(table=table).similarity("spill", "leak") == 0.25
 
     def test_matching_trims_and_casefolds(self, tmp_path):
         path = tmp_path / "fix.tsv"
