@@ -109,14 +109,19 @@ __all__ = [
     "tokenize",
 ]
 
-# Served from .vectors on first access, so only the vector backends load numpy
-# and the HTTP client.
+# Served on first access from the module that defines them, so only the
+# word-vector backend loads numpy, and only the remote backend numpy and the
+# HTTP client.
 _VECTOR_NAMES = frozenset(
-    {"RemoteBackend", "WordVectorBackend", "cosine_similarity", "embed_wordvector", "load_word_vectors"}
+    {"WordVectorBackend", "cosine_similarity", "embed_wordvector", "load_word_vectors"}
 )
 
 
 def __getattr__(name: str):
+    if name == "RemoteBackend":
+        from .remote import RemoteBackend
+
+        return RemoteBackend
     if name in _VECTOR_NAMES:
         from . import vectors
 

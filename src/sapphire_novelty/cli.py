@@ -58,7 +58,7 @@ def _build_backend(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
             parser.error(
                 f"--backend remote requires --endpoint <url> or the {ENV_EMBED_URL} variable"
             )
-        from .vectors import RemoteBackend
+        from .remote import RemoteBackend
 
         return RemoteBackend(endpoint=endpoint)
     parser.error(f"unknown backend {args.backend!r}")
@@ -115,15 +115,17 @@ def cmd_assess(args: argparse.Namespace, backend: SimilarityBackend) -> int:
         return EXIT_DATA
 
     rendered = render_report(report, args.format, summary_only=args.command == "rank")
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(rendered)
-        except OSError as error:
-            print(f"cannot write report: {error}", file=sys.stderr)
-            return EXIT_ENVIRONMENT
-    else:
-        sys.stdout.write(rendered)
+        else:
+            sys.stdout.write(rendered)
+            # A buffered stdout fails here, not at interpreter exit.
+            sys.stdout.flush()
+    except OSError as error:
+        print(f"cannot write report: {error}", file=sys.stderr)
+        return EXIT_ENVIRONMENT
     return EXIT_OK
 
 

@@ -13,10 +13,11 @@ Every backend maps a pair of texts to a similarity in [0, 1]:
 
 This module holds the contract, the tokenizer, the lexical and fixture
 backends and every exception the backends raise; it needs neither numpy nor
-an HTTP client. The two vector backends and their helpers
+an HTTP client. The word-vector backend and the vector helpers
 (``cosine_similarity``, ``embed_wordvector``, ``load_word_vectors``) live in
-:mod:`sapphire_novelty.vectors`, which is imported only when one of them is
-asked for; import them from there or from the package.
+:mod:`sapphire_novelty.vectors`, and the remote backend in
+:mod:`sapphire_novelty.remote`; each module is imported only when one of its
+names is asked for. Import them from there or from the package.
 
 The contract has a bulk and a scalar method: ``similarities(pairs)`` and
 ``similarity(a, b)``. A backend defines one of them and inherits the other:

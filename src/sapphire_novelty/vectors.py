@@ -1,55 +1,49 @@
-"""The vector backends: pre-trained word vectors and a remote embedding service.
+"""The word-vector backend, and the vector kernel it shares with the remote one.
 
-Everything in the package that needs numpy or an HTTP client lives here, so
-the lexical and fixture paths load neither. The package exports these names
-lazily: ``sapphire_novelty.WordVectorBackend`` imports this module on first
-access. The contract, the exceptions and the tokenizer stay in
-:mod:`sapphire_novelty.similarity`.
+Everything in the package that needs numpy lives here or in
+:mod:`sapphire_novelty.remote`, which adds the HTTP client, so the lexical
+and fixture paths load neither, and the word-vector path loads numpy only.
+The package exports these names lazily: ``sapphire_novelty.WordVectorBackend``
+imports this module on first access. The contract, the exceptions and the
+tokenizer stay in :mod:`sapphire_novelty.similarity`.
 
-* ``WordVectorBackend`` — mean-pooled pre-trained word vectors loaded from the
-  standard text format; out-of-vocabulary tokens are skipped. The vectors are
-  held as one :class:`WordVectors` value: a float matrix with a word -> row
-  index, checked once when it is built. ``load_word_vectors`` reads the file
-  once and parses all its numbers in one ``np.loadtxt`` call; a file that
-  call does not take whole goes to a line-by-line parser, whose errors name
-  the line.
-* ``RemoteBackend`` — a sentence-embedding HTTP service (POST ``{"texts": [...]}``,
-  response ``{"vectors": [[...], ...]}``) with batching and retries.
+``WordVectorBackend`` mean-pools pre-trained word vectors loaded from the
+standard text format; out-of-vocabulary tokens are skipped. The vectors are
+held as one :class:`WordVectors` value: a float matrix with a word -> row
+index, checked once when it is built. ``load_word_vectors`` streams the file
+into one ``np.loadtxt`` call; a file that call does not take whole goes to a
+line-by-line parser, whose errors name the line.
 
-Both define only ``similarities`` (``similarity`` is the contract's one-pair
+It defines only ``similarities`` (``similarity`` is the contract's one-pair
 case of it), which scores a list of pairs as arrays, embedding each unique
-text once: ``WordVectorBackend`` pools the texts with the same number of
-in-vocabulary tokens in a grouped reduction, and both score every pair in
-batched BLAS calls (:func:`_cosines`), each over at most ``_BLOCK_ROWS`` rows,
-so memory does not grow with pairs times dimension. Each value and warning is
-bit-identical to :func:`cosine_similarity` of the :func:`embed_wordvector`
-vectors, clamped at 0; those two are the scalar references, and the backends
-do not call them. A vector that gets scored (a text's pooled vector, a
-response vector) and is nonzero must have a squared norm that is finite and
-at least ``np.finfo(float).tiny`` (:func:`_unscorable`), so that its cosine is
-not an overflow's or an underflow's and :func:`_cosines` needs no fallback.
-Texts are tokenized through ``similarity.tokenize``, looked up on every call,
-so one replacement of that module attribute is seen by every backend.
+text once: it pools the texts with the same number of in-vocabulary tokens in
+a grouped reduction and scores every pair in batched BLAS calls
+(:func:`_cosines`, which ``RemoteBackend`` uses too), each over at most
+``_BLOCK_ROWS`` rows, so memory does not grow with pairs times dimension.
+Each value and warning is bit-identical to :func:`cosine_similarity` of the
+:func:`embed_wordvector` vectors, clamped at 0; those two are the scalar
+references, and the backends do not call them. A vector that gets scored (a
+text's pooled vector, a response vector) and is nonzero must have a squared
+norm that is finite and at least ``np.finfo(float).tiny``
+(:func:`_unscorable`), so that its cosine is not an overflow's or an
+underflow's and :func:`_cosines` needs no fallback. Texts are tokenized
+through ``similarity.tokenize``, looked up on every call, so one replacement
+of that module attribute is seen by every backend.
 """
 
 from __future__ import annotations
 
-import http.client
-import json
+import itertools
 import math
-import urllib.error
-import urllib.parse
-import urllib.request
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import similarity as _similarity
 from .similarity import (
-    BackendUnavailableError,
     OovWarning,
     SimilarityBackend,
     WordVectorFormatError,
@@ -61,7 +55,6 @@ __all__ = [
     "embed_wordvector",
     "load_word_vectors",
     "WordVectorBackend",
-    "RemoteBackend",
 ]
 
 
@@ -199,41 +192,52 @@ def load_word_vectors(path: str | Path) -> Mapping[str, np.ndarray]:
     Duplicate words keep the first occurrence, with a warning. Anything else
     raises :class:`WordVectorFormatError` naming the line.
 
-    The file is read once, and its numbers are parsed by numpy in one call and
-    checked once. A file that this fast path does not take whole (a bad or
-    non-finite component, a short line, a change of dimension, a duplicate
-    word, or a number only Python's ``float`` reads, such as ``1_0``) is read
-    line by line instead, and that reading is the result.
+    The file is streamed once into numpy, which parses all its numbers in one
+    call, and they are checked once; no list of its lines is built. A file
+    that this fast path does not take whole (a bad or non-finite component, a
+    short line, a change of dimension, a duplicate word, or a number only
+    Python's ``float`` reads, such as ``1_0``) is read again, line by line,
+    and that reading is the result.
     """
     with open(path, "r", encoding="utf-8-sig") as handle:
-        # The lines that iterating the file gives: not splitlines(), which also
-        # breaks at \x0c, \x85, \u2028 and other characters split() skips as blanks.
-        lines = handle.read().split("\n")
-    table = _read_matrix(lines)
-    return table if table is not None else _read_lines(lines)
+        table = _read_matrix(handle)
+    if table is not None:
+        return table
+    with open(path, "r", encoding="utf-8-sig") as handle:
+        # The lines that iterating the file gives, as the fast path reads them:
+        # not splitlines(), which also breaks at \x0c, \x85, \u2028 and other
+        # characters split() skips as blanks.
+        return _read_lines(handle.read().split("\n"))
 
 
-def _read_matrix(lines: list[str]) -> WordVectors | None:
+def _read_matrix(lines: Iterable[str]) -> WordVectors | None:
     """The table of ``lines`` in one numpy parse, or None to leave them to :func:`_read_lines`.
 
-    Whenever this returns a table, :func:`_read_lines` returns the same one,
-    bit for bit, and warns nothing.
+    ``lines`` is consumed once, as numpy asks for rows, so only the words and
+    the matrix are held. Whenever this returns a table, :func:`_read_lines`
+    returns the same one, bit for bit, and warns nothing.
     """
     words: list[str] = []
-    rests: list[str] = []
-    for _, line in _vector_lines(lines):
-        parts = line.split(None, 1)
-        if len(parts) < 2:
-            return None
-        words.append(parts[0])
-        rests.append(parts[1])
-    if not rests:
-        return None
+
+    def remainders() -> Iterator[str]:
+        for _, line in _vector_lines(lines):
+            parts = line.split(None, 1)
+            if len(parts) < 2:
+                raise ValueError("a line without components")
+            words.append(parts[0])
+            yield parts[1]
+
+    rows = remainders()
     try:
+        first = next(rows, None)
+        if first is None:  # np.loadtxt would warn that the input holds no data
+            return None
         # Whole remainders, not usecols: loadtxt then raises on any change of
         # column count, as the line parser does, instead of dropping columns.
-        matrix = np.loadtxt(rests, comments=None, quotechar=None, dtype=float, ndmin=2)
-    except ValueError:
+        matrix = np.loadtxt(
+            itertools.chain((first,), rows), comments=None, quotechar=None, dtype=float, ndmin=2
+        )
+    except ValueError:  # also a short line above, or bytes that are not UTF-8
         return None
     index = dict(zip(words, range(len(words))))
     if len(index) < len(words) or not np.isfinite(matrix).all():
@@ -279,7 +283,7 @@ def _read_lines(lines: list[str]) -> WordVectors:
     return WordVectors(index, np.stack(rows))
 
 
-def _vector_lines(lines: list[str]) -> Iterator[tuple[int, str]]:
+def _vector_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
     """Each line number and line that is neither blank nor the header."""
     for line_no, line in enumerate(lines, start=1):
         if line.strip() and not (line_no == 1 and _is_header(line)):
@@ -370,107 +374,6 @@ class WordVectorBackend(SimilarityBackend):
         values = _cosines(pooled, index_pairs)
         # Equal tokens pool to one vector, whose cosine with itself is 1.0 only up to rounding.
         return [1.0 if value and tokens[i] == tokens[j] else value for (i, j), value in zip(index_pairs, values)]
-
-
-@dataclass(frozen=True)
-class RemoteBackend(SimilarityBackend):
-    """Cosine over sentence vectors fetched from an embedding HTTP service.
-
-    Wire protocol: POST to an ``http`` or ``https`` ``endpoint`` with JSON
-    body ``{"texts": [...]}``; the response must be ``{"vectors": [[...], ...]}``
-    with one vector per input text, in the same order, each meeting the rule
-    of :func:`_checked_vector` and, if nonzero, with a squared norm that
-    :func:`_unscorable` accepts; all vectors of one call to :meth:`embed_texts`,
-    across its batches, share one dimension. A 4xx status other than 408 and
-    429 is the request's fault and raises :class:`BackendUnavailableError` at
-    once. Any other scheme, transport failure, 408, 429, 5xx or other non-2xx
-    status, or response breaking a vector rule is retried; after
-    ``retries`` attempts the call raises :class:`BackendUnavailableError`.
-    ``batch_size`` and ``retries`` below 1, and a ``timeout`` that is not a
-    finite number above 0, raise ``ValueError`` at construction.
-    """
-
-    endpoint: str
-    batch_size: int = 32
-    timeout: float = 30.0
-    retries: int = 3
-    kind: str = field(default="remote", init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        for name in ("batch_size", "retries"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if not 0 < self.timeout < math.inf:
-            raise ValueError(f"timeout must be a finite number of seconds above 0, got {self.timeout}")
-
-    def similarities(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
-        if not pairs:
-            return []
-        texts = _unique_texts(pairs)
-        where = {text: position for position, text in enumerate(texts)}
-        matrix = np.stack(self.embed_texts(texts))
-        index_pairs = [(where[a], where[b]) for a, b in pairs]
-        zero = (~matrix.any(axis=1)).tolist()
-        for i, j in index_pairs:
-            if zero[i] and zero[j]:
-                warnings.warn(_ZERO_PAIR, OovWarning)
-        return _cosines(matrix, index_pairs)
-
-    def embed_texts(self, texts: Sequence[str]) -> list[np.ndarray]:
-        """Embed ``texts`` in order, batching requests at ``batch_size``."""
-        vectors: list[np.ndarray] = []
-        for start in range(0, len(texts), self.batch_size):
-            batch = list(texts[start : start + self.batch_size])
-            vectors.extend(self._post_batch(batch, vectors[0].size if vectors else None))
-        return vectors
-
-    def _post_batch(self, batch: list[str], dimension: int | None) -> list[np.ndarray]:
-        body = json.dumps({"texts": batch}).encode("utf-8")
-        last_error: Exception | None = None
-        for attempt in range(1, self.retries + 1):
-            try:
-                # urllib also opens file:// and ftp:// URLs; only HTTP speaks the protocol.
-                scheme = urllib.parse.urlsplit(self.endpoint).scheme
-                if scheme not in ("http", "https"):
-                    raise ValueError(f"endpoint scheme must be http or https, got {scheme!r}")
-                request = urllib.request.Request(
-                    self.endpoint, data=body, headers={"Content-Type": "application/json"}
-                )
-                # urlopen follows redirects and raises HTTPError for any other non-2xx status.
-                with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    payload = json.load(response)
-                return _parse_vectors(payload, len(batch), dimension)
-            except urllib.error.HTTPError as error:
-                error.close()
-                last_error = error
-                # A 4xx other than a timeout or a rate limit is the request's fault:
-                # sending it again cannot succeed.
-                if 400 <= error.code < 500 and error.code not in (408, 429):
-                    break
-            except (OSError, http.client.HTTPException, ValueError, KeyError, TypeError) as error:
-                last_error = error
-        raise BackendUnavailableError(
-            f"embedding service at {self.endpoint} failed after {attempt} attempt(s): {last_error}"
-        )
-
-
-def _parse_vectors(payload: object, expected: int, dimension: int | None) -> list[np.ndarray]:
-    if not isinstance(payload, dict) or "vectors" not in payload:
-        raise ValueError("response body must be an object with a 'vectors' field")
-    raw = payload["vectors"]
-    if not isinstance(raw, list) or len(raw) != expected:
-        raise ValueError(f"expected {expected} vectors, got {len(raw) if isinstance(raw, list) else type(raw)}")
-    vectors = []
-    for index, item in enumerate(raw):
-        vectors.append(_checked_vector(item, dimension, f"response vector {index}"))
-        dimension = vectors[0].size
-    unscorable = _unscorable(np.stack(vectors))
-    if unscorable.any():
-        raise ValueError(
-            f"response vector {int(np.argmax(unscorable))} is nonzero, but its squared norm "
-            "overflows or underflows"
-        )
-    return vectors
 
 
 def _checked_vector(raw: object, dimension: int | None, name: str) -> np.ndarray:

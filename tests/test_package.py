@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sapphire_novelty
-from sapphire_novelty import LexicalBackend, similarity, vectors
+from sapphire_novelty import LexicalBackend, remote, similarity, vectors
 
 # Every name the package exported before the vector backends moved to their
 # own module, in its import order.
@@ -27,10 +27,11 @@ PUBLIC_NAMES = [
     "load_fixture_similarities", "load_word_vectors", "text_similarity", "tokenize",
 ]
 
-VECTOR_NAMES = [
-    "RemoteBackend", "WordVectorBackend", "cosine_similarity", "embed_wordvector",
-    "load_word_vectors",
-]
+# The names served lazily, each by the module that defines it.
+VECTOR_NAMES = {
+    "RemoteBackend": remote, "WordVectorBackend": vectors, "cosine_similarity": vectors,
+    "embed_wordvector": vectors, "load_word_vectors": vectors,
+}
 
 
 class TestPublicNames:
@@ -44,11 +45,13 @@ class TestPublicNames:
     def test_star_import_binds_the_vector_names(self):
         namespace: dict = {}
         exec("from sapphire_novelty import *", namespace)
-        for name in VECTOR_NAMES:
-            assert namespace[name] is getattr(vectors, name)
+        for name, module in VECTOR_NAMES.items():
+            assert namespace[name] is getattr(module, name)
 
     def test_vector_names_come_from_the_vectors_module(self):
         assert sapphire_novelty.WordVectorBackend is vectors.WordVectorBackend
+        assert sapphire_novelty.RemoteBackend is remote.RemoteBackend
+        assert not hasattr(vectors, "RemoteBackend")
         for name in VECTOR_NAMES:
             assert not hasattr(similarity, name)
 

@@ -292,7 +292,31 @@ def test_cli_import_loads_no_third_party_http_client(tmp_path):
     assert loaded_by() == "[]"
     assert loaded_by(*case_study, "--backend", "fixture", *fixtures, *out) == "[]"
     assert loaded_by(*case_study, "--backend", "lexical", *out) == "[]"
-    # The probe sees the heavy modules when a vector backend asks for them.
+    # The probe sees the heavy modules when a vector backend asks for them:
+    # numpy alone for word vectors.
     assert loaded_by(*case_study, "--backend", "wordvec", "--vectors", str(vectors), *out) == (
-        "['http.client', 'numpy', 'urllib.request']"
+        "['numpy']"
     )
+
+
+HTTP_STACK = ["email", "http.client", "ssl", "urllib.request"]
+
+
+@pytest.mark.parametrize(
+    "statement, expected",
+    [
+        ("import sapphire_novelty.vectors", []),
+        ("import sapphire_novelty; sapphire_novelty.RemoteBackend", HTTP_STACK),
+    ],
+    ids=["vectors", "remote"],
+)
+def test_only_the_remote_backend_loads_the_http_stack(statement, expected):
+    """In a fresh interpreter, the word-vector module loads no part of the
+    standard library's HTTP stack; the remote backend loads all of it."""
+    src = Path(sapphire_novelty.__file__).resolve().parents[1]
+    code = f"import sys\n{statement}\nprint(*[m for m in {HTTP_STACK!r} if m in sys.modules])"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.split() == expected

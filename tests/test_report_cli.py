@@ -1,4 +1,8 @@
+import errno
+import io
 import json
+import os
+import sys
 import warnings
 from collections import Counter
 
@@ -136,6 +140,20 @@ class TestCmdAssess:
         assert captured.err.startswith("cannot write report: ")
         assert str(out) in captured.err
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    def test_a_full_stdout_exits_2(self, method, monkeypatch, capsys):
+        """A failed write to stdout, at once or when a buffer is flushed, is
+        an environment problem, as an unwritable ``--out`` is."""
+
+        def full(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        stdout = io.StringIO()
+        monkeypatch.setattr(stdout, method, full)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(assess_argv()) == 2
+        assert capsys.readouterr().err == f"cannot write report: [Errno 28] {os.strerror(errno.ENOSPC)}\n"
 
     def test_two_runs_are_byte_identical(self, tmp_path):
         for fmt in ("table", "csv", "json"):

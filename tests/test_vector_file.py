@@ -111,3 +111,46 @@ def test_line_parser_runs_only_when_the_fast_path_fails(tmp_path, content, fast)
             except WordVectorFormatError:
                 pass
     assert line_parser.called is not fast
+
+
+@pytest.mark.parametrize(
+    "content, kind",
+    [
+        ("", "error"),
+        ("3 2\n", "error"),
+        ("\n \n\t\n", "error"),
+        ("hot 1 0\rcold 0 1\r", "table"),
+        ("\ufeff2 2\nhot 1 0\ncold 0 1\n", "table"),
+    ],
+    ids=["empty", "header only", "blank only", "CR endings", "BOM and header"],
+)
+def test_streamed_edge_cases_match_the_line_parser(tmp_path, content, kind):
+    """Files that give numpy no rows, or lines it must not see as one, load as
+    the line parser reads them, with no warning from numpy."""
+    path = tmp_path / "vectors.txt"
+    path.write_bytes(content.encode("utf-8"))
+    outcome, caught = _outcome(path)
+    assert caught == []
+    assert outcome[0] == kind
+    with mock.patch.object(vectors, "_read_matrix", lambda lines: None):
+        assert (outcome, caught) == _outcome(path)
+
+
+LINE_TEXT = ["a", " ", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028", "\u2029", "\ufeff"]
+
+
+@hypothesis.settings(deadline=None)
+@hypothesis.given(content=st.lists(st.sampled_from(LINE_TEXT)).map("".join))
+@hypothesis.example(content="a" * 8191 + "\r\nb")  # a line ending across the read chunks
+@hypothesis.example(content="a" * 8192 + "\r\nb\r")
+def test_iterating_a_file_gives_the_lines_of_read_split(content):
+    """The fast path iterates the open file; the line parser splits its text
+    at "\\n". Under universal newlines both see the same lines."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "vectors.txt"
+        path.write_bytes(content.encode("utf-8"))
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            iterated = list(handle)
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            *ended, last = handle.read().split("\n")
+    assert iterated == [line + "\n" for line in ended] + ([last] if last else [])
