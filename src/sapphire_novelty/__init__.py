@@ -110,8 +110,7 @@ __all__ = [
 ]
 
 # Served on first access from the module that defines them, so only the
-# word-vector backend loads numpy, and only the remote backend numpy and the
-# HTTP client.
+# vector backends load numpy, and only the remote backend the HTTP client.
 _VECTOR_NAMES = frozenset(
     {"WordVectorBackend", "cosine_similarity", "embed_wordvector", "load_word_vectors"}
 )
