@@ -6,7 +6,8 @@ imported on first access to that name. It scores with the word-vector
 backend's kernel (:func:`sapphire_novelty.vectors._cosines`) and checks each
 response vector by the same rules, so a remote score is bit-identical to
 :func:`~sapphire_novelty.vectors.cosine_similarity` of the response vectors,
-clamped at 0.
+clamped at 0, except on equal texts: they share one row, which the kernel
+scores exactly 1.0 if it is nonzero.
 """
 
 from __future__ import annotations

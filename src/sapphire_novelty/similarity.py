@@ -1,6 +1,7 @@
 """Semantic similarity between construct texts, via four pluggable backends.
 
-Every backend maps a pair of texts to a similarity in [0, 1]:
+Every backend maps a pair of texts to a similarity in [0, 1], symmetric in
+the pair, with equal texts scoring 1.0 (given something to score on):
 
 * ``LexicalBackend`` — cosine over the token counts of the two texts;
   deterministic, dependency-free.
@@ -28,10 +29,13 @@ tokenizing and embedding each unique text once (the remote backend sends one
 set of batched requests per call, so one comparison of equal texts sends that
 text once); the two vector backends pool by grouped reduction and score the
 pairs in batched BLAS calls over bounded blocks of rows, bit-identical to
-``cosine_similarity`` clamped at 0. The fixture backend defines only
+``cosine_similarity`` clamped at 0, except that equal texts share one row,
+which the kernel scores 1.0 against itself. The fixture backend defines only
 ``similarity``. The package itself reaches a backend only through
 ``similarities``: ``text_similarity`` is the one-pair case of
-``text_similarities``. Nothing is cached between calls, so an
+``text_similarities``, the one place that checks a backend's output (one
+value per pair, each in [0, 1]) and raises ``ValueError`` on anything else,
+NaN included, rather than clamp it. Nothing is cached between calls, so an
 out-of-vocabulary text warns once in every call that scores it.
 
 All similarity calls are pure given a backend; backends are immutable after
@@ -153,6 +157,11 @@ def load_fixture_similarities(path: str | Path) -> dict[tuple[str, str], float]:
 class SimilarityBackend:
     """Contract shared by every backend: (text, text) -> similarity in [0, 1].
 
+    A value is symmetric in the pair, and equal texts score 1.0 when they
+    have something to score on. :func:`text_similarities` raises on a value
+    outside [0, 1] or NaN and clamps nothing, so a backend clamps its own
+    scores, as the built-in ones do.
+
     A backend defines one of two methods. ``similarities`` scores a list of
     pairs in order; a backend that shares work between pairs defines it, and
     its ``similarity(a, b)`` is ``similarities([(a, b)])[0]``. A backend that
@@ -231,19 +240,37 @@ class FixtureBackend(SimilarityBackend):
 
 
 def text_similarity(a: str, b: str, backend: SimilarityBackend) -> float:
-    """Similarity of two texts under ``backend``, always in [0, 1].
+    """Similarity of two texts under ``backend``, as the backend returns it.
 
-    Symmetric in (a, b); negative cosines are clamped to 0 so downstream
-    novelty stays in [0, 1]. Under the lexical and word-vector backends two
-    texts identical after tokenization score exactly 1.0 (given at least one
-    in-vocabulary token). It is the one-pair case of :func:`text_similarities`.
+    It is the one-pair case of :func:`text_similarities`, so a value outside
+    [0, 1], NaN included, raises ``ValueError`` instead of reaching a novelty
+    score. Under the lexical and word-vector backends two texts identical
+    after tokenization score exactly 1.0, and under the remote backend two
+    equal texts do (given a nonzero vector).
     """
     return text_similarities([(a, b)], backend)[0]
 
 
 def text_similarities(pairs: Sequence[tuple[str, str]], backend: SimilarityBackend) -> list[float]:
     """:func:`text_similarity` of every ``(a, b)`` in ``pairs``, in order, from one
-    ``backend.similarities`` call."""
+    ``backend.similarities`` call.
+
+    This is the one place the package checks a backend's output: one value
+    per pair, each within ``0.0 <= value <= 1.0``. Anything else raises
+    ``ValueError`` naming ``backend.kind``; a value out of range, NaN or
+    infinite, also names its pair. No value is clamped: a backend clamps its
+    own cosines, as the built-in ones do in their kernels.
+    """
     if not all(a.strip() and b.strip() for a, b in pairs):
         raise ValueError("text_similarity requires two non-empty texts")
-    return [min(1.0, max(0.0, value)) for value in backend.similarities(pairs)]
+    values = backend.similarities(pairs)
+    if len(values) != len(pairs):
+        raise ValueError(
+            f"{backend.kind!r} backend returned {len(values)} similarities for {len(pairs)} pairs"
+        )
+    for pair, value in zip(pairs, values):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{backend.kind!r} backend scored {pair!r} as {value!r}, outside [0, 1]")
+    # A copy, not the backend's own list: keeping that list through a 100 x 100
+    # lexical ranking raised its peak memory by 8 MiB, through where it was allocated.
+    return list(values)

@@ -22,9 +22,11 @@ a grouped reduction and scores every pair in batched BLAS calls
 ``_BLOCK_ROWS`` rows, so memory does not grow with pairs times dimension.
 Each value and warning is bit-identical to :func:`cosine_similarity` of the
 :func:`embed_wordvector` vectors, clamped at 0; those two are the scalar
-references, and the backends do not call them. A vector that gets scored (a
-text's pooled vector, a response vector) and is nonzero must have a squared
-norm that is finite and at least ``np.finfo(float).tiny``
+references, and the backends do not call them. The one exception is
+identity, which the kernel owns: texts with equal tokens are scored by one
+row, and a nonzero row scores exactly 1.0 against itself. A vector that gets
+scored (a text's pooled vector, a response vector) and is nonzero must have
+a squared norm that is finite and at least ``np.finfo(float).tiny``
 (:func:`_unscorable`), so that its cosine is not an overflow's or an
 underflow's and :func:`_cosines` needs no fallback. Texts are tokenized
 through ``similarity.tokenize``, looked up on every call, so one replacement
@@ -107,15 +109,18 @@ _BLOCK_ROWS = 1024
 
 
 def _cosines(matrix: np.ndarray, index_pairs: Sequence[tuple[int, int]]) -> list[float]:
-    """``max(0.0, cosine_similarity)`` of each pair of rows of ``matrix``, bit for bit, warning nothing.
+    """``max(0.0, cosine_similarity)`` of each pair of rows of ``matrix``, bit for bit,
+    warning nothing, except that a nonzero row scores exactly 1.0 against itself.
 
-    Every row must be zero or meet the rule of :func:`_unscorable`, so a
-    product of two norms is finite, and zero only for a zero row (score 0.0),
-    and no dot product overflows. Every row norm, then the dot product of each
-    block of pairs, comes from one stacked ``(1, d) @ (d, 1)`` matmul, which
-    numpy runs as the BLAS ``ddot`` that ``np.dot`` and ``np.linalg.norm``
-    call, one pair at a time, so the blocking does not change a bit. The
-    quotient and the clamp are taken per pair in Python floats.
+    That is the identity rule of both vector backends, which give equal texts
+    one row: a row's cosine with itself is 1.0 only up to rounding. Every row
+    must be zero or meet the rule of :func:`_unscorable`, so a product of two
+    norms is finite, and zero only for a zero row (score 0.0), and no dot
+    product overflows. Every row norm, then the dot product of each block of pairs,
+    comes from one stacked ``(1, d) @ (d, 1)`` matmul, which numpy runs as the
+    BLAS ``ddot`` that ``np.dot`` and ``np.linalg.norm`` call, one pair at a
+    time, so the blocking does not change a bit. The quotient and the clamp
+    are taken per pair in Python floats.
     """
     norms = np.sqrt(np.matmul(matrix[:, None, :], matrix[:, :, None])).ravel().tolist()
     values = []
@@ -125,7 +130,7 @@ def _cosines(matrix: np.ndarray, index_pairs: Sequence[tuple[int, int]]) -> list
         dots = np.matmul(matrix[left][:, None, :], matrix[right][:, :, None]).ravel().tolist()
         for i, j, dot in zip(left, right, dots):
             norm = norms[i] * norms[j]
-            values.append(min(1.0, max(0.0, dot / norm)) if norm else 0.0)
+            values.append((1.0 if i == j else min(1.0, max(0.0, dot / norm))) if norm else 0.0)
     return values
 
 
@@ -333,8 +338,14 @@ class WordVectorBackend(SimilarityBackend):
 
     def similarities(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
         texts = _unique_texts(pairs)
-        where = {text: position for position, text in enumerate(texts)}
         tokens = [_similarity.tokenize(text) for text in texts]
+        # Each text is scored by the row of the first text with equal tokens, so
+        # equal texts share one row, and the kernel scores them 1.0.
+        first: dict[tuple[str, ...], int] = {}
+        where = {
+            text: first.setdefault(tuple(text_tokens), position)
+            for position, (text, text_tokens) in enumerate(zip(texts, tokens))
+        }
         index, matrix = self.table.index, self.table.matrix
         pooled = np.zeros((len(texts), matrix.shape[1]))
         # Texts grouped by their number of in-vocabulary tokens: positions, rows.
@@ -370,10 +381,7 @@ class WordVectorBackend(SimilarityBackend):
                 f"the word vectors of {text!r} pool to a nonzero vector whose squared norm "
                 "overflows or underflows"
             )
-        index_pairs = [(where[a], where[b]) for a, b in pairs]
-        values = _cosines(pooled, index_pairs)
-        # Equal tokens pool to one vector, whose cosine with itself is 1.0 only up to rounding.
-        return [1.0 if value and tokens[i] == tokens[j] else value for (i, j), value in zip(index_pairs, values)]
+        return _cosines(pooled, [(where[a], where[b]) for a, b in pairs])
 
 
 def _checked_vector(raw: object, dimension: int | None, name: str) -> np.ndarray:

@@ -12,7 +12,6 @@ from sapphire_novelty import (
     LexicalBackend,
     MissingFixtureError,
     OovWarning,
-    RemoteBackend,
     SimilarityBackend,
     WordVectorBackend,
     WordVectorFormatError,
@@ -23,7 +22,6 @@ from sapphire_novelty import (
     text_similarity,
     tokenize,
 )
-from sapphire_novelty.data import fixture_similarities_path
 
 
 class TestTokenize:
@@ -416,44 +414,9 @@ class TestLexicalAgainstDenseReference:
                 assert backend.similarity(a, b) == _dense_lexical_reference(a, b, stopwords), (a, b)
 
 
-class TestBackendProperties:
-    WORDS = ["kettle", "water", "steam", "lid", "heat", "coil", "spout", "boil", "spill"]
-
-    def _backends(self, rng):
-        table = {
-            word: np.array([rng.uniform(-1, 1) for _ in range(8)]) for word in self.WORDS
-        }
-        return [LexicalBackend(), WordVectorBackend(table=table)]
-
-    def test_symmetry_and_range(self):
-        rng = random.Random(11)
-        texts = _random_texts(rng, self.WORDS, 60)
-        for backend in self._backends(rng):
-            for _ in range(200):
-                a, b = rng.choice(texts), rng.choice(texts)
-                forward = text_similarity(a, b, backend)
-                backward = text_similarity(b, a, backend)
-                assert forward == backward
-                assert 0.0 <= forward <= 1.0
-
-    def test_identity_for_in_vocabulary_texts(self):
-        rng = random.Random(13)
-        texts = _random_texts(rng, self.WORDS, 100)
-        for backend in self._backends(rng):
-            for text in texts:
-                assert text_similarity(text, text, backend) == 1.0
-
-    def test_determinism_across_runs(self):
-        rng = random.Random(17)
-        texts = _random_texts(rng, self.WORDS, 30)
-        backend = LexicalBackend()
-        first = [text_similarity(a, b, backend) for a in texts for b in texts]
-        second = [text_similarity(a, b, backend) for a in texts for b in texts]
-        assert first == second
-
-
 class TestBulkMatchesScalar:
-    """``similarities(pairs)`` equals one ``similarity`` call per pair, bit for bit."""
+    """A word-vector table read from a file scores in bulk as the same table given as a
+    dict. Bulk against scalar, for every backend, is ``test_backend_contract.py``'s."""
 
     WORDS = ["kettle", "water", "steam", "lid", "heat", "coil", "spout", "boil"]
     OOV = ["xyzzy", "plugh", "frobozz"]
@@ -469,24 +432,6 @@ class TestBulkMatchesScalar:
     def _texts(self, rng):
         texts = _random_texts(rng, self.WORDS + self.OOV, 40)
         return texts + ["xyzzy", "plugh frobozz", "frobozz plugh", "Kettle-LID", "kettle lid"]
-
-    def _assert_bulk_equals_scalar(self, backend, pairs):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OovWarning)
-            bulk = backend.similarities(pairs)
-            scalar = [backend.similarity(a, b) for a, b in pairs]
-        assert bulk == scalar
-
-    def test_lexical(self):
-        rng = random.Random(31)
-        backend = LexicalBackend(stopwords=frozenset({"lid"}))
-        self._assert_bulk_equals_scalar(backend, self._pairs(rng, self._texts(rng)))
-
-    def test_wordvector_with_oov_words(self):
-        rng = random.Random(37)
-        table = {word: np.array([rng.uniform(-1, 1) for _ in range(8)]) for word in self.WORDS}
-        backend = WordVectorBackend(table=table)
-        self._assert_bulk_equals_scalar(backend, self._pairs(rng, self._texts(rng)))
 
     def test_wordvector_file_table_equals_dict_table(self, tmp_path):
         rng = random.Random(47)
@@ -509,19 +454,6 @@ class TestBulkMatchesScalar:
                 tokens = tokenize(text)
                 pooled = embed_wordvector(tokens, from_file.table)
                 assert pooled.tobytes() == embed_wordvector(tokens, table).tobytes()
-
-    def test_remote(self, embed_stub):
-        rng = random.Random(41)
-        backend = RemoteBackend(endpoint=embed_stub.url, batch_size=16)
-        self._assert_bulk_equals_scalar(backend, self._pairs(rng, self._texts(rng)))
-
-    def test_fixture(self):
-        rng = random.Random(43)
-        backend = FixtureBackend.from_file(fixture_similarities_path())
-        pinned = list(backend.table)
-        pairs = [rng.choice(pinned) for _ in range(60)]
-        pairs += [(b.upper(), f"  {a}") for a, b in pairs[:20]]  # reversed, case, space
-        self._assert_bulk_equals_scalar(backend, pairs)
 
 
 class TestContract:

@@ -1,6 +1,7 @@
 """The vector backends score a list of pairs in bulk exactly as the per-pair
 formula does: ``cosine_similarity`` of the pooled or fetched vectors, clamped
-at 0, after the zero-sentinel and equal-token rules. Values match bit for bit,
+at 0, after the zero-sentinel rule and the identity rule (equal tokens, or
+equal texts for remote, score 1.0 on a nonzero vector). Values match bit for bit,
 with the same warnings in the same order, or the call raises the same error.
 The exception is a vector that has no cosine although it is finite: a text's
 pooled vector that overflows, or a nonzero pooled or fetched vector whose
@@ -172,7 +173,11 @@ def test_remote_bulk_matches_per_pair_formula(embed_stub, data):
                     f"embedding service at {embed_stub.url} failed after 3 attempt(s): response "
                     f"vector {index} is nonzero, but its squared norm overflows or underflows"
                 )
-        return [max(0.0, cosine_similarity(fetched[a], fetched[b])) for a, b in pairs]
+        # The kernel's identity rule: equal texts share one row, which scores 1.0 if nonzero.
+        return [
+            1.0 if a == b and fetched[a].any() else max(0.0, cosine_similarity(fetched[a], fetched[b]))
+            for a, b in pairs
+        ]
 
     with mock.patch.object(vector_backends, "_BLOCK_ROWS", data.draw(BLOCKS)):
         bulk = _outcome(backend.similarities, pairs)
