@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
-from functools import total_ordering
+from functools import cache, total_ordering
 from itertools import product
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
@@ -240,21 +240,6 @@ class NoveltyReport:
         return self.ranked + self.unmatched
 
 
-class _Memo(dict):
-    """``memo[key]`` is ``function(key)``, computed on first use and then kept.
-
-    Made anew by each call that uses one, so nothing outlives that call.
-    """
-
-    def __init__(self, function) -> None:
-        super().__init__()
-        self.function = function
-
-    def __missing__(self, key):
-        value = self[key] = self.function(key)
-        return value
-
-
 def _action_texts(problems: Iterable[ProblemSapphire], threshold: float) -> list[str]:
     """The Action text of each problem, after checking the gate threshold."""
     if not 0.0 <= threshold <= 1.0:
@@ -297,7 +282,7 @@ _LAYOUTS = tuple(map(_layout, range(1 << len(_NON_ACTION_LEVELS))))
 def _scored(
     pairs: Iterable[tuple[str, str]], backend: SimilarityBackend
 ) -> dict[tuple[str, str], float]:
-    """Similarity of each unique text pair, from one bulk backend call."""
+    """Similarity of each unique level-text pair, from one bulk backend call."""
     unique = list(dict.fromkeys(pairs))
     return dict(zip(unique, text_similarities(unique, backend)))
 
@@ -363,7 +348,9 @@ def rank_current_problems(
     for index, action in enumerate(past_actions):
         past_groups.setdefault(action, []).append(index)
     unique_current_actions = dict.fromkeys(current_actions)
-    gate = _scored(product(past_groups, unique_current_actions), backend)
+    # A product of unique keys, so every pair is unique already.
+    gate_pairs = list(product(past_groups, unique_current_actions))
+    gate = dict(zip(gate_pairs, text_similarities(gate_pairs, backend)))
     # For each current Action, the indices of the gated past problems in corpus order.
     matches = {
         action: sorted(
@@ -395,15 +382,16 @@ def rank_current_problems(
         backend,
     )
 
-    novelty = _Memo(construct_novelty)
-    band = _Memo(classify_novelty)
+    # Made anew by each call, so nothing outlives it.
+    novelty = cache(construct_novelty)
+    band = cache(classify_novelty)
     scored: list[ProblemNovelty] = []
     unmatched: list[ProblemNovelty] = []
     for problem, texts, pairs in zip(current.problems, current_texts, gated_pairs):
         records = []
         for i, action_similarity, (positions, included, levels) in pairs:
             similarities = (action_similarity, *[scores[past_texts[i][p], texts[p]] for p in positions])
-            novelties = tuple([novelty[value] for value in similarities])
+            novelties = tuple(map(novelty, similarities))
             # Summed in canonical level order, as aggregate_novelty does.
             average = sum(novelties[1:]) / len(included) if included else None
             records.append(
@@ -414,7 +402,7 @@ def rank_current_problems(
                     construct_novelty=_LevelMap(levels, novelties),
                     included_levels=included,
                     average_novelty=average,
-                    band=band[average] if included else None,
+                    band=band(average) if included else None,
                     no_comparable_constructs=not included,
                 )
             )
@@ -427,7 +415,7 @@ def rank_current_problems(
                     current_id=problem.id,
                     assessments=assessments,
                     min_novelty=minimum,
-                    band=band[minimum],
+                    band=band(minimum),
                 )
             )
         else:

@@ -7,7 +7,9 @@ backend's kernel (:func:`sapphire_novelty.vectors._cosines`) and checks each
 response vector by the same rules, so a remote score is bit-identical to
 :func:`~sapphire_novelty.vectors.cosine_similarity` of the response vectors,
 clamped at 0, except on equal texts: they share one row, which the kernel
-scores exactly 1.0 if it is nonzero.
+scores exactly 1.0 if it is nonzero. A text whose response vector is all zero
+matches nothing and warns once per call, as a word-vector text that pools to
+the zero sentinel does.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .similarity import BackendUnavailableError, OovWarning, SimilarityBackend, _unique_texts
-from .vectors import _ZERO_PAIR, _checked_vector, _cosines, _unscorable
+from .vectors import _checked_vector, _cosines, _unscorable
 
 __all__ = ["RemoteBackend"]
 
@@ -41,9 +43,13 @@ class RemoteBackend(SimilarityBackend):
     :func:`_unscorable` accepts; all vectors of one call to :meth:`embed_texts`,
     across its batches, share one dimension. A 4xx status other than 408 and
     429 is the request's fault and raises :class:`BackendUnavailableError` at
-    once. Any other scheme, transport failure, 408, 429, 5xx or other non-2xx
-    status, or response breaking a vector rule is retried; after
+    once. So does an endpoint whose scheme is not ``http`` or ``https``,
+    before any request is sent. A transport failure, 408, 429, 5xx or other
+    non-2xx status, or response breaking a vector rule is retried; after
     ``retries`` attempts the call raises :class:`BackendUnavailableError`.
+    A text whose vector is all zero scores 0.0 against every text, itself
+    included, and emits one :class:`OovWarning` per :meth:`similarities`
+    call naming it, in order of first appearance, before any pair is scored.
     ``batch_size`` and ``retries`` below 1, and a ``timeout`` that is not a
     finite number above 0, raise ``ValueError`` at construction.
     """
@@ -67,12 +73,10 @@ class RemoteBackend(SimilarityBackend):
         texts = _unique_texts(pairs)
         where = {text: position for position, text in enumerate(texts)}
         matrix = np.stack(self.embed_texts(texts))
-        index_pairs = [(where[a], where[b]) for a, b in pairs]
-        zero = (~matrix.any(axis=1)).tolist()
-        for i, j in index_pairs:
-            if zero[i] and zero[j]:
-                warnings.warn(_ZERO_PAIR, OovWarning)
-        return _cosines(matrix, index_pairs)
+        for text, nonzero in zip(texts, matrix.any(axis=1).tolist()):
+            if not nonzero:
+                warnings.warn(f"all-zero response vector for {text!r}; it matches nothing", OovWarning)
+        return _cosines(matrix, [(where[a], where[b]) for a, b in pairs])
 
     def embed_texts(self, texts: Sequence[str]) -> list[np.ndarray]:
         """Embed ``texts`` in order, batching requests at ``batch_size``."""
@@ -83,14 +87,14 @@ class RemoteBackend(SimilarityBackend):
         return vectors
 
     def _post_batch(self, batch: list[str], dimension: int | None) -> list[np.ndarray]:
+        # urllib also opens file:// and ftp:// URLs; only HTTP speaks the protocol.
+        scheme = urllib.parse.urlsplit(self.endpoint).scheme
+        if scheme not in ("http", "https"):
+            raise BackendUnavailableError(f"endpoint scheme must be http or https, got {scheme!r}")
         body = json.dumps({"texts": batch}).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(1, self.retries + 1):
             try:
-                # urllib also opens file:// and ftp:// URLs; only HTTP speaks the protocol.
-                scheme = urllib.parse.urlsplit(self.endpoint).scheme
-                if scheme not in ("http", "https"):
-                    raise ValueError(f"endpoint scheme must be http or https, got {scheme!r}")
                 request = urllib.request.Request(
                     self.endpoint, data=body, headers={"Content-Type": "application/json"}
                 )

@@ -15,17 +15,18 @@ from __future__ import annotations
 
 import csv
 import io
+from functools import cache
 from itertools import groupby
 from json import JSONEncoder
 from json.encoder import encode_basestring
 from operator import attrgetter
+from typing import Callable
 
 from .novelty import (
     NoveltyBand,
     NoveltyReport,
     PairAssessment,
     ProblemNovelty,
-    _Memo,
     round_half_up,
 )
 from .problem_model import ConstructLevel
@@ -48,6 +49,9 @@ _BOOLS = ("false", "true")
 _BANDS = {band: encode_basestring(band.value) for band in NoveltyBand}
 # Each level's row in the score grid.
 _ROWS = {level: row for row, level in enumerate(ConstructLevel)}
+# Per-render caches: a score's display text from its repr, and a layout from a tuple of levels.
+_Display = Callable[[str], str]
+_Levels = Callable[[tuple[ConstructLevel, ...]], str]
 
 
 def _fmt3(value: float) -> str:
@@ -58,13 +62,13 @@ def _fmt2(value: float) -> str:
     return f"{round_half_up(value, 2):.2f}"
 
 
-def _displays(fmt) -> _Memo:
-    """A memo of ``fmt`` keyed by the float's repr, for one render.
+def _displays(fmt: Callable[[float], str]) -> _Display:
+    """``fmt`` of a float given by its repr, cached for one render.
 
     Keyed by the repr, not the value, because 0.0 and -0.0 are equal keys
     but display differently.
     """
-    return _Memo(lambda text: fmt(float(text)))
+    return cache(lambda text: fmt(float(text)))
 
 
 def _band_label(band: NoveltyBand | None) -> str:
@@ -78,14 +82,14 @@ def _pair_columns(report: NoveltyReport) -> list[PairAssessment]:
     return pairs
 
 
-def _grid_rows(pairs: list[PairAssessment], fmt3: _Memo, fmt2: _Memo) -> list[list[str]]:
+def _grid_rows(pairs: list[PairAssessment], fmt3: _Display, fmt2: _Display) -> list[list[str]]:
     """The score grid shared by the table and CSV renderers."""
     rows = [[level.label] for level in ConstructLevel]
     for assessment in pairs:
         cells = ["-"] * len(rows)
         novelty = assessment.construct_novelty
         for level, value in zip(novelty.levels, novelty.scores):
-            cells[_ROWS[level]] = fmt3[_float(value)]
+            cells[_ROWS[level]] = fmt3(_float(value))
         for row, cell in zip(rows, cells):
             row.append(cell)
     return [
@@ -93,7 +97,7 @@ def _grid_rows(pairs: list[PairAssessment], fmt3: _Memo, fmt2: _Memo) -> list[li
         *rows,
         [_AVERAGE_ROW]
         + [
-            fmt2[_float(a.average_novelty)] if a.average_novelty is not None else "-"
+            fmt2(_float(a.average_novelty)) if a.average_novelty is not None else "-"
             for a in pairs
         ],
         [_BAND_ROW] + [_band_label(a.band) for a in pairs],
@@ -182,21 +186,21 @@ def _json_levels(
     return _json_block([entry.format(level.key) for level in levels], opening, closing, "      ")
 
 
-def _json_layouts() -> tuple[_Memo, _Memo]:
-    """Memos, for one render, keyed by a tuple of levels: the %-template of a
-    pair's score map over those levels, and their "included_levels" array."""
-    maps = _Memo(lambda levels: _json_levels(levels, '\n        "{}": %s', "{", "}"))
-    included = _Memo(lambda levels: _json_levels(levels, '\n        "{}"', "[", "]"))
+def _json_layouts() -> tuple[_Levels, _Levels]:
+    """Functions of a tuple of levels, cached for one render: the %-template of
+    a pair's score map over those levels, and their "included_levels" array."""
+    maps = cache(lambda levels: _json_levels(levels, '\n        "{}": %s', "{", "}"))
+    included = cache(lambda levels: _json_levels(levels, '\n        "{}"', "[", "]"))
     return maps, included
 
 
 def _json_pair(
-    assessment: PairAssessment, maps: _Memo, included: _Memo, display3: _Memo, display2: _Memo
+    assessment: PairAssessment, maps: _Levels, included: _Levels, display3: _Display, display2: _Display
 ) -> str:
     """One element of the report's "pairs" array."""
     similarity = assessment.construct_similarity
     novelty = assessment.construct_novelty
-    novelty_map = maps[novelty.levels]
+    novelty_map = maps(novelty.levels)
     novelty_texts = tuple(map(_float, novelty.scores))
     average = assessment.average_novelty
     average_text = "null" if average is None else _float(average)
@@ -206,21 +210,21 @@ def _json_pair(
         f'\n      "past_id": {encode_basestring(assessment.past_id)},'
         f'\n      "current_id": {encode_basestring(assessment.current_id)},'
         f'\n      "construct_similarity": '
-        f"{maps[similarity.levels] % tuple(map(_float, similarity.scores))},"
+        f"{maps(similarity.levels) % tuple(map(_float, similarity.scores))},"
         f'\n      "construct_novelty": {novelty_map % novelty_texts},'
         f'\n      "construct_novelty_display": '
-        f"{novelty_map % tuple(map(display3.__getitem__, novelty_texts))},"
-        f'\n      "included_levels": {included[assessment.included_levels]},'
+        f"{novelty_map % tuple(map(display3, novelty_texts))},"
+        f'\n      "included_levels": {included(assessment.included_levels)},'
         f'\n      "average_novelty": {average_text},'
         f'\n      "average_novelty_display": '
-        f'{"null" if average is None else display2[average_text]},'
+        f'{"null" if average is None else display2(average_text)},'
         f'\n      "band": {"null" if band is None else _BANDS[band]},'
         f'\n      "no_comparable_constructs": {_BOOLS[assessment.no_comparable_constructs]}'
         "\n    }"
     )
 
 
-def _json_ranked(entry: ProblemNovelty, display2: _Memo) -> str:
+def _json_ranked(entry: ProblemNovelty, display2: _Display) -> str:
     """One element of the report's "ranking" array."""
     min_text = _float(entry.min_novelty)
     return (
@@ -228,7 +232,7 @@ def _json_ranked(entry: ProblemNovelty, display2: _Memo) -> str:
         f'\n      "rank": {_scalar(entry.rank)},'
         f'\n      "current_id": {encode_basestring(entry.current_id)},'
         f'\n      "min_novelty": {min_text},'
-        f'\n      "min_novelty_display": {display2[min_text]},'
+        f'\n      "min_novelty_display": {display2(min_text)},'
         f'\n      "band": {_BANDS[entry.band]}'
         "\n    }"
     )

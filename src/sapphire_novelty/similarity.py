@@ -35,8 +35,12 @@ which the kernel scores 1.0 against itself. The fixture backend defines only
 ``similarities``: ``text_similarity`` is the one-pair case of
 ``text_similarities``, the one place that checks a backend's output (one
 value per pair, each in [0, 1]) and raises ``ValueError`` on anything else,
-NaN included, rather than clamp it. Nothing is cached between calls, so an
-out-of-vocabulary text warns once in every call that scores it.
+NaN included, rather than clamp it. Every backend but the fixture one has
+one rule for a text with nothing to score on (no token left after stopwords,
+no in-vocabulary token, word vectors that cancel, an all-zero response
+vector): it scores 0.0 against every text, itself included, and warns once
+per call, naming the text, in order of first appearance. Nothing is cached
+between calls, so such a text warns again in every call that scores it.
 
 All similarity calls are pure given a backend; backends are immutable after
 construction and safe for concurrent use.
@@ -68,7 +72,8 @@ __all__ = [
 
 
 class OovWarning(UserWarning):
-    """Raised when pooling finds no in-vocabulary token or vectors that cancel, or both vectors are zero."""
+    """Warned once per call for each text with nothing to score on, and by
+    ``cosine_similarity`` for a pair of zero vectors."""
 
 
 class WordVectorFormatError(ValueError):
@@ -167,9 +172,16 @@ class SimilarityBackend:
     its ``similarity(a, b)`` is ``similarities([(a, b)])[0]``. A backend that
     defines only ``similarity`` gets a ``similarities`` that calls it once per
     pair. One that defines neither raises ``NotImplementedError`` from both.
+
+    ``kind`` names the backend in errors and reports. A subclass that neither
+    sets nor inherits one is named after its class.
     """
 
     kind: str = ""
+
+    def __init_subclass__(cls) -> None:
+        if not cls.kind:  # a built-in's kind is still a truthy dataclass field here
+            cls.kind = cls.__name__
 
     def similarity(self, a: str, b: str) -> float:
         if type(self).similarities is SimilarityBackend.similarities:

@@ -20,8 +20,9 @@ text once: it pools the texts with the same number of in-vocabulary tokens in
 a grouped reduction and scores every pair in batched BLAS calls
 (:func:`_cosines`, which ``RemoteBackend`` uses too), each over at most
 ``_BLOCK_ROWS`` rows, so memory does not grow with pairs times dimension.
-Each value and warning is bit-identical to :func:`cosine_similarity` of the
-:func:`embed_wordvector` vectors, clamped at 0; those two are the scalar
+Each value is bit-identical to :func:`cosine_similarity` of the
+:func:`embed_wordvector` vectors, clamped at 0, and the warnings are
+``embed_wordvector``'s, once per unique text; those two are the scalar
 references, and the backends do not call them. The one exception is
 identity, which the kernel owns: texts with equal tokens are scored by one
 row, and a nonzero row scores exactly 1.0 against itself. A vector that gets
@@ -65,9 +66,10 @@ def cosine_similarity(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.n
 
     A zero vector is the out-of-vocabulary sentinel and matches nothing, so the
     similarity is 0.0 whenever either norm vanishes; the zero-vs-zero case also
-    emits an :class:`OovWarning`. A NaN or inf component raises ``ValueError``:
-    it has no cosine, and must not pass for a dissimilar (novel) pair. So does
-    a vector that breaks the rule of :func:`_unscorable`.
+    emits an :class:`OovWarning`, the package's one warning per pair; the
+    backends warn once per text instead. A NaN or inf component raises
+    ``ValueError``: it has no cosine, and must not pass for a dissimilar
+    (novel) pair. So does a vector that breaks the rule of :func:`_unscorable`.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -80,7 +82,7 @@ def cosine_similarity(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.n
     norm_u = float(np.linalg.norm(u))
     norm_v = float(np.linalg.norm(v))
     if norm_u == 0.0 and norm_v == 0.0:
-        warnings.warn(_ZERO_PAIR, OovWarning)
+        warnings.warn("cosine of two all-zero vectors (OOV vs OOV); defined as 0.0", OovWarning)
         return 0.0
     if norm_u == 0.0 or norm_v == 0.0:
         return 0.0
@@ -88,7 +90,6 @@ def cosine_similarity(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.n
     return min(1.0, max(-1.0, value))
 
 
-_ZERO_PAIR = "cosine of two all-zero vectors (OOV vs OOV); defined as 0.0"
 _TINY = np.finfo(float).tiny
 
 

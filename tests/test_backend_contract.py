@@ -4,7 +4,9 @@ A backend scores a pair of texts symmetrically and within [0, 1], and equal
 texts score 1.0 when they have something to score on. Its ``similarities``
 and ``similarity`` agree bit for bit, with the same warnings. One set of
 cases runs through each built-in backend and through a custom backend that
-defines only ``similarity``.
+defines only ``similarity``. Under the lexical, word-vector and remote
+backends a text with nothing to score on scores 0.0 against every text,
+itself included, and warns once per call, naming the text.
 
 ``text_similarities`` is the one place the package checks a backend's
 output. It returns the values unchanged, or raises ``ValueError`` naming the
@@ -40,6 +42,8 @@ from sapphire_novelty import (
     tokenize,
 )
 from sapphire_novelty.similarity import text_similarities
+
+from conftest import canned_vector
 
 WORDS = ["kettle", "water", "steam", "lid", "heat", "coil", "spout", "boil", "spill"]
 OOV = ["xyzzy", "plugh", "frobozz"]
@@ -145,6 +149,33 @@ class TestContract:
         assert [value.hex() for value in checked] == [value.hex() for value in raw]
 
 
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("lexical", "--", "no tokens survive in '--'"),
+        ("wordvec", "xyzzy", "no in-vocabulary token among ['xyzzy']; returning the zero sentinel"),
+        ("remote", "frobozz", "all-zero response vector for 'frobozz'; it matches nothing"),
+    ],
+    ids=["lexical", "wordvec", "remote"],
+)
+def test_a_text_with_nothing_to_score_warns_once_per_call(request, name, text, message):
+    others = SCORABLE[:5]
+    if name == "remote":  # the stub's table answers the text with a zero vector
+        embed_stub = request.getfixturevalue("embed_stub")
+        embed_stub.mode = "table"
+        embed_stub.table = {other: canned_vector(other) for other in others} | {text: [0.0, 0.0, 0.0]}
+        backend = RemoteBackend(endpoint=embed_stub.url)
+    else:
+        backend = BACKENDS[name]()
+    pairs = [(text, other) for other in others] + [(other, text) for other in others] + [(text, text)] * 2
+    for _ in range(2):  # nothing is cached, so each call warns
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            values = backend.similarities(pairs)
+        assert values == [0.0] * len(pairs)
+        assert [(w.category, str(w.message)) for w in caught] == [(OovWarning, message)]
+
+
 class PinnedBackend(SimilarityBackend):
     """A custom backend that scores equal texts 1.0 and any other pair ``value``."""
 
@@ -203,6 +234,33 @@ class TestBoundary:
                 ),
                 ShortBackend(),
             )
+
+    def test_a_custom_backend_with_no_kind_is_named_after_its_class(self):
+        class Two(SimilarityBackend):
+            def similarity(self, a, b):
+                return 2.0
+
+        with pytest.raises(ValueError, match=r"^'Two' backend scored \('a', 'b'\) as 2\.0, outside \[0, 1\]$"):
+            text_similarity("a", "b", Two())
+
+        class Half(SimilarityBackend):
+            def similarity(self, a, b):
+                return 1.0 if a == b else 0.5
+
+        past = ProblemCorpus("past", Provenance.PAST, (problem("P1", Provenance.PAST),))
+        current = ProblemCorpus("current", Provenance.CURRENT, (problem("C1", Provenance.CURRENT),))
+        assert rank_current_problems(past, current, Half()).backend_kind == "Half"
+
+    def test_a_set_kind_is_kept(self):
+        class Lexical(LexicalBackend):
+            pass
+
+        class Delegating(SimilarityBackend):
+            def __init__(self, inner):
+                self.kind = inner.kind
+
+        assert JaccardBackend.kind == "jaccard"
+        assert Lexical().kind == Delegating(Lexical()).kind == "lexical"
 
     def test_assess_pair_with_nan_levels_raises(self):
         past = problem("P1", Provenance.PAST, effect="hot water", organ="lid")

@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import urllib.request
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +14,14 @@ import pytest
 import sapphire_novelty
 from sapphire_novelty import (
     BackendUnavailableError,
+    NoveltyBand,
+    OovWarning,
+    ProblemCorpus,
+    ProblemSapphire,
+    Provenance,
     RemoteBackend,
     cosine_similarity,
+    make_constructs,
     rank_current_problems,
     text_similarity,
 )
@@ -80,6 +88,51 @@ class TestRanking:
         # level texts; scoring pair by pair sent 42 requests carrying 84 texts.
         assert [len(batch) for batch in embed_stub.batches] == [1, 29]
         assert all(len(set(batch)) == len(batch) for batch in embed_stub.batches)
+
+
+class TestZeroVectors:
+    """A text whose response vector is all zero matches nothing, and warns once per call."""
+
+    @staticmethod
+    def backend(embed_stub, texts, zero_text):
+        embed_stub.mode = "table"
+        embed_stub.table = {text: canned_vector(text) for text in texts}
+        embed_stub.table[zero_text] = [0.0, 0.0, 0.0]
+        return RemoteBackend(endpoint=embed_stub.url)
+
+    @staticmethod
+    def messages(score):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = score()
+        return result, [(w.category, str(w.message)) for w in caught]
+
+    def test_zero_vector_against_a_nonzero_one_warns(self, embed_stub):
+        backend = self.backend(embed_stub, ["boil"], zero_text="spill")
+        assert self.messages(lambda: text_similarity("spill", "boil", backend)) == (
+            0.0,
+            [(OovWarning, "all-zero response vector for 'spill'; it matches nothing")],
+        )
+
+    def test_ranking_that_a_zero_vector_makes_most_novel_warns(self, embed_stub):
+        def corpus(provenance, problem_id, state_change):
+            constructs = make_constructs(action="spilling of liquid", state_change=state_change)
+            problem = ProblemSapphire(
+                id=problem_id, label=problem_id, provenance=provenance, constructs=constructs
+            )
+            return ProblemCorpus(provenance.value, provenance, (problem,))
+
+        past = corpus(Provenance.PAST, "P1", "liquid at rest")
+        current = corpus(Provenance.CURRENT, "C1", "liquid leaves the kettle")
+        backend = self.backend(
+            embed_stub, ["spilling of liquid", "liquid at rest"], zero_text="liquid leaves the kettle"
+        )
+        report, caught = self.messages(lambda: rank_current_problems(past, current, backend))
+        (entry,) = report.ranked
+        assert (entry.min_novelty, entry.band) == (1.0, NoveltyBand.HIGH)
+        assert caught == [
+            (OovWarning, "all-zero response vector for 'liquid leaves the kettle'; it matches nothing")
+        ]
 
 
 class TestRetries:
@@ -262,6 +315,16 @@ class TestEndpointScheme:
         backend = RemoteBackend(endpoint=endpoint, retries=2)
         with pytest.raises(BackendUnavailableError, match="scheme must be http or https"):
             backend.embed_texts(["a"])
+
+    def test_non_http_endpoint_fails_before_the_first_attempt(self, monkeypatch):
+        def urlopen(*args, **kwargs):
+            raise AssertionError("a non-HTTP endpoint was opened")
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        backend = RemoteBackend(endpoint="ftp://127.0.0.1:9/embed", retries=3)
+        with pytest.raises(BackendUnavailableError) as raised:
+            backend.embed_texts(["a"])
+        assert str(raised.value) == "endpoint scheme must be http or https, got 'ftp'"
 
 
 def test_cli_import_loads_no_third_party_http_client(tmp_path):

@@ -1,6 +1,7 @@
 """The vector backends score a list of pairs in bulk exactly as the per-pair
 formula does: ``cosine_similarity`` of the pooled or fetched vectors, clamped
-at 0, after the zero-sentinel rule and the identity rule (equal tokens, or
+at 0, after the zero-sentinel rule (a zero vector scores 0.0 against every
+text and warns once per unique text) and the identity rule (equal tokens, or
 equal texts for remote, score 1.0 on a nonzero vector). Values match bit for bit,
 with the same warnings in the same order, or the call raises the same error.
 The exception is a vector that has no cosine although it is finite: a text's
@@ -173,11 +174,19 @@ def test_remote_bulk_matches_per_pair_formula(embed_stub, data):
                     f"embedding service at {embed_stub.url} failed after 3 attempt(s): response "
                     f"vector {index} is nonzero, but its squared norm overflows or underflows"
                 )
-        # The kernel's identity rule: equal texts share one row, which scores 1.0 if nonzero.
-        return [
-            1.0 if a == b and fetched[a].any() else max(0.0, cosine_similarity(fetched[a], fetched[b]))
-            for a, b in pairs
-        ]
+        for text, vector in fetched.items():  # one warning per zero text, in first-appearance order
+            if not vector.any():
+                warnings.warn(f"all-zero response vector for {text!r}; it matches nothing", OovWarning)
+        values = []
+        for a, b in pairs:
+            u, v = fetched[a], fetched[b]
+            if not (u.any() and v.any()):
+                values.append(0.0)
+            elif a == b:  # the kernel's identity rule: equal texts share one row
+                values.append(1.0)
+            else:
+                values.append(max(0.0, cosine_similarity(u, v)))
+        return values
 
     with mock.patch.object(vector_backends, "_BLOCK_ROWS", data.draw(BLOCKS)):
         bulk = _outcome(backend.similarities, pairs)
@@ -234,7 +243,7 @@ class TestEmptyAndDegenerateCalls:
             (OovWarning, "the in-vocabulary vectors of ['heat', 'cold'] sum to zero; returning the zero sentinel")
         ]
 
-    def test_remote_every_vector_zero_warns_per_pair(self, embed_stub):
+    def test_remote_every_vector_zero_warns_per_text(self, embed_stub):
         embed_stub.mode = "table"
         embed_stub.table = {"heat": [0.0, 0.0], "lid": [0.0, -0.0]}
         backend = RemoteBackend(endpoint=embed_stub.url)
@@ -244,5 +253,6 @@ class TestEmptyAndDegenerateCalls:
             values = backend.similarities(pairs)
         assert values == [0.0] * len(pairs)
         assert [(w.category, str(w.message)) for w in caught] == [
-            (OovWarning, "cosine of two all-zero vectors (OOV vs OOV); defined as 0.0")
-        ] * len(pairs)
+            (OovWarning, f"all-zero response vector for {text!r}; it matches nothing")
+            for text in ("heat", "lid")
+        ]
