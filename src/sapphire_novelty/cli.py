@@ -194,6 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Write a warning as one stderr line, its category and message, with no source location."""
+    print(f"{category.__name__}: {message}", file=sys.stderr)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -205,19 +210,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command in ("assess", "rank"):
         if not 0.0 <= args.threshold <= 1.0:
             parser.error(f"--threshold must lie in [0, 1], got {args.threshold}")
-        try:
-            backend = _build_backend(args, parser)
-        except OSError as error:
-            print(f"cannot read backend data: {error}", file=sys.stderr)
-            return EXIT_ENVIRONMENT
-        except ValueError as error:
-            print(f"invalid backend data: {error}", file=sys.stderr)
-            return EXIT_DATA
-        if args.strict:
-            return cmd_assess(args, backend)
-        # Lenient mode reports every skipped record, not one per location.
         with warnings.catch_warnings():
-            warnings.simplefilter("always")
+            warnings.showwarning = _show_warning
+            if not args.strict:
+                # Lenient mode reports every skipped record, not one per location.
+                warnings.simplefilter("always")
+            try:
+                backend = _build_backend(args, parser)
+            except OSError as error:
+                print(f"cannot read backend data: {error}", file=sys.stderr)
+                return EXIT_ENVIRONMENT
+            except ValueError as error:
+                print(f"invalid backend data: {error}", file=sys.stderr)
+                return EXIT_DATA
             return cmd_assess(args, backend)
     parser.error(f"unknown command {args.command!r}")
     raise AssertionError("unreachable")

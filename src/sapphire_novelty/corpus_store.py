@@ -46,6 +46,10 @@ _RECORD_KEYS = ("id", "label", "provenance", "source", "context", "constructs")
 # Construct columns after action are optional in survey files.
 _SURVEY_REQUIRED_COLUMNS = ("id", "label", "source", "action")
 
+# What a record's "provenance" value and construct keys name.
+_PROVENANCES = {provenance.value: provenance for provenance in Provenance}
+_LEVELS = {level.key: level for level in ConstructLevel}
+
 
 class CorpusWarning(UserWarning):
     """Recoverable corpus problems reported in lenient mode (and vacuous cases)."""
@@ -85,8 +89,8 @@ def problem_from_record(record: dict, *, line_no: int, strict: bool) -> ProblemS
 
     raw_provenance = record.get("provenance")
     try:
-        provenance = Provenance(raw_provenance)
-    except ValueError:
+        provenance = _PROVENANCES[raw_provenance]
+    except (KeyError, TypeError):  # TypeError: a value JSON decodes to a list or object
         raise CorpusFormatError(
             f"line {line_no}: provenance must be 'past' or 'current', got {raw_provenance!r}"
         ) from None
@@ -96,7 +100,8 @@ def problem_from_record(record: dict, *, line_no: int, strict: bool) -> ProblemS
         raise CorpusFormatError(f"line {line_no}: 'constructs' must be an object")
     constructs: dict[ConstructLevel, str] = {}
     for key, text in raw_constructs.items():
-        if key not in CANONICAL_LEVEL_KEYS:
+        level = _LEVELS.get(key)
+        if level is None:
             message = f"line {line_no}: unknown construct key {key!r}"
             if strict:
                 raise CorpusFormatError(message)
@@ -104,7 +109,7 @@ def problem_from_record(record: dict, *, line_no: int, strict: bool) -> ProblemS
             continue
         if not isinstance(text, str):
             raise CorpusFormatError(f"line {line_no}: construct {key!r} must be a string")
-        constructs[ConstructLevel.from_key(key)] = text
+        constructs[level] = text
 
     for field_name in ("id", "label", "source", "context"):
         value = record.get(field_name, "")
@@ -145,13 +150,16 @@ def _read_records(path: Path, strict: bool) -> Iterator[tuple[int, ProblemSapphi
     is not UTF-8. ``strict`` is passed on to :func:`problem_from_record`.
     """
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
-        lines = handle.read().split("\n")
+        text = handle.read()
+    # Most files hold no such byte, so the lines are searched only when the file holds one.
+    undecoded = _UNDECODED.search(text) is not None
+    lines = text.split("\n")
     last = max((i for i, line in enumerate(lines, start=1) if line.strip()), default=0)
     for line_no, line in enumerate(lines[:last], start=1):
         if not line.strip():
             yield line_no, f"line {line_no}: blank interior line"
             continue
-        if reason := _not_utf8(line):
+        if undecoded and (reason := _not_utf8(line)):
             yield line_no, f"line {line_no}: {reason}"
             continue
         try:

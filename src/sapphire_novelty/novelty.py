@@ -15,11 +15,12 @@ complement a human would write down (0.686), with no binary-float drift.
 
 Everything here is a pure function over immutable inputs, and the report's
 order is fixed by sorting, not by the order pairs were scored in. A pair
-record holds its scores as tuples aligned with its levels, in canonical
-order, and the renderers walk those tuples. Which levels two problems share
-follows from their presence masks, and each distinct layout is computed
-once. Each ranking call reads every problem's level texts once and converts
-each distinct similarity to novelty once; nothing is cached between calls.
+record is a slot dataclass that ranking builds once, and holds its scores
+as tuples aligned with its levels, in canonical order; the renderers walk
+those tuples. Which levels two problems share follows from their presence
+masks, and each distinct layout is computed once. Each ranking call reads
+every problem's level texts once and converts each distinct similarity to
+novelty once; nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "NoveltyReport",
     "OScoreInput",
     "round_half_up",
+    "round_repr_half_up",
     "construct_novelty",
     "classify_novelty",
     "aggregate_novelty",
@@ -73,6 +75,10 @@ class NoveltyBand(Enum):
     MEDIUM = "medium"
     HIGH = "high"
 
+    # Members are singletons compared by identity, so the identity hash agrees
+    # with equality; Enum's own hash is a Python-level call on every dict lookup.
+    __hash__ = object.__hash__
+
     @property
     def label(self) -> str:
         return self.value.capitalize()
@@ -86,13 +92,23 @@ class NoveltyBand(Enum):
 _BAND_RANK = {NoveltyBand.LOW: 0, NoveltyBand.MEDIUM: 1, NoveltyBand.HIGH: 2}
 
 
+#: 10 ** -ndigits for the digit counts the reports display, made once.
+_QUANTA = {ndigits: Decimal(1).scaleb(-ndigits) for ndigits in (2, 3)}
+
+
 def round_half_up(value: float, ndigits: int = 2) -> float:
     """Decimal half-up rounding of the shortest decimal representation of ``value``.
 
     Avoids the binary-float trap where e.g. round(0.675, 2) rounds down.
     """
-    quantum = Decimal(1).scaleb(-ndigits)
-    return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+    return round_repr_half_up(repr(value), ndigits)
+
+
+def round_repr_half_up(text: str, ndigits: int = 2) -> float:
+    """:func:`round_half_up` of the float whose ``repr`` is ``text``, for a
+    caller that holds that shortest decimal representation already."""
+    quantum = _QUANTA[ndigits] if ndigits in _QUANTA else Decimal(1).scaleb(-ndigits)
+    return float(Decimal(text).quantize(quantum, rounding=ROUND_HALF_UP))
 
 
 def construct_novelty(similarity: float) -> float:
@@ -174,7 +190,7 @@ class _LevelMap(Mapping[ConstructLevel, float]):
         return f"{type(self).__name__}({dict(zip(self.levels, self.scores))!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairAssessment:
     """Scores for one gated (past, current) pair.
 
@@ -202,6 +218,35 @@ class PairAssessment:
             scores = getattr(self, name)
             if not isinstance(scores, _LevelMap):
                 object.__setattr__(self, name, _LevelMap.of(scores))
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _pair(
+    past_id: str,
+    current_id: str,
+    similarity: _LevelMap,
+    novelty: _LevelMap,
+    included: tuple[ConstructLevel, ...],
+    average: Optional[float],
+    band: Optional[NoveltyBand],
+) -> PairAssessment:
+    """The record ``PairAssessment(...)`` builds from these values, built as its
+    generated ``__init__`` builds it, without ``__post_init__``: ranking passes
+    an ``included`` from ``_LAYOUTS``, which never holds the Action level, and
+    maps that are ``_LevelMap``s already, so both checks hold by construction."""
+    record = _new(PairAssessment)
+    _set(record, "past_id", past_id)
+    _set(record, "current_id", current_id)
+    _set(record, "construct_similarity", similarity)
+    _set(record, "construct_novelty", novelty)
+    _set(record, "included_levels", included)
+    _set(record, "average_novelty", average)
+    _set(record, "band", band)
+    _set(record, "no_comparable_constructs", not included)
+    return record
 
 
 @dataclass(frozen=True)
@@ -351,12 +396,13 @@ def rank_current_problems(
     # A product of unique keys, so every pair is unique already.
     gate_pairs = list(product(past_groups, unique_current_actions))
     gate = dict(zip(gate_pairs, text_similarities(gate_pairs, backend)))
-    # For each current Action, the indices of the gated past problems in corpus order.
+    # For each current Action, each gated past problem's index and Action
+    # similarity, in corpus order.
     matches = {
         action: sorted(
-            index
+            (index, similarity)
             for past_action, indices in past_groups.items()
-            if gate[past_action, action] >= threshold
+            if (similarity := gate[past_action, action]) >= threshold
             for index in indices
         )
         for action in unique_current_actions
@@ -366,10 +412,7 @@ def rank_current_problems(
     current_texts = [_level_texts(problem) for problem in current.problems]
     # Each gated pair as (past index, Action similarity, layout), per current problem.
     gated_pairs = [
-        [
-            (i, gate[past_actions[i], action], _LAYOUTS[past_masks[i] & mask])
-            for i in matches[action]
-        ]
+        [(i, similarity, _LAYOUTS[past_masks[i] & mask]) for i, similarity in matches[action]]
         for mask, action in zip(map(_presence, current_texts), current_actions)
     ]
     scores = _scored(
@@ -382,28 +425,31 @@ def rank_current_problems(
         backend,
     )
 
-    # Made anew by each call, so nothing outlives it.
-    novelty = cache(construct_novelty)
+    # Each distinct similarity a record holds, converted once, and each
+    # distinct average banded once; made anew by each call, so nothing outlives it.
+    gated = [value for value in gate.values() if value >= threshold]
+    novelty = {value: construct_novelty(value) for value in {*gated, *scores.values()}}
     band = cache(classify_novelty)
+    past_ids = [problem.id for problem in past.problems]
     scored: list[ProblemNovelty] = []
     unmatched: list[ProblemNovelty] = []
     for problem, texts, pairs in zip(current.problems, current_texts, gated_pairs):
+        current_id = problem.id
         records = []
         for i, action_similarity, (positions, included, levels) in pairs:
             similarities = (action_similarity, *[scores[past_texts[i][p], texts[p]] for p in positions])
-            novelties = tuple(map(novelty, similarities))
+            novelties = tuple(map(novelty.__getitem__, similarities))
             # Summed in canonical level order, as aggregate_novelty does.
             average = sum(novelties[1:]) / len(included) if included else None
             records.append(
-                PairAssessment(
-                    past_id=past.problems[i].id,
-                    current_id=problem.id,
-                    construct_similarity=_LevelMap(levels, similarities),
-                    construct_novelty=_LevelMap(levels, novelties),
-                    included_levels=included,
-                    average_novelty=average,
-                    band=band(average) if included else None,
-                    no_comparable_constructs=not included,
+                _pair(
+                    past_ids[i],
+                    current_id,
+                    _LevelMap(levels, similarities),
+                    _LevelMap(levels, novelties),
+                    included,
+                    average,
+                    band(average) if included else None,
                 )
             )
         assessments = tuple(records)

@@ -63,8 +63,11 @@ _LEVEL_LABELS = {
     ConstructLevel.PARTS: "Parts",
 }
 
+#: The levels in canonical order; a tuple iterates without the Enum class's Python-level iterator.
+_LEVEL_ORDER = tuple(ConstructLevel)
+
 #: Canonical lowercase keys in the same order, as used in all file formats.
-CANONICAL_LEVEL_KEYS: tuple[str, ...] = tuple(level.key for level in ConstructLevel)
+CANONICAL_LEVEL_KEYS: tuple[str, ...] = tuple(level.key for level in _LEVEL_ORDER)
 
 
 class Provenance(Enum):
@@ -106,7 +109,7 @@ class ProblemSapphire:
     def __post_init__(self) -> None:
         ordered = {
             level: self.constructs[level]
-            for level in ConstructLevel
+            for level in _LEVEL_ORDER
             if level in self.constructs
         }
         object.__setattr__(self, "constructs", MappingProxyType(ordered))
@@ -148,7 +151,7 @@ def validate_problem(problem: ProblemSapphire) -> list[Violation]:
     violations: list[Violation] = []
     if not problem.id:
         violations.append(Violation("id", "must be non-empty"))
-    elif any(ch.isspace() for ch in problem.id):
+    elif problem.id.split() != [problem.id]:  # str.split() splits where str.isspace() holds
         violations.append(Violation("id", f"must not contain whitespace: {problem.id!r}"))
     for name in ("id", "label", "source", "context"):
         if reason := _unencodable(getattr(problem, name)):

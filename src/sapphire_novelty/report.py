@@ -7,20 +7,20 @@ shown at three decimals and averages at two (half-up); the JSON payload
 additionally carries every score at full precision so nothing is lost to
 display rounding. All three formats show identical display scores and are
 byte-stable given the same inputs. The renderers walk each pair's
-level-aligned score tuples, so a level a pair lacks costs nothing, and lay
-out each distinct set of levels once per render.
+level-aligned score tuples, so a level a pair lacks costs nothing. The JSON
+writer fills one %-template per distinct layout of a pair's levels, formats
+each distinct nonzero score once per render, and joins the payload once.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from functools import cache
 from itertools import groupby
 from json import JSONEncoder
 from json.encoder import encode_basestring
 from operator import attrgetter
-from typing import Callable
+from typing import Any, Callable
 
 from .novelty import (
     NoveltyBand,
@@ -28,6 +28,7 @@ from .novelty import (
     PairAssessment,
     ProblemNovelty,
     round_half_up,
+    round_repr_half_up,
 )
 from .problem_model import ConstructLevel
 
@@ -49,26 +50,52 @@ _BOOLS = ("false", "true")
 _BANDS = {band: encode_basestring(band.value) for band in NoveltyBand}
 # Each level's row in the score grid.
 _ROWS = {level: row for row, level in enumerate(ConstructLevel)}
-# Per-render caches: a score's display text from its repr, and a layout from a tuple of levels.
-_Display = Callable[[str], str]
-_Levels = Callable[[tuple[ConstructLevel, ...]], str]
+# The levels of a pair's similarity map, novelty map and average, which fix its JSON layout.
+_Levels = tuple[ConstructLevel, ...]
+_PairLayout = tuple[_Levels, _Levels, _Levels]
 
 
-def _fmt3(value: float) -> str:
-    return f"{round_half_up(value, 3):.3f}"
+class _Memo(dict):
+    """``make(key)`` for each key looked up, made on its first lookup; one per render."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[Any], str]) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: Any) -> str:
+        value = self[key] = self.make(key)
+        return value
+
+
+class _Reprs(dict):
+    """Each score's ``float.__repr__``, made on its first lookup; one per render.
+
+    A zero is never stored: 0.0 and -0.0 are equal keys with different reprs.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, score: float) -> str:
+        text = _float(score)
+        if score:
+            self[score] = text
+        return text
 
 
 def _fmt2(value: float) -> str:
     return f"{round_half_up(value, 2):.2f}"
 
 
-def _displays(fmt: Callable[[float], str]) -> _Display:
-    """``fmt`` of a float given by its repr, cached for one render.
+def _displays(template: str, ndigits: int) -> _Memo:
+    """``template % round_half_up(value, ndigits)`` of a float given by its repr,
+    for one render.
 
     Keyed by the repr, not the value, because 0.0 and -0.0 are equal keys
     but display differently.
     """
-    return cache(lambda text: fmt(float(text)))
+    return _Memo(lambda text: template % round_repr_half_up(text, ndigits))
 
 
 def _band_label(band: NoveltyBand | None) -> str:
@@ -78,18 +105,18 @@ def _band_label(band: NoveltyBand | None) -> str:
 def _pair_columns(report: NoveltyReport) -> list[PairAssessment]:
     """All gated pairs ordered by past id, then current id, as strings ("p10" before "p2")."""
     pairs = [a for entry in report.entries for a in entry.assessments]
-    pairs.sort(key=lambda a: (a.past_id, a.current_id))
+    pairs.sort(key=attrgetter("past_id", "current_id"))
     return pairs
 
 
-def _grid_rows(pairs: list[PairAssessment], fmt3: _Display, fmt2: _Display) -> list[list[str]]:
+def _grid_rows(pairs: list[PairAssessment], fmt3: _Memo, fmt2: _Memo) -> list[list[str]]:
     """The score grid shared by the table and CSV renderers."""
     rows = [[level.label] for level in ConstructLevel]
     for assessment in pairs:
         cells = ["-"] * len(rows)
         novelty = assessment.construct_novelty
         for level, value in zip(novelty.levels, novelty.scores):
-            cells[_ROWS[level]] = fmt3(_float(value))
+            cells[_ROWS[level]] = fmt3[_float(value)]
         for row, cell in zip(rows, cells):
             row.append(cell)
     return [
@@ -97,7 +124,7 @@ def _grid_rows(pairs: list[PairAssessment], fmt3: _Display, fmt2: _Display) -> l
         *rows,
         [_AVERAGE_ROW]
         + [
-            fmt2(_float(a.average_novelty)) if a.average_novelty is not None else "-"
+            fmt2[_float(a.average_novelty)] if a.average_novelty is not None else "-"
             for a in pairs
         ],
         [_BAND_ROW] + [_band_label(a.band) for a in pairs],
@@ -130,7 +157,7 @@ def render_table(report: NoveltyReport, summary_only: bool = False) -> str:
         "",
     ]
     if not summary_only:
-        fmt3, fmt2 = _displays(_fmt3), _displays(_fmt2)
+        fmt3, fmt2 = _displays("%.3f", 3), _displays("%.2f", 2)
         for past_id, subset in groupby(_pair_columns(report), key=attrgetter("past_id")):
             lines.append(f"comparison with past problem {past_id}")
             lines.append(_layout(_grid_rows(list(subset), fmt3, fmt2)))
@@ -159,7 +186,7 @@ def render_csv(report: NoveltyReport, summary_only: bool = False) -> str:
     writer.writerow(["current_corpus", report.current_corpus])
     writer.writerow([])
     if not summary_only:
-        for row in _grid_rows(_pair_columns(report), _displays(_fmt3), _displays(_fmt2)):
+        for row in _grid_rows(_pair_columns(report), _displays("%.3f", 3), _displays("%.2f", 2)):
             writer.writerow(row)
         writer.writerow([])
     for row in _ranking_rows(report):
@@ -179,60 +206,83 @@ def _json_block(entries: list[str], opening: str, closing: str, indent: str) -> 
     return opening + ",".join(entries) + "\n" + indent + closing
 
 
-def _json_levels(
-    levels: tuple[ConstructLevel, ...], entry: str, opening: str, closing: str
-) -> str:
+def _json_levels(levels: _Levels, entry: str, opening: str, closing: str) -> str:
     """A JSON block inside a pair with ``entry`` filled in with each level's key."""
     return _json_block([entry.format(level.key) for level in levels], opening, closing, "      ")
 
 
-def _json_layouts() -> tuple[_Levels, _Levels]:
-    """Functions of a tuple of levels, cached for one render: the %-template of
-    a pair's score map over those levels, and their "included_levels" array."""
-    maps = cache(lambda levels: _json_levels(levels, '\n        "{}": %s', "{", "}"))
-    included = cache(lambda levels: _json_levels(levels, '\n        "{}"', "[", "]"))
-    return maps, included
+def _json_pair_template(layout: _PairLayout) -> str:
+    """The %-template of one element of the report's "pairs" array, for records
+    whose similarity map, novelty map and included levels have these levels.
 
-
-def _json_pair(
-    assessment: PairAssessment, maps: _Levels, included: _Levels, display3: _Display, display2: _Display
-) -> str:
-    """One element of the report's "pairs" array."""
-    similarity = assessment.construct_similarity
-    novelty = assessment.construct_novelty
-    novelty_map = maps(novelty.levels)
-    novelty_texts = tuple(map(_float, novelty.scores))
-    average = assessment.average_novelty
-    average_text = "null" if average is None else _float(average)
-    band = assessment.band
+    It is filled with the ids, the similarity texts, the novelty texts, the
+    novelty displays, the average and its display, the band and the
+    no-comparable flag, in that order, and ends with a comma.
+    """
+    similarity, novelty, included = layout
+    scores = '\n        "{}": %s'
     return (
         "\n    {"
-        f'\n      "past_id": {encode_basestring(assessment.past_id)},'
-        f'\n      "current_id": {encode_basestring(assessment.current_id)},'
-        f'\n      "construct_similarity": '
-        f"{maps(similarity.levels) % tuple(map(_float, similarity.scores))},"
-        f'\n      "construct_novelty": {novelty_map % novelty_texts},'
-        f'\n      "construct_novelty_display": '
-        f"{novelty_map % tuple(map(display3, novelty_texts))},"
-        f'\n      "included_levels": {included(assessment.included_levels)},'
-        f'\n      "average_novelty": {average_text},'
-        f'\n      "average_novelty_display": '
-        f'{"null" if average is None else display2(average_text)},'
-        f'\n      "band": {"null" if band is None else _BANDS[band]},'
-        f'\n      "no_comparable_constructs": {_BOOLS[assessment.no_comparable_constructs]}'
-        "\n    }"
+        '\n      "past_id": %s,'
+        '\n      "current_id": %s,'
+        '\n      "construct_similarity": ' + _json_levels(similarity, scores, "{", "}") + ","
+        '\n      "construct_novelty": ' + _json_levels(novelty, scores, "{", "}") + ","
+        '\n      "construct_novelty_display": ' + _json_levels(novelty, scores, "{", "}") + ","
+        '\n      "included_levels": ' + _json_levels(included, '\n        "{}"', "[", "]") + ","
+        '\n      "average_novelty": %s,'
+        '\n      "average_novelty_display": %s,'
+        '\n      "band": %s,'
+        '\n      "no_comparable_constructs": %s'
+        "\n    },"
     )
 
 
-def _json_ranked(entry: ProblemNovelty, display2: _Display) -> str:
+def _json_pairs(
+    pairs: list[PairAssessment], reprs: _Reprs, display3: _Memo, display2: _Memo
+) -> list[str]:
+    """The elements of the report's "pairs" array, each followed by a comma but the last."""
+    templates = _Memo(_json_pair_template)
+    texts = reprs.__getitem__
+    out = []
+    for pair in pairs:
+        similarity = pair.construct_similarity
+        novelty = pair.construct_novelty
+        novelty_texts = tuple(map(texts, novelty.scores))
+        average = pair.average_novelty
+        band = pair.band
+        if average is None:
+            average_text = average_display = "null"
+        else:
+            average_text = texts(average)
+            average_display = display2[average_text]
+        out.append(
+            templates[similarity.levels, novelty.levels, pair.included_levels]
+            % (
+                encode_basestring(pair.past_id),
+                encode_basestring(pair.current_id),
+                *map(texts, similarity.scores),
+                *novelty_texts,
+                *map(display3.__getitem__, novelty_texts),
+                average_text,
+                average_display,
+                "null" if band is None else _BANDS[band],
+                _BOOLS[pair.no_comparable_constructs],
+            )
+        )
+    if out:
+        out[-1] = out[-1][:-1]
+    return out
+
+
+def _json_ranked(entry: ProblemNovelty, reprs: _Reprs, display2: _Memo) -> str:
     """One element of the report's "ranking" array."""
-    min_text = _float(entry.min_novelty)
+    min_text = reprs[entry.min_novelty]
     return (
         "\n    {"
         f'\n      "rank": {_scalar(entry.rank)},'
         f'\n      "current_id": {encode_basestring(entry.current_id)},'
         f'\n      "min_novelty": {min_text},'
-        f'\n      "min_novelty_display": {display2(min_text)},'
+        f'\n      "min_novelty_display": {display2[min_text]},'
         f'\n      "band": {_BANDS[entry.band]}'
         "\n    }"
     )
@@ -244,10 +294,11 @@ def render_json(report: NoveltyReport, summary_only: bool = False) -> str:
     The payload holds the run's metadata, every gated pair (left out when
     ``summary_only``) with full-precision and display scores, the ranking
     and the unmatched ids. It is written straight from the report, key by
-    key, with no intermediate dicts.
+    key, with no intermediate dicts, and joined once.
     """
-    display3 = _displays(lambda value: f'"{_fmt3(value)}"')
-    display2 = _displays(lambda value: f'"{_fmt2(value)}"')
+    reprs = _Reprs()
+    display3 = _displays('"%.3f"', 3)
+    display2 = _displays('"%.2f"', 2)
     parts = [
         f'{{\n  "backend": {_scalar(report.backend_kind)},'
         f'\n  "threshold": {_scalar(report.threshold)},'
@@ -255,10 +306,9 @@ def render_json(report: NoveltyReport, summary_only: bool = False) -> str:
         f'\n  "current_corpus": {_scalar(report.current_corpus)},'
     ]
     if not summary_only:
-        maps, included = _json_layouts()
-        pairs = [_json_pair(a, maps, included, display3, display2) for a in _pair_columns(report)]
-        parts += ['\n  "pairs": ', _json_block(pairs, "[", "]", "  "), ","]
-    ranking = [_json_ranked(entry, display2) for entry in report.ranked]
+        pairs = _json_pairs(_pair_columns(report), reprs, display3, display2)
+        parts += ['\n  "pairs": [', *pairs, "\n  ],"] if pairs else ['\n  "pairs": [],']
+    ranking = [_json_ranked(entry, reprs, display2) for entry in report.ranked]
     unmatched = ["\n    " + encode_basestring(entry.current_id) for entry in report.unmatched]
     parts.append('\n  "ranking": ' + _json_block(ranking, "[", "]", "  ") + ",")
     parts.append('\n  "unmatched": ' + _json_block(unmatched, "[", "]", "  ") + "\n}\n")

@@ -33,6 +33,7 @@ from sapphire_novelty import (
     text_similarity,
 )
 from sapphire_novelty.data import load_case_study
+from sapphire_novelty.novelty import round_repr_half_up
 
 from conftest import CASE_STUDY_NOVELTY
 
@@ -74,6 +75,15 @@ class TestRoundHalfUp:
         values = sorted(rng.random() for _ in range(2000))
         rounded = [round_half_up(v, 2) for v in values]
         assert all(a <= b for a, b in zip(rounded, rounded[1:]))
+
+    def test_rounding_a_repr_rounds_its_float(self):
+        rng = random.Random(7)
+        values = [0.675, 0.0005, 0.0, -0.0, 1.0, 1e-7, *(rng.random() for _ in range(500))]
+        for ndigits in (0, 2, 3, 4):
+            for value in values:
+                expected = round_half_up(value, ndigits)
+                rounded = round_repr_half_up(repr(value), ndigits)
+                assert rounded.hex() == expected.hex()
 
 
 class TestConstructNovelty:

@@ -6,8 +6,11 @@ public scalar functions (``construct_novelty``, ``aggregate_novelty``,
 ``classify_novelty``) and ``assess_pair`` must agree with it bit for bit.
 """
 
+import copy
+import pickle
+import random
 from collections.abc import Mapping
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -25,6 +28,7 @@ from sapphire_novelty import (
     construct_text,
     rank_current_problems,
 )
+from sapphire_novelty.data import load_case_study
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -144,3 +148,59 @@ def test_record_maps_pass_through_a_copy_of_the_record_uncopied():
 def test_record_maps_reject_keys_that_are_not_levels():
     with pytest.raises(ValueError, match="keys must be construct levels"):
         _record({ACTION: 0.9, "parts": 0.3}, {})
+
+
+def _dense_corpora(seed=7, size=12):
+    """Corpora like the dense benchmark's: one shared Action, and level texts
+    drawn from a few overlapping phrases, each level present or not."""
+    rng = random.Random(seed)
+    phrases = ["heat water", "water steam", "lid", "spout steam", "coil heat", "base"]
+    corpora = []
+    for role, prefix in ((Provenance.PAST, "p"), (Provenance.CURRENT, "c")):
+        problems = []
+        for index in range(size):
+            constructs = {ACTION: "boil water"}
+            for level in NON_ACTION:
+                if rng.random() < 0.6:
+                    constructs[level] = rng.choice(phrases)
+            problems.append(ProblemSapphire(f"{prefix}{index}", "", role, constructs=constructs))
+        corpora.append(ProblemCorpus(role.value, role, tuple(problems)))
+    return corpora
+
+
+def _ranked_records(source):
+    if source == "case-study":
+        past, current, backend = load_case_study()
+    else:
+        (past, current), backend = _dense_corpora(), LexicalBackend()
+    report = rank_current_problems(past, current, backend)
+    return [a for entry in report.entries for a in entry.assessments]
+
+
+@pytest.mark.parametrize("source", ["case-study", "dense"])
+def test_ranked_records_equal_the_records_the_public_constructor_builds(source):
+    records = _ranked_records(source)
+    assert records
+    for record in records:
+        rebuilt = PairAssessment(**{f.name: getattr(record, f.name) for f in fields(record)})
+        assert type(record) is PairAssessment
+        assert rebuilt == record
+        for f in fields(record):
+            assert getattr(rebuilt, f.name) is getattr(record, f.name)
+
+
+def test_a_record_has_slots_and_no_dict():
+    record = _ranked_records("case-study")[0]
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        record.band = None
+    assert replace(record, past_id="Q").past_id == "Q"
+    assert copy.copy(record) == record == pickle.loads(pickle.dumps(record))
+
+
+def test_the_public_constructor_keeps_its_checks():
+    with pytest.raises(ValueError, match="Action level cannot be part of the average"):
+        PairAssessment("P", "C", {ACTION: 0.9}, {ACTION: 0.1}, (ACTION,), 0.1, None)
+    record = _record({ConstructLevel.PARTS: 0.3, ACTION: 0.9}, {ACTION: 0.1})
+    assert type(record.construct_similarity).__name__ == "_LevelMap"
+    assert record.construct_similarity.levels == (ACTION, ConstructLevel.PARTS)

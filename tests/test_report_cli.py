@@ -308,11 +308,14 @@ class TestCmdAssess:
             main(assess_argv(threshold=1.5))
         assert excinfo.value.code == 2
 
-    def test_lenient_run_warns_once_per_oov_text_and_scoring_call(self, tmp_path):
+    @staticmethod
+    def oov_rank_argv(tmp_path, action, parts):
+        """A ``rank`` over a two-word vocabulary; ``parts`` maps each role to
+        its problems' Parts texts, and every problem's Action is ``action``."""
         vectors = tmp_path / "vectors.txt"
         vectors.write_text("hot 1.0 0.0\ncold 0.0 1.0\n", encoding="utf-8")
         paths = {}
-        for role, parts in (("past", ["xyzzy", "xyzzy"]), ("current", ["hot", "plugh"])):
+        for role, texts in parts.items():
             records = [
                 {
                     "id": f"{role}{index}",
@@ -320,13 +323,13 @@ class TestCmdAssess:
                     "provenance": role,
                     "source": "",
                     "context": "",
-                    "constructs": {"action": "xyzzy", "parts": text},
+                    "constructs": {"action": action, "parts": text},
                 }
-                for index, text in enumerate(parts)
+                for index, text in enumerate(texts)
             ]
             paths[role] = tmp_path / f"{role}.jsonl"
             paths[role].write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
-        argv = [
+        return [
             "rank",
             "--past", str(paths["past"]),
             "--current", str(paths["current"]),
@@ -334,15 +337,25 @@ class TestCmdAssess:
             "--vectors", str(vectors),
             "--threshold", "0",
         ]
-        with warnings.catch_warnings(record=True) as caught:
-            assert main(argv) == 0
-        warned = Counter(str(w.message) for w in caught if issubclass(w.category, OovWarning))
+
+    def test_lenient_run_warns_once_per_oov_text_and_scoring_call(self, tmp_path, capsys):
+        parts = {"past": ["xyzzy", "xyzzy"], "current": ["hot", "plugh"]}
+        assert main(self.oov_rank_argv(tmp_path, "xyzzy", parts)) == 0
+        warned = Counter(capsys.readouterr().err.splitlines())
         # "xyzzy" is scored in the gate call (as the Action) and in the level
         # call (as past Parts): once in each, not once per comparison.
         assert warned == {
-            "no in-vocabulary token among ['xyzzy']; returning the zero sentinel": 2,
-            "no in-vocabulary token among ['plugh']; returning the zero sentinel": 1,
+            "OovWarning: no in-vocabulary token among ['xyzzy']; returning the zero sentinel": 2,
+            "OovWarning: no in-vocabulary token among ['plugh']; returning the zero sentinel": 1,
         }
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_a_warning_is_one_stderr_line_without_a_source_location(self, strict, tmp_path, capsys):
+        argv = self.oov_rank_argv(tmp_path, "hot", {"past": ["cold"], "current": ["plugh"]})
+        assert main(argv + ["--strict"] * strict) == 0
+        err = capsys.readouterr().err
+        assert err == "OovWarning: no in-vocabulary token among ['plugh']; returning the zero sentinel\n"
+        assert ".py:" not in err
 
     def test_wordvec_backend_requires_vectors_flag(self):
         argv = assess_argv()

@@ -215,3 +215,28 @@ def test_case_study_matches_json_dumps(threshold, summary_only):
     past, current, backend = load_case_study()
     report = rank_current_problems(past, current, backend, threshold)
     assert render_json(report, summary_only) == oracle_json(report, summary_only)
+
+
+@pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+def test_both_zeros_in_one_report_match_json_dumps(first, second):
+    # 0.0 and -0.0 are equal dict keys whose reprs differ, so a writer that
+    # formats each score once must never serve one zero's text for the other.
+    parts = ConstructLevel.PARTS
+
+    def pair(past_id, zero):
+        scores = {ConstructLevel.ACTION: zero, parts: zero}
+        return PairAssessment(past_id, "c1", scores, scores, (parts,), zero, NoveltyBand.LOW)
+
+    report = NoveltyReport(
+        "lexical",
+        0.0,
+        "past",
+        "current",
+        ranked=(
+            ProblemNovelty("c1", (pair("p1", first), pair("p2", second)), first, NoveltyBand.LOW, 1),
+            ProblemNovelty("c2", (), second, NoveltyBand.LOW, 2),
+        ),
+    )
+    rendered = render_json(report)
+    assert rendered == oracle_json(report, False)
+    assert '"parts": -0.0' in rendered and '"parts": 0.0' in rendered
