@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import json
-import re
 import warnings
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -26,6 +25,7 @@ from .problem_model import (
     ProblemCorpus,
     ProblemSapphire,
     Provenance,
+    _not_utf8,
     validate_corpus,
     validate_problem,
 )
@@ -130,17 +130,6 @@ def _duplicate_message(where: str, number: int, problem_id: str, first: int) -> 
     return f"{where} {number}: duplicate id {problem_id!r} (first on {where} {first})"
 
 
-# Read with errors="surrogateescape", a byte that is not UTF-8 becomes one of
-# these characters, so the bad record can be named and the rest still read.
-_UNDECODED = re.compile("[\udc80-\udcff]")
-
-
-def _not_utf8(text: str) -> str | None:
-    """What is wrong with ``text`` if it holds a byte that is not UTF-8, else None."""
-    match = _UNDECODED.search(text)
-    return None if match is None else f"not UTF-8 (byte {ord(match.group()) - 0xDC00:#04x})"
-
-
 def _read_records(path: Path, strict: bool) -> Iterator[tuple[int, ProblemSapphire | str]]:
     """Yield ``(line_no, problem)`` per record line, or ``(line_no, message)``
     for a line that is not a record; the message names the line.
@@ -150,16 +139,13 @@ def _read_records(path: Path, strict: bool) -> Iterator[tuple[int, ProblemSapphi
     is not UTF-8. ``strict`` is passed on to :func:`problem_from_record`.
     """
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
-        text = handle.read()
-    # Most files hold no such byte, so the lines are searched only when the file holds one.
-    undecoded = _UNDECODED.search(text) is not None
-    lines = text.split("\n")
+        lines = handle.read().split("\n")
     last = max((i for i, line in enumerate(lines, start=1) if line.strip()), default=0)
     for line_no, line in enumerate(lines[:last], start=1):
         if not line.strip():
             yield line_no, f"line {line_no}: blank interior line"
             continue
-        if undecoded and (reason := _not_utf8(line)):
+        if reason := _not_utf8(line):
             yield line_no, f"line {line_no}: {reason}"
             continue
         try:

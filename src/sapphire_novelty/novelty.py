@@ -18,19 +18,19 @@ order is fixed by sorting, not by the order pairs were scored in. A pair
 record is a slot dataclass that ranking builds once, and holds its scores
 as tuples aligned with its levels, in canonical order; the renderers walk
 those tuples. Which levels two problems share follows from their presence
-masks, and each distinct layout is computed once. Each ranking call reads
-every problem's level texts once and converts each distinct similarity to
-novelty once; nothing is cached between calls.
+masks, and each distinct layout is computed once. Ranking walks the gated
+pairs forward once, keys each pair's level texts once, and converts or
+bands each distinct score once, in a :class:`_Memo` made anew per call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
-from functools import cache, total_ordering
-from itertools import product
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
+from functools import total_ordering
+from itertools import islice, product
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from .problem_model import (
     ConstructLevel,
@@ -285,10 +285,27 @@ class NoveltyReport:
         return self.ranked + self.unmatched
 
 
-def _action_texts(problems: Iterable[ProblemSapphire], threshold: float) -> list[str]:
-    """The Action text of each problem, after checking the gate threshold."""
+class _Memo(dict):
+    """``make(key)`` for each key looked up, made on its first lookup; one per call."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[Any], Any]) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self.make(key)
+        return value
+
+
+def _check_threshold(threshold: float) -> None:
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold {threshold} outside [0, 1]")
+
+
+def _action_texts(problems: Iterable[ProblemSapphire]) -> list[str]:
+    """The Action text of each problem, which must carry one."""
     texts = [construct_text(problem, _ACTION) for problem in problems]
     if None in texts:
         raise ValueError("every compared problem must carry an Action construct")
@@ -324,14 +341,6 @@ def _layout(shared: int) -> _Layout:
 _LAYOUTS = tuple(map(_layout, range(1 << len(_NON_ACTION_LEVELS))))
 
 
-def _scored(
-    pairs: Iterable[tuple[str, str]], backend: SimilarityBackend
-) -> dict[tuple[str, str], float]:
-    """Similarity of each unique level-text pair, from one bulk backend call."""
-    unique = list(dict.fromkeys(pairs))
-    return dict(zip(unique, text_similarities(unique, backend)))
-
-
 def action_match(
     past: ProblemSapphire,
     current: ProblemSapphire,
@@ -342,7 +351,8 @@ def action_match(
 
     Callers are expected to pass validated problems (Action present).
     """
-    past_action, current_action = _action_texts((past, current), threshold)
+    _check_threshold(threshold)
+    past_action, current_action = _action_texts((past, current))
     similarity = text_similarity(past_action, current_action, backend)
     return similarity >= threshold, similarity
 
@@ -381,13 +391,15 @@ def rank_current_problems(
 
     The backend sees two bulk calls: one over the unique (past, current)
     Action pairs, then one over the unique level-text pairs of the gated
-    problem pairs. Each problem's level texts are read once, and each
-    distinct similarity and average is converted and banded once.
+    problem pairs, each in order of first appearance. Each pair's level texts
+    are keyed once, and each distinct similarity and average is converted
+    and banded once.
     """
     if not past.problems:
         raise ValueError("the past corpus must be non-empty")
-    past_actions = _action_texts(past.problems, threshold)
-    current_actions = _action_texts(current.problems, threshold)
+    _check_threshold(threshold)
+    past_actions = _action_texts(past.problems)
+    current_actions = _action_texts(current.problems)
 
     past_groups: dict[str, list[int]] = {}
     for index, action in enumerate(past_actions):
@@ -415,32 +427,34 @@ def rank_current_problems(
         [(i, similarity, _LAYOUTS[past_masks[i] & mask]) for i, similarity in matches[action]]
         for mask, action in zip(map(_presence, current_texts), current_actions)
     ]
-    scores = _scored(
-        (
-            (past_texts[i][p], texts[p])
-            for texts, pairs in zip(current_texts, gated_pairs)
-            for i, _, layout in pairs
-            for p in layout.positions
-        ),
-        backend,
-    )
+    # Each unique (past text, current text) pair numbered in order of first
+    # appearance, and the numbers of every gated pair's level pairs, in one list.
+    numbers: dict[tuple[str, str], int] = {}
+    slots = [
+        numbers.setdefault((past_texts[i][p], texts[p]), len(numbers))
+        for texts, pairs in zip(current_texts, gated_pairs)
+        for i, _, layout in pairs
+        for p in layout.positions
+    ]
+    scores = text_similarities(list(numbers), backend)
 
-    # Each distinct similarity a record holds, converted once, and each
-    # distinct average banded once; made anew by each call, so nothing outlives it.
-    gated = [value for value in gate.values() if value >= threshold]
-    novelty = {value: construct_novelty(value) for value in {*gated, *scores.values()}}
-    band = cache(classify_novelty)
+    novelty = _Memo(construct_novelty)
+    band = _Memo(classify_novelty)
     past_ids = [problem.id for problem in past.problems]
-    scored: list[ProblemNovelty] = []
+    slot = iter(slots)
+    scored: list[tuple[float, str, tuple[PairAssessment, ...]]] = []
     unmatched: list[ProblemNovelty] = []
-    for problem, texts, pairs in zip(current.problems, current_texts, gated_pairs):
+    for problem, pairs in zip(current.problems, gated_pairs):
         current_id = problem.id
         records = []
-        for i, action_similarity, (positions, included, levels) in pairs:
-            similarities = (action_similarity, *[scores[past_texts[i][p], texts[p]] for p in positions])
+        minimum = None
+        for i, action_similarity, (_, included, levels) in pairs:
+            similarities = (action_similarity, *map(scores.__getitem__, islice(slot, len(included))))
             novelties = tuple(map(novelty.__getitem__, similarities))
             # Summed in canonical level order, as aggregate_novelty does.
             average = sum(novelties[1:]) / len(included) if included else None
+            if included and (minimum is None or average < minimum):
+                minimum = average
             records.append(
                 _pair(
                     past_ids[i],
@@ -449,26 +463,19 @@ def rank_current_problems(
                     _LevelMap(levels, novelties),
                     included,
                     average,
-                    band(average) if included else None,
+                    band[average] if included else None,
                 )
             )
-        assessments = tuple(records)
-        averages = [a.average_novelty for a in assessments if a.average_novelty is not None]
-        if averages:
-            minimum = min(averages)
-            scored.append(
-                ProblemNovelty(
-                    current_id=problem.id,
-                    assessments=assessments,
-                    min_novelty=minimum,
-                    band=band(minimum),
-                )
-            )
+        if minimum is None:
+            unmatched.append(ProblemNovelty(current_id=current_id, assessments=tuple(records)))
         else:
-            unmatched.append(ProblemNovelty(current_id=problem.id, assessments=assessments))
+            scored.append((minimum, current_id, tuple(records)))
 
-    scored.sort(key=lambda entry: (-entry.min_novelty, entry.current_id))
-    ranked = tuple(replace(entry, rank=position) for position, entry in enumerate(scored, start=1))
+    scored.sort(key=lambda entry: (-entry[0], entry[1]))
+    ranked = tuple(
+        ProblemNovelty(current_id, assessments, minimum, band[minimum], rank)
+        for rank, (minimum, current_id, assessments) in enumerate(scored, start=1)
+    )
     unmatched.sort(key=lambda entry: entry.current_id)
     return NoveltyReport(
         backend_kind=backend.kind,

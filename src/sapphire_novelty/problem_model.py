@@ -12,6 +12,7 @@ coordination.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
@@ -131,6 +132,18 @@ class ProblemCorpus:
 
     def __iter__(self):
         return iter(self.problems)
+
+
+# Read with errors="surrogateescape", a byte that is not UTF-8 becomes one of
+# these characters, so each file reader can name the line that holds it.
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
+def _not_utf8(text: str) -> Optional[str]:
+    """What is wrong with ``text`` if it holds a byte that is not UTF-8, else None."""
+    # isascii() reads a flag the string holds, so an ASCII text is not searched.
+    match = None if text.isascii() else _UNDECODED.search(text)
+    return None if match is None else f"not UTF-8 (byte {ord(match.group()) - 0xDC00:#04x})"
 
 
 def _unencodable(text: str) -> Optional[str]:

@@ -45,7 +45,8 @@ class RemoteBackend(SimilarityBackend):
     429 is the request's fault and raises :class:`BackendUnavailableError` at
     once. So does an endpoint whose scheme is not ``http`` or ``https``,
     before any request is sent. A transport failure, 408, 429, 5xx or other
-    non-2xx status, or response breaking a vector rule is retried; after
+    non-2xx status, or a response that is not JSON (one nested past the
+    recursion limit included) or breaks a vector rule is retried; after
     ``retries`` attempts the call raises :class:`BackendUnavailableError`.
     A text whose vector is all zero scores 0.0 against every text, itself
     included, and emits one :class:`OovWarning` per :meth:`similarities`
@@ -109,7 +110,9 @@ class RemoteBackend(SimilarityBackend):
                 # sending it again cannot succeed.
                 if 400 <= error.code < 500 and error.code not in (408, 429):
                     break
-            except (OSError, http.client.HTTPException, ValueError, KeyError, TypeError) as error:
+            except (
+                OSError, http.client.HTTPException, ValueError, KeyError, TypeError, RecursionError
+            ) as error:
                 last_error = error
         raise BackendUnavailableError(
             f"embedding service at {self.endpoint} failed after {attempt} attempt(s): {last_error}"

@@ -10,6 +10,7 @@ byte-stable given the same inputs. The renderers walk each pair's
 level-aligned score tuples, so a level a pair lacks costs nothing. The JSON
 writer fills one %-template per distinct layout of a pair's levels, formats
 each distinct nonzero score once per render, and joins the payload once.
+Each render memoizes its displays in its own ``novelty._Memo``.
 """
 
 from __future__ import annotations
@@ -20,14 +21,13 @@ from itertools import groupby
 from json import JSONEncoder
 from json.encoder import encode_basestring
 from operator import attrgetter
-from typing import Any, Callable
 
 from .novelty import (
     NoveltyBand,
     NoveltyReport,
     PairAssessment,
     ProblemNovelty,
-    round_half_up,
+    _Memo,
     round_repr_half_up,
 )
 from .problem_model import ConstructLevel
@@ -55,20 +55,6 @@ _Levels = tuple[ConstructLevel, ...]
 _PairLayout = tuple[_Levels, _Levels, _Levels]
 
 
-class _Memo(dict):
-    """``make(key)`` for each key looked up, made on its first lookup; one per render."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make: Callable[[Any], str]) -> None:
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key: Any) -> str:
-        value = self[key] = self.make(key)
-        return value
-
-
 class _Reprs(dict):
     """Each score's ``float.__repr__``, made on its first lookup; one per render.
 
@@ -82,10 +68,6 @@ class _Reprs(dict):
         if score:
             self[score] = text
         return text
-
-
-def _fmt2(value: float) -> str:
-    return f"{round_half_up(value, 2):.2f}"
 
 
 def _displays(template: str, ndigits: int) -> _Memo:
@@ -131,12 +113,11 @@ def _grid_rows(pairs: list[PairAssessment], fmt3: _Memo, fmt2: _Memo) -> list[li
     ]
 
 
-def _ranking_rows(report: NoveltyReport) -> list[list[str]]:
+def _ranking_rows(report: NoveltyReport, fmt2: _Memo) -> list[list[str]]:
     rows = [["rank", "current_id", "min_novelty", "band"]]
     for entry in report.ranked:
-        rows.append(
-            [str(entry.rank), entry.current_id, _fmt2(entry.min_novelty), _band_label(entry.band)]
-        )
+        display = fmt2[_float(entry.min_novelty)]
+        rows.append([str(entry.rank), entry.current_id, display, _band_label(entry.band)])
     return rows
 
 
@@ -156,15 +137,16 @@ def render_table(report: NoveltyReport, summary_only: bool = False) -> str:
         f"past corpus: {report.past_corpus}  current corpus: {report.current_corpus}",
         "",
     ]
+    fmt2 = _displays("%.2f", 2)
     if not summary_only:
-        fmt3, fmt2 = _displays("%.3f", 3), _displays("%.2f", 2)
+        fmt3 = _displays("%.3f", 3)
         for past_id, subset in groupby(_pair_columns(report), key=attrgetter("past_id")):
             lines.append(f"comparison with past problem {past_id}")
             lines.append(_layout(_grid_rows(list(subset), fmt3, fmt2)))
             lines.append("")
     lines.append("ranking (most novel first)")
     if report.ranked:
-        lines.append(_layout(_ranking_rows(report)))
+        lines.append(_layout(_ranking_rows(report, fmt2)))
     else:
         lines.append("(no current problem passed the action gate)")
     if report.unmatched:
@@ -185,11 +167,12 @@ def render_csv(report: NoveltyReport, summary_only: bool = False) -> str:
     writer.writerow(["past_corpus", report.past_corpus])
     writer.writerow(["current_corpus", report.current_corpus])
     writer.writerow([])
+    fmt2 = _displays("%.2f", 2)
     if not summary_only:
-        for row in _grid_rows(_pair_columns(report), _displays("%.3f", 3), _displays("%.2f", 2)):
+        for row in _grid_rows(_pair_columns(report), _displays("%.3f", 3), fmt2):
             writer.writerow(row)
         writer.writerow([])
-    for row in _ranking_rows(report):
+    for row in _ranking_rows(report, fmt2):
         writer.writerow(row)
     if report.unmatched:
         writer.writerow([])

@@ -56,6 +56,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .problem_model import _not_utf8
+
 __all__ = [
     "OovWarning",
     "WordVectorFormatError",
@@ -125,12 +127,14 @@ def load_fixture_similarities(path: str | Path) -> dict[tuple[str, str], float]:
 
     The resulting table answers (a, b) and (b, a) identically; texts are
     matched after trimming and case-folding. Similarities must lie in [0, 1];
-    a duplicate pair with a conflicting value is a parse error.
+    a conflicting duplicate pair or a byte that is not UTF-8 is a parse error.
     """
     table: dict[tuple[str, str], float] = {}
-    with open(path, "r", encoding="utf-8-sig") as handle:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.rstrip("\n")
+            if reason := _not_utf8(line):
+                raise FixtureFormatError(f"line {line_no}: {reason}")
             if not line.strip():
                 continue
             parts = line.split("\t")

@@ -46,6 +46,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import similarity as _similarity
+from .problem_model import _not_utf8
 from .similarity import (
     OovWarning,
     SimilarityBackend,
@@ -201,15 +202,15 @@ def load_word_vectors(path: str | Path) -> Mapping[str, np.ndarray]:
     The file is streamed once into numpy, which parses all its numbers in one
     call, and they are checked once; no list of its lines is built. A file
     that this fast path does not take whole (a bad or non-finite component, a
-    short line, a change of dimension, a duplicate word, or a number only
-    Python's ``float`` reads, such as ``1_0``) is read again, line by line,
-    and that reading is the result.
+    short line, a change of dimension, a duplicate word, a byte that is not
+    UTF-8, or a number only Python's ``float`` reads, such as ``1_0``) is
+    read again, line by line, and that reading is the result.
     """
     with open(path, "r", encoding="utf-8-sig") as handle:
         table = _read_matrix(handle)
     if table is not None:
         return table
-    with open(path, "r", encoding="utf-8-sig") as handle:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
         # The lines that iterating the file gives, as the fast path reads them:
         # not splitlines(), which also breaks at \x0c, \x85, \u2028 and other
         # characters split() skips as blanks.
@@ -256,6 +257,8 @@ def _read_lines(lines: list[str]) -> WordVectors:
     index: dict[str, int] = {}
     rows: list[np.ndarray] = []
     for line_no, line in _vector_lines(lines):
+        if reason := _not_utf8(line):
+            raise WordVectorFormatError(f"line {line_no}: {reason}")
         parts = line.split()
         if len(parts) < 2:
             raise WordVectorFormatError(

@@ -71,6 +71,11 @@ class _StubHandler(BaseHTTPRequestHandler):
             payload = {"vectors": [[True, False] for _ in texts]}
         elif stub.mode == "empty_vectors":
             payload = {"vectors": [[] for _ in texts]}
+        elif stub.mode == "deep_nesting":
+            # Nested past any recursion limit; json.dumps could not write it.
+            depth = 100_000
+            self._respond(200, b'{"vectors": ' + b"[" * depth + b"]" * depth + b"}")
+            return
         elif stub.mode == "table":
             payload = {"vectors": [stub.table[t] for t in texts]}
         elif stub.mode == "growing_dims":

@@ -1,5 +1,6 @@
 import random
 import warnings
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -455,6 +456,8 @@ class TestBulkScoring:
                 assert render_report(wrapped, fmt) == render_report(bare, fmt), (backend.kind, fmt)
 
     def test_one_call_per_unique_gate_pair_and_unique_level_pair(self):
+        """Both calls score each unique pair once, in order of first appearance:
+        that order is the order of the backend's warnings."""
         past, current = repetitive_corpora(7)
         threshold = 0.5
         backend = ScalarOnlyBackend(LexicalBackend())
@@ -463,24 +466,24 @@ class TestBulkScoring:
         def action(record):
             return construct_text(record, ConstructLevel.ACTION)
 
-        gate_pairs = {(action(p), action(c)) for p in past.problems for c in current.problems}
+        past_actions = dict.fromkeys(map(action, past.problems))
+        current_actions = dict.fromkeys(map(action, current.problems))
+        gate_pairs = list(product(past_actions, current_actions))
         gated = [
             (p, c)
-            for p in past.problems
             for c in current.problems
+            for p in past.problems
             if LexicalBackend().similarity(action(p), action(c)) >= threshold
         ]
         assert 0 < len(gated) < len(past.problems) * len(current.problems)
-        level_pairs = {
+        level_pairs = dict.fromkeys(
             (construct_text(p, level), construct_text(c, level))
             for p, c in gated
             for level in NON_ACTION
             if construct_text(p, level) is not None and construct_text(c, level) is not None
-        }
-        gate_calls = backend.calls[: len(gate_pairs)]
-        level_calls = backend.calls[len(gate_pairs) :]
-        assert len(gate_calls) == len(set(gate_calls)) and set(gate_calls) == gate_pairs
-        assert len(level_calls) == len(set(level_calls)) and set(level_calls) == level_pairs
+        )
+        assert backend.calls[: len(gate_pairs)] == gate_pairs
+        assert backend.calls[len(gate_pairs) :] == list(level_pairs)
 
 
 def with_blank_levels(corpus, rng):

@@ -380,11 +380,17 @@ class TestCmdAssess:
 
     @pytest.mark.parametrize(
         "backend, flag, content",
-        [("wordvec", "--vectors", "hot 1.0\ncold x\n"), ("fixture", "--fixtures", "a\tb\t0.5\na\tb\n")],
+        [
+            ("wordvec", "--vectors", "hot 1.0\ncold x\n"),
+            ("fixture", "--fixtures", "a\tb\t0.5\na\tb\n"),
+            # A byte that is not UTF-8 (0xff, written through surrogateescape).
+            ("wordvec", "--vectors", "hot 1 0\nwat\udcff 0.3 0.4\n"),
+            ("fixture", "--fixtures", "a\tb\t0.5\na\udcff\tb\t0.3\n"),
+        ],
     )
     def test_malformed_backend_data_exits_1(self, backend, flag, content, tmp_path, capsys):
         data = tmp_path / "data.txt"
-        data.write_text(content, encoding="utf-8")
+        data.write_text(content, encoding="utf-8", errors="surrogateescape")
         argv = assess_argv()
         argv[argv.index("--backend") + 1] = backend
         del argv[argv.index("--fixtures") : argv.index("--fixtures") + 2]

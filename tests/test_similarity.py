@@ -245,6 +245,23 @@ class TestLoadWordVectors:
         with pytest.raises(WordVectorFormatError, match="line 2: non-finite"):
             load_word_vectors(path)
 
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b"hot 1 0\nwat\xff 0.3 0.4\n", "line 2: not UTF-8 (byte 0xff)"),
+            (b"hot 1 0\ncold 0 \x801\n", "line 2: not UTF-8 (byte 0x80)"),
+            (b"\xef\xbb\xbf2 2\r\nhot 1 0\r\n\ncaf\xe9 1 1\n", "line 4: not UTF-8 (byte 0xe9)"),
+            (b"hot 1 x\ncaf\xe9 1 1\n", "line 1: non-numeric"),
+        ],
+        ids=["word", "component", "BOM and CRLF", "an earlier bad line first"],
+    )
+    def test_byte_that_is_not_utf8_names_line(self, tmp_path, content, reason):
+        path = tmp_path / "vec.txt"
+        path.write_bytes(content)
+        with pytest.raises(WordVectorFormatError) as caught:
+            load_word_vectors(path)
+        assert str(caught.value).startswith(reason)
+
     def test_duplicate_word_keeps_first_with_warning(self, tmp_path):
         path = tmp_path / "vec.txt"
         path.write_text("hot 1 0\nhot 0 1\n", encoding="utf-8")
@@ -311,6 +328,17 @@ class TestLoadFixtureSimilarities:
         path = tmp_path / "fix.tsv"
         path.write_text("a\tb\t0.5\na\tb\n", encoding="utf-8")
         with pytest.raises(FixtureFormatError, match="line 2"):
+            load_fixture_similarities(path)
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"a\tb\t0.5\na\xff\tb\t0.3\n", b"a\tb\t0.5\na\tb\t0.\xff\n"],
+        ids=["text", "similarity"],
+    )
+    def test_byte_that_is_not_utf8_names_line(self, tmp_path, content):
+        path = tmp_path / "fix.tsv"
+        path.write_bytes(content)
+        with pytest.raises(FixtureFormatError, match=r"^line 2: not UTF-8 \(byte 0xff\)$"):
             load_fixture_similarities(path)
 
 
