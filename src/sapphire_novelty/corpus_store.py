@@ -41,7 +41,7 @@ __all__ = [
     "validate_corpus_file",
 ]
 
-_RECORD_KEYS = ("id", "label", "provenance", "source", "context", "constructs")
+_RECORD_KEYS = frozenset(("id", "label", "provenance", "source", "context", "constructs"))
 
 # Construct columns after action are optional in survey files.
 _SURVEY_REQUIRED_COLUMNS = ("id", "label", "source", "action")
@@ -80,7 +80,7 @@ def problem_from_record(record: dict, *, line_no: int, strict: bool) -> ProblemS
     if not isinstance(record, dict):
         raise CorpusFormatError(f"line {line_no}: expected a JSON object, got {type(record).__name__}")
 
-    unknown = sorted(set(record) - set(_RECORD_KEYS))
+    unknown = sorted(record.keys() - _RECORD_KEYS)
     if unknown:
         message = f"line {line_no}: unknown key(s) {unknown}"
         if strict:

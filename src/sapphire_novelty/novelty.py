@@ -9,7 +9,8 @@ gated past problems; ranking orders current problems by that minimum,
 most novel first.
 
 Scores are kept at full precision internally; display and banding use
-half-up rounding to two decimals. Novelty conversion is decimal-faithful so
+half-up rounding to two decimals, which banding applies by comparing the
+score with the floats 0.295 and 0.695. Novelty conversion is decimal-faithful so
 that a similarity read from a report (say 0.314) converts to exactly the
 complement a human would write down (0.686), with no binary-float drift.
 
@@ -122,14 +123,17 @@ def classify_novelty(score: float) -> NoveltyBand:
     """Band a novelty score: Low [0, 0.3), Medium [0.3, 0.7), High [0.7, 1].
 
     Banding applies to the display-rounded (two-decimal) score, so a label
-    always agrees with the number a report prints next to it.
+    always agrees with the number a report prints next to it. That rounding
+    is below 0.3 exactly when the score is below the float 0.295, and below
+    0.7 exactly when it is below 0.695, since the shortest ``repr`` of a float
+    is strictly increasing with it and those two floats print as ``0.295``
+    and ``0.695``; so the score is compared with them directly.
     """
     if not 0.0 <= score <= 1.0:
         raise ValueError(f"novelty score {score} outside [0, 1]")
-    rounded = round_half_up(score, 2)
-    if rounded < 0.3:
+    if score < 0.295:
         return NoveltyBand.LOW
-    if rounded < 0.7:
+    if score < 0.695:
         return NoveltyBand.MEDIUM
     return NoveltyBand.HIGH
 
@@ -405,19 +409,20 @@ def rank_current_problems(
     for index, action in enumerate(past_actions):
         past_groups.setdefault(action, []).append(index)
     unique_current_actions = dict.fromkeys(current_actions)
-    # A product of unique keys, so every pair is unique already.
-    gate_pairs = list(product(past_groups, unique_current_actions))
-    gate = dict(zip(gate_pairs, text_similarities(gate_pairs, backend)))
-    # For each current Action, each gated past problem's index and Action
-    # similarity, in corpus order.
+    # A product of unique keys, so every pair is unique already; the gate
+    # values are row-major, one row per past Action.
+    gate = text_similarities(list(product(past_groups, unique_current_actions)), backend)
+    width = len(unique_current_actions)
+    # For each current Action (a column of the gate), each gated past
+    # problem's index and Action similarity, in corpus order.
     matches = {
         action: sorted(
             (index, similarity)
-            for past_action, indices in past_groups.items()
-            if (similarity := gate[past_action, action]) >= threshold
+            for similarity, indices in zip(gate[column::width], past_groups.values())
+            if similarity >= threshold
             for index in indices
         )
-        for action in unique_current_actions
+        for column, action in enumerate(unique_current_actions)
     }
     past_texts = [_level_texts(problem) for problem in past.problems]
     past_masks = list(map(_presence, past_texts))

@@ -148,6 +148,8 @@ def _not_utf8(text: str) -> Optional[str]:
 
 def _unencodable(text: str) -> Optional[str]:
     """Why ``text`` cannot be written as UTF-8 (it holds a lone surrogate), else None."""
+    if text.isascii():
+        return None
     try:
         text.encode("utf-8")
     except UnicodeEncodeError as error:

@@ -77,7 +77,7 @@ class RemoteBackend(SimilarityBackend):
         for text, nonzero in zip(texts, matrix.any(axis=1).tolist()):
             if not nonzero:
                 warnings.warn(f"all-zero response vector for {text!r}; it matches nothing", OovWarning)
-        return _cosines(matrix, [(where[a], where[b]) for a, b in pairs])
+        return _cosines(matrix, pairs, where)
 
     def embed_texts(self, texts: Sequence[str]) -> list[np.ndarray]:
         """Embed ``texts`` in order, batching requests at ``batch_size``."""

@@ -28,14 +28,17 @@ backends define only ``similarities``, which scores a whole list of pairs,
 tokenizing and embedding each unique text once (the remote backend sends one
 set of batched requests per call, so one comparison of equal texts sends that
 text once); the two vector backends pool by grouped reduction and score the
-pairs in batched BLAS calls over bounded blocks of rows, bit-identical to
-``cosine_similarity`` clamped at 0, except that equal texts share one row,
-which the kernel scores 1.0 against itself. The fixture backend defines only
-``similarity``. The package itself reaches a backend only through
-``similarities``: ``text_similarity`` is the one-pair case of
-``text_similarities``, the one place that checks a backend's output (one
-value per pair, each in [0, 1]) and raises ``ValueError`` on anything else,
-NaN included, rather than clamp it. Every backend but the fixture one has
+pairs in batched BLAS calls over bounded blocks of rows, with each block's
+quotient and clamp taken in numpy, bit-identical to ``cosine_similarity``
+clamped at 0, except that equal texts share one row, which the kernel scores
+1.0 against itself. The fixture backend defines only ``similarity``. The
+package itself reaches a backend only through ``similarities``:
+``text_similarity`` is the one-pair case of ``text_similarities``, the one
+place that checks a backend's output (one value per pair, each in [0, 1])
+and raises ``ValueError`` on anything else, NaN included, rather than clamp
+it. It checks the texts and the range of a whole call in C-level passes
+(``all``, ``min``, ``max``, ``sum``), and walks the pairs in Python only to
+name the first bad one. Every backend but the fixture one has
 one rule for a text with nothing to score on (no token left after stopwords,
 no in-vocabulary token, word vectors that cancel, an all-zero response
 vector): it scores 0.0 against every text, itself included, and warns once
@@ -53,6 +56,7 @@ import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -198,7 +202,7 @@ class SimilarityBackend:
 
 def _unique_texts(pairs: Sequence[tuple[str, str]]) -> list[str]:
     """Every text of ``pairs`` once, in order of first appearance."""
-    return list(dict.fromkeys(text for pair in pairs for text in pair))
+    return list(dict.fromkeys(chain.from_iterable(pairs)))
 
 
 @dataclass(frozen=True)
@@ -271,22 +275,39 @@ def text_similarities(pairs: Sequence[tuple[str, str]], backend: SimilarityBacke
     """:func:`text_similarity` of every ``(a, b)`` in ``pairs``, in order, from one
     ``backend.similarities`` call.
 
-    This is the one place the package checks a backend's output: one value
-    per pair, each within ``0.0 <= value <= 1.0``. Anything else raises
-    ``ValueError`` naming ``backend.kind``; a value out of range, NaN or
-    infinite, also names its pair. No value is clamped: a backend clamps its
-    own cosines, as the built-in ones do in their kernels.
+    A text that is blank raises ``ValueError`` naming the first pair that
+    holds one, before the backend is called. This is the one place the package
+    checks a backend's output: one value per pair, each within
+    ``0.0 <= value <= 1.0``. Anything else raises ``ValueError`` naming
+    ``backend.kind``; a value out of range, NaN or infinite, also names its
+    pair. No value is clamped: a backend clamps its own cosines, as the
+    built-in ones do in their kernels.
     """
-    if not all(a.strip() and b.strip() for a, b in pairs):
-        raise ValueError("text_similarity requires two non-empty texts")
+    try:  # one pass each in C: every text is not blank, every pair holds two
+        checked = all(map(str.strip, chain.from_iterable(pairs)))
+        checked = checked and all(map((2).__eq__, map(len, pairs)))
+    except TypeError:  # a text that is not a str, or a pair with no length
+        checked = False
+    if not checked:
+        # The first bad pair, raising what unpacking it or stripping its texts raises.
+        for a, b in pairs:
+            if not (a.strip() and b.strip()):
+                raise ValueError(f"text_similarity requires two non-empty texts, got {(a, b)!r}")
     values = backend.similarities(pairs)
     if len(values) != len(pairs):
         raise ValueError(
             f"{backend.kind!r} backend returned {len(values)} similarities for {len(pairs)} pairs"
         )
-    for pair, value in zip(pairs, values):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{backend.kind!r} backend scored {pair!r} as {value!r}, outside [0, 1]")
+    # Three passes in C; the loop below runs only to name the first bad pair.
+    # A NaN fails the min() test only when it comes first, and the max() test
+    # never, but it makes the sum NaN, which fails the sum test; a sum of
+    # values within [0, 1] never exceeds their count.
+    if pairs and not (min(values) >= 0.0 and max(values) <= 1.0 and sum(values) <= len(values)):
+        for pair, value in zip(pairs, values):
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(
+                    f"{backend.kind!r} backend scored {pair!r} as {value!r}, outside [0, 1]"
+                )
     # A copy, not the backend's own list: keeping that list through a 100 x 100
     # lexical ranking raised its peak memory by 8 MiB, through where it was allocated.
     return list(values)

@@ -19,7 +19,10 @@ case of it), which scores a list of pairs as arrays, embedding each unique
 text once: it pools the texts with the same number of in-vocabulary tokens in
 a grouped reduction and scores every pair in batched BLAS calls
 (:func:`_cosines`, which ``RemoteBackend`` uses too), each over at most
-``_BLOCK_ROWS`` rows, so memory does not grow with pairs times dimension.
+``_BLOCK_ROWS`` rows, so memory does not grow with pairs times dimension. The
+kernel takes each block's quotient, clamp, identity and zero-row rules in
+numpy too, and builds each block's row indices from that block's pairs, so
+the kernel runs no Python loop per pair.
 Each value is bit-identical to :func:`cosine_similarity` of the
 :func:`embed_wordvector` vectors, clamped at 0, and the warnings are
 ``embed_wordvector``'s, once per unique text; those two are the scalar
@@ -110,29 +113,51 @@ def _unscorable(matrix: np.ndarray) -> np.ndarray:
 _BLOCK_ROWS = 1024
 
 
-def _cosines(matrix: np.ndarray, index_pairs: Sequence[tuple[int, int]]) -> list[float]:
-    """``max(0.0, cosine_similarity)`` of each pair of rows of ``matrix``, bit for bit,
-    warning nothing, except that a nonzero row scores exactly 1.0 against itself.
+def _cosines(
+    matrix: np.ndarray, pairs: Sequence[tuple[str, str]], where: Mapping[str, int]
+) -> list[float]:
+    """``max(0.0, cosine_similarity)`` of the rows ``where`` gives each pair of texts
+    in ``pairs``, bit for bit, warning nothing, except that a nonzero row scores
+    exactly 1.0 against itself.
 
     That is the identity rule of both vector backends, which give equal texts
     one row: a row's cosine with itself is 1.0 only up to rounding. Every row
     must be zero or meet the rule of :func:`_unscorable`, so a product of two
     norms is finite, and zero only for a zero row (score 0.0), and no dot
-    product overflows. Every row norm, then the dot product of each block of pairs,
-    comes from one stacked ``(1, d) @ (d, 1)`` matmul, which numpy runs as the
-    BLAS ``ddot`` that ``np.dot`` and ``np.linalg.norm`` call, one pair at a
-    time, so the blocking does not change a bit. The quotient and the clamp
-    are taken per pair in Python floats.
+    product overflows. Every row norm, then the dot product of each block of
+    at most ``_BLOCK_ROWS`` pairs, comes from one stacked ``(1, d) @ (d, 1)``
+    matmul, which numpy runs as the BLAS ``ddot`` that ``np.dot`` and
+    ``np.linalg.norm`` call, one pair at a time, so the blocking does not
+    change a bit. The quotient, the clamp and the two rules are taken per
+    block in numpy, whose float64 division, product and comparisons round as
+    Python floats do; the clamp gives +0.0, as ``max(0.0, ...)`` does, to a
+    quotient that is negative or -0.0. Each block's row indices are built from
+    that block's pairs alone, so memory does not grow with the pairs.
     """
-    norms = np.sqrt(np.matmul(matrix[:, None, :], matrix[:, :, None])).ravel().tolist()
-    values = []
-    for start in range(0, len(index_pairs), _BLOCK_ROWS):
-        left = [i for i, _ in index_pairs[start : start + _BLOCK_ROWS]]
-        right = [j for _, j in index_pairs[start : start + _BLOCK_ROWS]]
-        dots = np.matmul(matrix[left][:, None, :], matrix[right][:, :, None]).ravel().tolist()
-        for i, j, dot in zip(left, right, dots):
-            norm = norms[i] * norms[j]
-            values.append((1.0 if i == j else min(1.0, max(0.0, dot / norm))) if norm else 0.0)
+    norms = np.sqrt(np.matmul(matrix[:, None, :], matrix[:, :, None])).ravel()
+    # Every block gathers its operands into these two buffers: two new arrays
+    # per block were each returned to the system when freed, and paid their
+    # page faults again in the next block.
+    shape = (min(len(pairs), _BLOCK_ROWS), matrix.shape[1])
+    left_buffer, right_buffer = np.empty(shape), np.empty(shape)
+    values: list[float] = []
+    for start in range(0, len(pairs), _BLOCK_ROWS):
+        block = pairs[start : start + _BLOCK_ROWS]
+        texts = itertools.chain.from_iterable(block)
+        rows = np.fromiter(map(where.__getitem__, texts), np.intp, 2 * len(block))
+        left, right = rows[0::2], rows[1::2]
+        # Every index is a row of matrix, so "clip" clips nothing; unlike the
+        # default mode, it writes the rows into the buffer without a copy.
+        u = np.take(matrix, left, axis=0, out=left_buffer[: len(block)], mode="clip")
+        v = np.take(matrix, right, axis=0, out=right_buffer[: len(block)], mode="clip")
+        dots = np.matmul(u[:, None, :], v[:, :, None]).ravel()
+        products = norms[left] * norms[right]
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero row's pairs are set below
+            quotients = dots / products
+        scores = np.where(quotients > 0.0, np.minimum(quotients, 1.0), 0.0)
+        scores[left == right] = 1.0
+        scores[products == 0.0] = 0.0
+        values += scores.tolist()
     return values
 
 
@@ -357,9 +382,11 @@ class WordVectorBackend(SimilarityBackend):
         for position, text_tokens in enumerate(tokens):
             rows = [index[token] for token in text_tokens if token in index]
             if rows:
-                positions, members = groups.setdefault(len(rows), ([], []))
-                positions.append(position)
-                members.append(rows)
+                group = groups.get(len(rows))
+                if group is None:
+                    group = groups[len(rows)] = ([], [])
+                group[0].append(position)
+                group[1].append(rows)
         for hits, (positions, members) in groups.items():
             step = max(1, _BLOCK_ROWS // hits)
             for start in range(0, len(positions), step):
@@ -385,7 +412,7 @@ class WordVectorBackend(SimilarityBackend):
                 f"the word vectors of {text!r} pool to a nonzero vector whose squared norm "
                 "overflows or underflows"
             )
-        return _cosines(pooled, [(where[a], where[b]) for a, b in pairs])
+        return _cosines(pooled, pairs, where)
 
 
 def _checked_vector(raw: object, dimension: int | None, name: str) -> np.ndarray:

@@ -197,6 +197,21 @@ class ShortBackend(SimilarityBackend):
         return [0.5] * (len(pairs) - 1)
 
 
+class ListedBackend(SimilarityBackend):
+    """A custom backend that returns ``values`` as they are, whatever the pairs."""
+
+    kind = "listed"
+
+    def __init__(self, values):
+        self.values = values
+
+    def similarities(self, pairs):
+        return list(self.values)
+
+
+THREE_PAIRS = [("spill", "boil"), ("boil", "lid"), ("lid", "spout")]
+
+
 def problem(problem_id, provenance, **constructs):
     constructs.setdefault("action", "spilling of liquid")
     return ProblemSapphire(
@@ -220,6 +235,38 @@ class TestBoundary:
         pairs = [("spill", "spill"), ("spill", "boil"), ("boil", "lid")]
         with pytest.raises(ValueError, match=r"scored \('spill', 'boil'\) as 7\.0"):
             text_similarities(pairs, PinnedBackend(7.0))
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, math.nextafter(1.0, 2.0), -5e-324])
+    def test_a_bad_value_anywhere_is_named(self, bad, position):
+        values = [0.5, 1.0, 0.0]
+        values[position] = bad
+        with pytest.raises(ValueError) as raised:
+            text_similarities(THREE_PAIRS, ListedBackend(values))
+        assert str(raised.value) == (
+            f"'listed' backend scored {THREE_PAIRS[position]!r} as {bad!r}, outside [0, 1]"
+        )
+
+    def test_minus_zero_passes_with_its_sign(self):
+        values = text_similarities(THREE_PAIRS, ListedBackend([0.5, -0.0, 1.0]))
+        assert [value.hex() for value in values] == [(0.5).hex(), (-0.0).hex(), (1.0).hex()]
+
+    def test_no_pairs_give_no_values(self):
+        assert text_similarities([], ListedBackend([])) == []
+
+    def test_a_blank_text_is_named_with_its_pair_before_the_backend_is_called(self):
+        pairs = [("spill", "boil"), ("boil", " \t"), ("", "lid")]
+        with pytest.raises(ValueError, match=r"non-empty texts, got \('boil', ' \\t'\)$"):
+            text_similarities(pairs, ShortBackend())
+
+    def test_a_text_that_is_not_a_string_raises_attribute_error(self):
+        with pytest.raises(AttributeError):
+            text_similarities([("spill", "boil"), ("boil", None)], ShortBackend())
+
+    @pytest.mark.parametrize("pair", [("spill", "boil", "lid"), ("spill",)])
+    def test_a_pair_that_does_not_hold_two_texts_raises(self, pair):
+        with pytest.raises(ValueError, match="values to unpack"):
+            text_similarities([("spill", "boil"), pair], ShortBackend())
 
     def test_a_missing_value_raises_naming_kind(self):
         with pytest.raises(ValueError, match=r"^'short' backend returned 0 similarities for 1 pairs$"):

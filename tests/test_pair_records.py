@@ -4,19 +4,24 @@
 Ranking builds each record from level-aligned tuples and averages inline; the
 public scalar functions (``construct_novelty``, ``aggregate_novelty``,
 ``classify_novelty``) and ``assess_pair`` must agree with it bit for bit.
+``classify_novelty`` compares a score with two floats; it must give the band
+of the score's two-decimal half-up rounding, taken in Decimal.
 """
 
 import copy
+import math
 import pickle
 import random
 from collections.abc import Mapping
 from dataclasses import FrozenInstanceError, fields, replace
+from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
 
 from sapphire_novelty import (
     ConstructLevel,
     LexicalBackend,
+    NoveltyBand,
     PairAssessment,
     ProblemCorpus,
     ProblemSapphire,
@@ -204,3 +209,56 @@ def test_the_public_constructor_keeps_its_checks():
     record = _record({ConstructLevel.PARTS: 0.3, ACTION: 0.9}, {ACTION: 0.1})
     assert type(record.construct_similarity).__name__ == "_LevelMap"
     assert record.construct_similarity.levels == (ACTION, ConstructLevel.PARTS)
+
+
+def _decimal_band(score):
+    """The band of the score's two-decimal half-up rounding of its shortest
+    ``repr``, as a Decimal: Low below 0.3, Medium below 0.7, else High."""
+    rounded = Decimal(repr(score)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)
+    if rounded < Decimal("0.3"):
+        return NoveltyBand.LOW
+    if rounded < Decimal("0.7"):
+        return NoveltyBand.MEDIUM
+    return NoveltyBand.HIGH
+
+
+def _neighbours(value, steps=3):
+    """``value`` and the ``steps`` floats on each side of it."""
+    below, above = [value], [value]
+    for _ in range(steps):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[::-1] + above[1:]
+
+
+# The floats around the two band edges of the score, and around the two
+# edges of its display rounding; every score with three decimals.
+EDGE_SCORES = [score for edge in (0.295, 0.695, 0.3, 0.7) for score in _neighbours(edge)]
+scores = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from(EDGE_SCORES),
+    st.integers(0, 1000).map(lambda thousandths: thousandths / 1000),
+)
+
+
+@hypothesis.settings(max_examples=1000, deadline=None)
+@hypothesis.given(score=scores)
+def test_classify_novelty_equals_the_decimal_band(score):
+    assert classify_novelty(score) is _decimal_band(score)
+
+
+def test_classify_novelty_at_the_band_edges():
+    for score in EDGE_SCORES:
+        assert classify_novelty(score) is _decimal_band(score)
+    assert classify_novelty(math.nextafter(0.295, 0.0)) is NoveltyBand.LOW
+    assert classify_novelty(0.295) is NoveltyBand.MEDIUM
+    assert classify_novelty(math.nextafter(0.695, 0.0)) is NoveltyBand.MEDIUM
+    assert classify_novelty(0.695) is NoveltyBand.HIGH
+
+
+@pytest.mark.parametrize(
+    "score", [math.nan, -math.inf, math.inf, math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0), -0.1, 1.1]
+)
+def test_classify_novelty_rejects_nan_and_out_of_range_scores(score):
+    with pytest.raises(ValueError, match="outside"):
+        classify_novelty(score)

@@ -256,3 +256,60 @@ class TestEmptyAndDegenerateCalls:
             (OovWarning, f"all-zero response vector for {text!r}; it matches nothing")
             for text in ("heat", "lid")
         ]
+
+
+@pytest.mark.parametrize("block", [1, vector_backends._BLOCK_ROWS])
+class TestKernelRules:
+    """The kernel's clamp, zero-row and identity rules, bit for bit, one pair per
+    block and every pair in one block: the clamp gives +0.0, as ``max(0.0, ...)``
+    does, never the -0.0 that ``np.maximum(0.0, -0.0)`` gives."""
+
+    ZERO, ONE = (0.0).hex(), (1.0).hex()
+
+    def cosines(self, block, rows, pairs):
+        matrix = np.array(rows, dtype=float)
+        where = {f"row {i}": i for i in range(len(rows))}
+        with mock.patch.object(vector_backends, "_BLOCK_ROWS", block):
+            values = vector_backends._cosines(matrix, [(f"row {i}", f"row {j}") for i, j in pairs], where)
+        return [value.hex() for value in values]
+
+    def test_a_minus_zero_dot_scores_plus_zero(self, block):
+        assert self.cosines(block, [[1.0, 0.0], [-0.0, -1.0]], [(0, 1), (1, 0)]) == [self.ZERO] * 2
+
+    def test_a_minus_zero_dot_from_another_summation_order_scores_plus_zero(self, block):
+        # A BLAS that sums from +0.0 gives the dot above as +0.0; one that starts
+        # from the first product gives -0.0, which this matmul stands in for.
+        matmul = np.matmul
+
+        def minus_zero_matmul(a, b):
+            product = matmul(a, b)
+            return np.where(product == 0.0, -0.0, product)
+
+        with mock.patch.object(np, "matmul", minus_zero_matmul):
+            assert self.cosines(block, [[1.0, 0.0], [-0.0, -1.0]], [(0, 1), (1, 0)]) == [self.ZERO] * 2
+
+    def test_a_negative_cosine_scores_plus_zero(self, block):
+        rows = [[1.0, 0.0], [-1.0, 0.0], [0.3, -0.7]]
+        assert self.cosines(block, rows, [(0, 1), (1, 0), (1, 2), (2, 1)]) == [self.ZERO] * 4
+
+    def test_a_nonzero_row_scores_exactly_one_against_itself(self, block):
+        # The formula gives this row 0.9999999999999998 against itself, and so
+        # against an equal row of its own; the rule goes by row, not by value.
+        rows = [[0.1, 0.7, 0.3], [0.1, 0.7, 0.3]]
+        assert self.cosines(block, rows, [(0, 0), (1, 1), (0, 1)]) == [
+            self.ONE,
+            self.ONE,
+            (0.9999999999999998).hex(),
+        ]
+
+    def test_a_pair_with_a_zero_row_scores_zero(self, block):
+        rows = [[0.0, 0.0], [-0.0, -0.0], [0.5, -0.5]]
+        pairs = [(0, 0), (1, 1), (0, 1), (0, 2), (2, 1), (1, 2)]
+        assert self.cosines(block, rows, pairs) == [self.ZERO] * len(pairs)
+
+    def test_the_rules_mix_within_one_call(self, block):
+        rows = [[1.0, 0.0], [-0.0, -1.0], [0.0, 0.0], [0.6, 0.8]]
+        pairs = [(0, 1), (3, 3), (2, 2), (0, 3), (3, 0), (1, 3), (2, 3)]
+        assert self.cosines(block, rows, pairs) == [
+            self.ZERO, self.ONE, self.ZERO, (0.6).hex(), (0.6).hex(), self.ZERO, self.ZERO,
+        ]
