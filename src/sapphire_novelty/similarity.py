@@ -27,8 +27,9 @@ calls ``similarity`` once per pair. The lexical, word-vector and remote
 backends define only ``similarities``, which scores a whole list of pairs,
 tokenizing and embedding each unique text once (the remote backend sends one
 set of batched requests per call, so one comparison of equal texts sends that
-text once); the two vector backends pool by grouped reduction and score the
-pairs in batched BLAS calls over bounded blocks of rows, with each block's
+text once); the word-vector backend pools its texts from one flat array of
+token rows per call, and the two vector backends score the pairs in batched
+BLAS calls over bounded blocks of rows, with each block's
 quotient and clamp taken in numpy, bit-identical to ``cosine_similarity``
 clamped at 0, except that equal texts share one row, which the kernel scores
 1.0 against itself. The fixture backend defines only ``similarity``. The

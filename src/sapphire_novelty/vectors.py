@@ -16,8 +16,10 @@ line-by-line parser, whose errors name the line.
 
 It defines only ``similarities`` (``similarity`` is the contract's one-pair
 case of it), which scores a list of pairs as arrays, embedding each unique
-text once: it pools the texts with the same number of in-vocabulary tokens in
-a grouped reduction and scores every pair in batched BLAS calls
+text once: it maps every token of the call to its row in one pass, into one
+flat array, pools the texts with the same number of in-vocabulary tokens
+together from it (:func:`_pool`), so no Python code runs per text after
+tokenizing, and scores every pair in batched BLAS calls
 (:func:`_cosines`, which ``RemoteBackend`` uses too), each over at most
 ``_BLOCK_ROWS`` rows, so memory does not grow with pairs times dimension. The
 kernel takes each block's quotient, clamp, identity and zero-row rules in
@@ -111,6 +113,34 @@ def _unscorable(matrix: np.ndarray) -> np.ndarray:
 # operands), so their memory is bounded whatever the number of texts or
 # pairs: 1,024 rows of 300 floats take 2.3 MiB.
 _BLOCK_ROWS = 1024
+
+
+def _pool(matrix: np.ndarray, rows: np.ndarray, hits: np.ndarray) -> np.ndarray:
+    """The mean of each text's rows of ``matrix``, as ``np.mean(axis=0)`` of their
+    stack gives it, bit for bit, or a zero row for a text with no rows.
+
+    ``rows`` holds the rows of every text, text after text, and ``hits[i]`` is
+    how many of them are text ``i``'s. The texts are grouped by that count
+    once, and each group's texts are pooled ``_BLOCK_ROWS // count`` at a time
+    (a text with more rows alone): one gather of their rows, reduced over the
+    rows as ``np.mean`` reduces them, then divided, so a block's arrays hold at
+    most ``_BLOCK_ROWS`` rows, or one text's.
+    """
+    pooled = np.zeros((len(hits), matrix.shape[1]))
+    starts = np.cumsum(hits) - hits
+    order = np.argsort(hits, kind="stable")
+    counts, bounds = np.unique(hits[order], return_index=True)
+    with np.errstate(over="ignore"):  # the caller reports an overflow
+        for count, positions in zip(counts.tolist(), np.split(order, bounds[1:])):
+            if count == 0:
+                continue
+            step = max(1, _BLOCK_ROWS // count)
+            offsets = np.arange(count)
+            for start in range(0, len(positions), step):
+                block = positions[start : start + step]
+                members = np.take(matrix, rows[starts[block, None] + offsets], axis=0)
+                pooled[block] = np.add.reduce(members, axis=1) / count
+    return pooled
 
 
 def _cosines(
@@ -371,33 +401,18 @@ class WordVectorBackend(SimilarityBackend):
         # Each text is scored by the row of the first text with equal tokens, so
         # equal texts share one row, and the kernel scores them 1.0.
         first: dict[tuple[str, ...], int] = {}
-        where = {
-            text: first.setdefault(tuple(text_tokens), position)
-            for position, (text, text_tokens) in enumerate(zip(texts, tokens))
-        }
+        where = dict(zip(texts, map(first.setdefault, map(tuple, tokens), itertools.count())))
         index, matrix = self.table.index, self.table.matrix
-        pooled = np.zeros((len(texts), matrix.shape[1]))
-        # Texts grouped by their number of in-vocabulary tokens: positions, rows.
-        groups: dict[int, tuple[list[int], list[list[int]]]] = {}
-        for position, text_tokens in enumerate(tokens):
-            rows = [index[token] for token in text_tokens if token in index]
-            if rows:
-                group = groups.get(len(rows))
-                if group is None:
-                    group = groups[len(rows)] = ([], [])
-                group[0].append(position)
-                group[1].append(rows)
-        for hits, (positions, members) in groups.items():
-            step = max(1, _BLOCK_ROWS // hits)
-            for start in range(0, len(positions), step):
-                # Adds each text's rows in order, then divides, as np.mean(axis=0) does.
-                rows = matrix[members[start : start + step]]
-                with np.errstate(over="ignore"):  # an overflow is reported below
-                    pooled[positions[start : start + step]] = np.add.reduce(rows, axis=1) / hits
-        nonzero = pooled.any(axis=1).tolist()
-        for text_tokens, pooled_nonzero in zip(tokens, nonzero):
-            if not pooled_nonzero:
-                _warn_zero_sentinel(text_tokens, found=any(token in index for token in text_tokens))
+        # Every token of the call in one pass, text after text: its row, or -1
+        # out of vocabulary; then each text's number of in-vocabulary tokens.
+        lengths = np.fromiter(map(len, tokens), np.intp, len(tokens))
+        tokens_rows = map(index.get, itertools.chain.from_iterable(tokens), itertools.repeat(-1))
+        flat = np.fromiter(tokens_rows, np.intp, int(lengths.sum()))
+        found = flat >= 0
+        hits = np.bincount(np.repeat(np.arange(len(tokens)), lengths)[found], minlength=len(tokens))
+        pooled = _pool(matrix, flat[found], hits)
+        for position in np.flatnonzero(~pooled.any(axis=1)).tolist():
+            _warn_zero_sentinel(tokens[position], found=bool(hits[position]))
         finite = np.isfinite(pooled).all(axis=1)
         if not finite.all():
             text = texts[int(np.argmin(finite))]

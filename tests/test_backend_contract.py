@@ -8,6 +8,13 @@ defines only ``similarity``. Under the lexical, word-vector and remote
 backends a text with nothing to score on scores 0.0 against every text,
 itself included, and warns once per call, naming the text.
 
+A NaN or ±inf component in a vector a backend is given raises, whatever its
+source; each source's tests state it: a ``WordVectorBackend`` table in
+``tests/test_similarity.py::TestWordVectorBackendTable``, a vector-file line
+in ``tests/test_similarity.py::TestLoadWordVectors`` and a remote response in
+``tests/test_remote_backend.py`` (``test_non_finite_component_rejected_and_retried``
+and ``test_infinite_component_rejected``).
+
 ``text_similarities`` is the one place the package checks a backend's
 output. It returns the values unchanged, or raises ``ValueError`` naming the
 backend: a value outside [0, 1] or NaN never becomes a clamped score, and a

@@ -1,0 +1,180 @@
+"""A whole ranking against a reference written from the paper's definition,
+sharing no code with ranking.
+
+For each current problem, a past problem is compared when the similarity of
+their Action texts reaches the threshold. Each level both carry (other than
+the Action) gets novelty 1 - s, taken in decimal on the similarity's shortest
+``repr``, as a report reader subtracts; the pair's average is the mean of
+those novelties in canonical level order. The problem's score is the minimum
+average over its compared pairs, banded on its two-decimal half-up display
+(Low below 0.3, Medium below 0.7, else High), and problems are ranked by
+(-minimum, id). A problem with no compared pair that shares a level is
+unmatched; those are listed by id. The reference scores each pair with its
+own ``backend.similarity`` call, so it does not share ranking's bulk calls,
+memo or level keys either.
+"""
+
+import warnings
+from decimal import ROUND_HALF_UP, Decimal
+
+import numpy as np
+import pytest
+
+from sapphire_novelty import (
+    ConstructLevel,
+    FixtureBackend,
+    LexicalBackend,
+    NoveltyBand,
+    OovWarning,
+    ProblemCorpus,
+    ProblemSapphire,
+    Provenance,
+    WordVectorBackend,
+    rank_current_problems,
+)
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+ACTION = ConstructLevel.ACTION
+NON_ACTION = [level for level in ConstructLevel if level is not ACTION]
+# Few Actions, so many problems share one; "Water boil" tokenizes as "boil water".
+ACTIONS = ["boil water", "Water boil", "heat water", "spill liquid"]
+# Few phrases, so level texts repeat and averages tie; "xyzzy" has no word vector.
+PHRASES = ["heat", "lid", "steam", "hot lid", "lid hot", "steam heat lid", "spout", "xyzzy", "xyzzy lid"]
+BLANK = "  "  # a level whose text is blank is absent
+WORDS = ["boil", "water", "heat", "spill", "liquid", "hot", "lid", "steam", "spout"]
+
+
+def _wordvec_backend():
+    rng = np.random.default_rng(17)
+    return WordVectorBackend(table={word: rng.uniform(-1.0, 1.0, 4) for word in WORDS})
+
+
+def _fixture_backend():
+    """Every pair of the texts above, pinned to the lexical similarity at two
+    decimals, so many pairs tie."""
+    texts = ACTIONS + PHRASES
+    keys = [tuple(sorted((a.casefold(), b.casefold()))) for i, a in enumerate(texts) for b in texts[i:]]
+    values = LexicalBackend().similarities(keys)
+    return FixtureBackend(table={key: round(value, 2) for key, value in zip(keys, values)})
+
+
+BACKENDS = {"lexical": LexicalBackend, "wordvec": _wordvec_backend, "fixture": _fixture_backend}
+
+
+@st.composite
+def corpora(draw, role, prefix):
+    """1 to 30 problems with shuffled ids, each with a drawn Action and some
+    non-Action levels, some of them blank."""
+    size = draw(st.integers(1, 30))
+    ids = draw(st.permutations(range(size)))
+    problems = []
+    for index in ids:
+        constructs = {ACTION: draw(st.sampled_from(ACTIONS))}
+        for level in draw(st.sets(st.sampled_from(NON_ACTION))):
+            constructs[level] = draw(st.sampled_from(PHRASES + [BLANK]))
+        problems.append(ProblemSapphire(f"{prefix}{index:02d}", "", role, constructs=constructs))
+    return ProblemCorpus(role.value, role, tuple(problems))
+
+
+def _band(score):
+    rounded = Decimal(repr(score)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)
+    if rounded < Decimal("0.3"):
+        return NoveltyBand.LOW
+    return NoveltyBand.MEDIUM if rounded < Decimal("0.7") else NoveltyBand.HIGH
+
+
+def _reference(past, current, backend, threshold):
+    """(ranked, unmatched) as the definition gives them, in the shape of :func:`_observed`."""
+    similarity = {}
+
+    def score(a, b):
+        if (a, b) not in similarity:
+            similarity[a, b] = backend.similarity(a, b)
+        return similarity[a, b]
+
+    def text(problem, level):
+        value = problem.constructs.get(level)
+        return value if value is not None and value.strip() else None
+
+    ranked, unmatched = [], []
+    for problem in current.problems:
+        records, averages = [], []
+        for reference in past.problems:
+            action = score(text(reference, ACTION), text(problem, ACTION))
+            if not action >= threshold:
+                continue
+            shared = [level for level in NON_ACTION if text(reference, level) and text(problem, level)]
+            levels = [ACTION, *shared]
+            similarities = [action] + [score(text(reference, level), text(problem, level)) for level in shared]
+            novelties = [float(Decimal(1) - Decimal(repr(value))) for value in similarities]
+            average = sum(novelties[1:]) / len(shared) if shared else None
+            if shared:
+                averages.append(average)
+            records.append(
+                (
+                    reference.id,
+                    [(level, s.hex(), n.hex()) for level, s, n in zip(levels, similarities, novelties)],
+                    tuple(shared),
+                    None if average is None else average.hex(),
+                    None if average is None else _band(average),
+                    not shared,
+                )
+            )
+        if averages:
+            ranked.append((min(averages), problem.id, records))
+        else:
+            unmatched.append((problem.id, records))
+    ranked.sort(key=lambda entry: (-entry[0], entry[1]))
+    return (
+        [
+            (problem_id, rank, minimum.hex(), _band(minimum), records)
+            for rank, (minimum, problem_id, records) in enumerate(ranked, start=1)
+        ],
+        sorted(unmatched, key=lambda entry: entry[0]),
+    )
+
+
+def _observed(report):
+    def records(entry):
+        return [
+            (
+                pair.past_id,
+                [
+                    (level, pair.construct_similarity[level].hex(), pair.construct_novelty[level].hex())
+                    for level in pair.construct_similarity
+                ],
+                pair.included_levels,
+                None if pair.average_novelty is None else pair.average_novelty.hex(),
+                pair.band,
+                pair.no_comparable_constructs,
+            )
+            for pair in entry.assessments
+        ]
+
+    ranked = [
+        (entry.current_id, entry.rank, entry.min_novelty.hex(), entry.band, records(entry))
+        for entry in report.ranked
+    ]
+    unmatched = [(entry.current_id, records(entry)) for entry in report.unmatched]
+    assert all(
+        (entry.rank, entry.min_novelty, entry.band) == (None, None, None) for entry in report.unmatched
+    )
+    return ranked, unmatched
+
+
+@pytest.mark.parametrize("name", list(BACKENDS))
+@hypothesis.settings(max_examples=20, deadline=None)
+@hypothesis.given(
+    past=corpora(Provenance.PAST, "P"),
+    current=corpora(Provenance.CURRENT, "C"),
+    threshold=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+)
+def test_a_ranking_equals_the_reference(name, past, current, threshold):
+    backend = BACKENDS[name]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OovWarning)
+        report = rank_current_problems(past, current, backend, threshold)
+        reference = _reference(past, current, backend, threshold)
+    assert _observed(report) == reference

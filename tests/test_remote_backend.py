@@ -206,6 +206,15 @@ class TestErrorPaths:
             backend.embed_texts(["a", "b"])
         assert len(embed_stub.batches) == 2
 
+    @pytest.mark.parametrize("component", [float("inf"), float("-inf")], ids=["inf", "-inf"])
+    def test_infinite_component_rejected(self, embed_stub, component):
+        # json.dumps writes Infinity and -Infinity, which the client's JSON parser accepts.
+        embed_stub.mode = "table"
+        embed_stub.table = {"a": [1.0, 1.0], "b": [0.5, component]}
+        backend = RemoteBackend(endpoint=embed_stub.url, retries=1)
+        with pytest.raises(BackendUnavailableError, match=r"response vector 1 must have finite components"):
+            backend.embed_texts(["a", "b"])
+
     @pytest.mark.parametrize(
         "mode", ["string_components", "bool_components", "empty_vectors", "deep_nesting"]
     )

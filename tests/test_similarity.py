@@ -154,6 +154,7 @@ class TestWordVectorBackendTable:
         [
             ({"hot": [float("nan"), 1.0], "cold": [1.0, 0.0]}, "'hot'.*finite"),
             ({"hot": [1.0, 0.0], "cold": [float("inf"), 0.0]}, "'cold'.*finite"),
+            ({"hot": [1.0, 0.0], "cold": [0.0, float("-inf")]}, "'cold'.*finite"),
             ({"hot": [1.0, 0.0], "cold": [1.0, 0.0, 0.0]}, "'cold' has 3 components, expected 2"),
             ({"hot": [[1.0, 0.0]]}, "'hot'.*flat"),
             ({}, "table must be non-empty"),

@@ -210,6 +210,81 @@ def test_pooled_overflow_names_the_text():
     assert str(per_pair.value) == str(bulk.value)
 
 
+class TestFlatPooling:
+    """Pins for the pooling of one call's texts from one flat array of token rows,
+    in blocks of a patched ``_BLOCK_ROWS`` of 2: hit counts above the block, more
+    texts of one hit count than one block holds, -0.0 components, overflow, and
+    texts with nothing to pool among the others. Values equal the per-pair
+    formula's bit for bit, and the warnings are pinned: text, reason and order."""
+
+    TABLE = {
+        "heat": [1.0, -0.0, 0.5],
+        "lid": [-0.0, -0.0, 0.25],
+        "spout": [0.3, 0.7, -0.2],
+        "steam": [-1.0, 0.0, -0.5],  # cancels heat
+        "water": [-0.0, -0.0, -0.0],
+    }
+    # Five texts with one hit, five with two, then three, four and five hits,
+    # with out-of-vocabulary and token-less texts between them.
+    TEXTS = [
+        "heat", "lid", "xyzzy plugh", "spout", "water", "?!", "steam", "heat lid", "spout spout",
+        "heat steam", "lid water", "heat xyzzy lid", "heat lid spout", "spout heat lid steam",
+        "lid lid lid lid lid", "plugh",
+    ]
+
+    def outcomes(self, table, pairs):
+        backend = WordVectorBackend(table={word: np.array(vector) for word, vector in table.items()})
+        with mock.patch.object(vector_backends, "_BLOCK_ROWS", 2):
+            bulk = _outcome(backend.similarities, pairs)
+        return bulk, _outcome(lambda pairs: _wordvec_per_pair(backend, pairs), pairs)
+
+    def test_blocks_signs_and_empty_texts_match_the_formula(self):
+        pairs = [(a, b) for a in self.TEXTS for b in self.TEXTS[::3]]
+        bulk, per_pair = self.outcomes(self.TABLE, pairs)
+        assert bulk == per_pair
+        assert bulk[0][0] == "values"
+        assert bulk[1] == [
+            (OovWarning, f"{reason}; returning the zero sentinel")
+            for reason in (
+                "the in-vocabulary vectors of ['heat', 'steam'] sum to zero",
+                "no in-vocabulary token among ['plugh']",
+                "no in-vocabulary token among ['xyzzy', 'plugh']",
+                "the in-vocabulary vectors of ['water'] sum to zero",
+                "no in-vocabulary token among []",
+            )
+        ]
+
+    def test_an_overflowing_sum_names_its_text(self):
+        table = self.TABLE | {"coil": [1e308, 1.0, 0.0]}
+        pairs = [("heat", "lid"), ("heat", "coil coil"), ("coil coil", "lid"), ("coil", "heat")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # numpy's overflow warning is not passed on
+            bulk, per_pair = self.outcomes(table, pairs)
+        assert bulk == per_pair == (
+            (
+                "error",
+                WordVectorFormatError,
+                "the word vectors of 'coil coil' pool to a vector that is not finite: their sum overflows",
+            ),
+            [],
+        )
+
+    def test_one_component_vectors_are_summed_as_np_mean_sums_them(self):
+        # Summed in order, seven lids vanish into the first 1.0 and the text pools
+        # to zero; np.mean sums one column pairwise, and the lids survive.
+        table = {"heat": [1.0], "lid": [6e-17], "steam": [-1.0]}
+        pairs = [("heat lid lid lid lid lid lid lid steam", "heat"), ("heat lid steam", "heat")]
+        bulk, per_pair = self.outcomes(table, pairs)
+        assert bulk == per_pair
+        assert bulk[0] == ("values", [(1.0).hex(), (0.0).hex()])
+        assert bulk[1] == [
+            (
+                OovWarning,
+                "the in-vocabulary vectors of ['heat', 'lid', 'steam'] sum to zero; returning the zero sentinel",
+            )
+        ]
+
+
 class TestEmptyAndDegenerateCalls:
     def test_wordvector_no_pairs(self):
         backend = WordVectorBackend(table={"heat": np.array([1.0, 0.0])})
