@@ -16,10 +16,14 @@ complement a human would write down (0.686), with no binary-float drift.
 
 Everything here is a pure function over immutable inputs, and the report's
 order is fixed by sorting, not by the order pairs were scored in. A pair
-record is a slot dataclass that ranking builds once, and holds its scores
-as tuples aligned with its levels, in canonical order; the renderers walk
-those tuples. Which levels two problems share follows from their presence
-masks, and each distinct layout is computed once. Ranking walks the gated
+record is a slot dataclass that ranking builds once, through the same
+checked constructor as any other caller, and holds its scores as tuples
+aligned with its levels, in canonical order; the renderers walk those
+tuples. Every level-keyed input (a problem's constructs, a record's score
+maps, the levels :func:`aggregate_novelty` averages) passes one rule: its
+keys must be construct levels, held in canonical order. Which levels two
+problems share follows from their presence masks, and each distinct layout
+is computed once. Ranking walks the gated
 pairs forward once, keys each pair's level texts once, and converts or
 bands each distinct score once, in a :class:`_Memo` made anew per call.
 """
@@ -38,6 +42,7 @@ from .problem_model import (
     ProblemCorpus,
     ProblemSapphire,
     Provenance,
+    _canonical_levels,
     construct_text,
 )
 from .similarity import SimilarityBackend, text_similarities, text_similarity
@@ -145,19 +150,19 @@ def aggregate_novelty(
     """Arithmetic mean of per-construct novelty over ``included`` levels.
 
     The Action level is the gate, not part of the average, and is rejected
-    here. Summation follows the canonical level order so the result is
-    bit-identical regardless of the order callers assembled the map in.
+    here, as is anything in ``included`` that is not a level. Summation
+    follows the canonical level order so the result is bit-identical
+    regardless of the order callers assembled the map in.
     """
-    included = tuple(included)
+    included = _canonical_levels(dict.fromkeys(included))
     if not included:
         raise ValueError("cannot aggregate over an empty set of levels")
-    if ConstructLevel.ACTION in included:
+    if _ACTION in included:
         raise ValueError("the Action level is gated, never averaged")
     missing = [level.key for level in included if level not in construct_scores]
     if missing:
-        raise ValueError(f"no score for included level(s): {sorted(set(missing))}")
-    ordered = [construct_scores[level] for level in _NON_ACTION_LEVELS if level in included]
-    return sum(ordered) / len(ordered)
+        raise ValueError(f"no score for included level(s): {sorted(missing)}")
+    return sum(construct_scores[level] for level in included) / len(included)
 
 
 class _LevelMap(Mapping[ConstructLevel, float]):
@@ -173,9 +178,7 @@ class _LevelMap(Mapping[ConstructLevel, float]):
     @classmethod
     def of(cls, scores: Mapping[ConstructLevel, float]) -> "_LevelMap":
         """``scores`` in canonical level order; a key that is not a level raises ``ValueError``."""
-        levels = tuple(level for level in ConstructLevel if level in scores)
-        if len(levels) != len(scores):
-            raise ValueError(f"score map keys must be construct levels: {dict(scores)!r}")
+        levels = _canonical_levels(scores)
         return cls(levels, tuple(scores[level] for level in levels))
 
     def __getitem__(self, level: ConstructLevel) -> float:
@@ -194,7 +197,10 @@ class _LevelMap(Mapping[ConstructLevel, float]):
         return f"{type(self).__name__}({dict(zip(self.levels, self.scores))!r})"
 
 
-@dataclass(frozen=True, slots=True)
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class PairAssessment:
     """Scores for one gated (past, current) pair.
 
@@ -213,44 +219,36 @@ class PairAssessment:
     included_levels: tuple[ConstructLevel, ...]
     average_novelty: Optional[float]
     band: Optional[NoveltyBand]
-    no_comparable_constructs: bool = False
+    no_comparable_constructs: bool
 
-    def __post_init__(self) -> None:
-        if ConstructLevel.ACTION in self.included_levels:
+    def __init__(
+        self,
+        past_id: str,
+        current_id: str,
+        construct_similarity: Mapping[ConstructLevel, float],
+        construct_novelty: Mapping[ConstructLevel, float],
+        included_levels: tuple[ConstructLevel, ...],
+        average_novelty: Optional[float],
+        band: Optional[NoveltyBand],
+        no_comparable_constructs: bool = False,
+    ) -> None:
+        # Written by hand, not generated: ranking builds one record per gated
+        # pair, and a generated __init__ plus __post_init__ costs about half as
+        # much again per record.
+        if _ACTION in included_levels:
             raise ValueError("the Action level cannot be part of the average")
-        for name in ("construct_similarity", "construct_novelty"):
-            scores = getattr(self, name)
-            if not isinstance(scores, _LevelMap):
-                object.__setattr__(self, name, _LevelMap.of(scores))
-
-
-_new = object.__new__
-_set = object.__setattr__
-
-
-def _pair(
-    past_id: str,
-    current_id: str,
-    similarity: _LevelMap,
-    novelty: _LevelMap,
-    included: tuple[ConstructLevel, ...],
-    average: Optional[float],
-    band: Optional[NoveltyBand],
-) -> PairAssessment:
-    """The record ``PairAssessment(...)`` builds from these values, built as its
-    generated ``__init__`` builds it, without ``__post_init__``: ranking passes
-    an ``included`` from ``_LAYOUTS``, which never holds the Action level, and
-    maps that are ``_LevelMap``s already, so both checks hold by construction."""
-    record = _new(PairAssessment)
-    _set(record, "past_id", past_id)
-    _set(record, "current_id", current_id)
-    _set(record, "construct_similarity", similarity)
-    _set(record, "construct_novelty", novelty)
-    _set(record, "included_levels", included)
-    _set(record, "average_novelty", average)
-    _set(record, "band", band)
-    _set(record, "no_comparable_constructs", not included)
-    return record
+        if type(construct_similarity) is not _LevelMap:
+            construct_similarity = _LevelMap.of(construct_similarity)
+        if type(construct_novelty) is not _LevelMap:
+            construct_novelty = _LevelMap.of(construct_novelty)
+        _set(self, "past_id", past_id)
+        _set(self, "current_id", current_id)
+        _set(self, "construct_similarity", construct_similarity)
+        _set(self, "construct_novelty", construct_novelty)
+        _set(self, "included_levels", included_levels)
+        _set(self, "average_novelty", average_novelty)
+        _set(self, "band", band)
+        _set(self, "no_comparable_constructs", no_comparable_constructs)
 
 
 @dataclass(frozen=True)
@@ -461,7 +459,7 @@ def rank_current_problems(
             if included and (minimum is None or average < minimum):
                 minimum = average
             records.append(
-                _pair(
+                PairAssessment(
                     past_ids[i],
                     current_id,
                     _LevelMap(levels, similarities),
@@ -469,6 +467,7 @@ def rank_current_problems(
                     included,
                     average,
                     band[average] if included else None,
+                    not included,
                 )
             )
         if minimum is None:

@@ -71,6 +71,16 @@ _LEVEL_ORDER = tuple(ConstructLevel)
 CANONICAL_LEVEL_KEYS: tuple[str, ...] = tuple(level.key for level in _LEVEL_ORDER)
 
 
+def _canonical_levels(keyed: Mapping) -> tuple[ConstructLevel, ...]:
+    """The keys of ``keyed`` in canonical level order; a key that is not a
+    :class:`ConstructLevel` raises ``ValueError`` naming it."""
+    levels = tuple(level for level in _LEVEL_ORDER if level in keyed)
+    if len(levels) != len(keyed):
+        others = [key for key in keyed if not isinstance(key, ConstructLevel)]
+        raise ValueError(f"keys must be construct levels: {others!r}")
+    return levels
+
+
 class Provenance(Enum):
     """Whether a problem belongs to the reference (past) or assessed (current) set."""
 
@@ -96,8 +106,9 @@ class ProblemSapphire:
     """One design problem expressed at the SAPPhIRE levels.
 
     ``constructs`` maps a level to its phrase; levels other than Action may be
-    absent. Texts are stored verbatim (no normalisation at rest) so reports
-    preserve source fidelity; the similarity engine normalises on its side.
+    absent, and a key that is not a level raises ``ValueError``. Texts are
+    stored verbatim (no normalisation at rest) so reports preserve source
+    fidelity; the similarity engine normalises on its side.
     """
 
     id: str
@@ -108,11 +119,7 @@ class ProblemSapphire:
     constructs: Mapping[ConstructLevel, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        ordered = {
-            level: self.constructs[level]
-            for level in _LEVEL_ORDER
-            if level in self.constructs
-        }
+        ordered = {level: self.constructs[level] for level in _canonical_levels(self.constructs)}
         object.__setattr__(self, "constructs", MappingProxyType(ordered))
 
 

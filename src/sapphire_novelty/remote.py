@@ -21,7 +21,7 @@ import urllib.error
 import urllib.parse
 import urllib.request
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -59,7 +59,7 @@ class RemoteBackend(SimilarityBackend):
     batch_size: int = 32
     timeout: float = 30.0
     retries: int = 3
-    kind: str = field(default="remote", init=False, repr=False)
+    kind = "remote"
 
     def __post_init__(self) -> None:
         for name in ("batch_size", "retries"):

@@ -27,24 +27,21 @@ calls ``similarity`` once per pair. The lexical, word-vector and remote
 backends define only ``similarities``, which scores a whole list of pairs,
 tokenizing and embedding each unique text once (the remote backend sends one
 set of batched requests per call, so one comparison of equal texts sends that
-text once); the word-vector backend pools its texts from one flat array of
-token rows per call, and the two vector backends score the pairs in batched
-BLAS calls over bounded blocks of rows, with each block's
-quotient and clamp taken in numpy, bit-identical to ``cosine_similarity``
-clamped at 0, except that equal texts share one row, which the kernel scores
-1.0 against itself. The fixture backend defines only ``similarity``. The
-package itself reaches a backend only through ``similarities``:
-``text_similarity`` is the one-pair case of ``text_similarities``, the one
-place that checks a backend's output (one value per pair, each in [0, 1])
-and raises ``ValueError`` on anything else, NaN included, rather than clamp
-it. It checks the texts and the range of a whole call in C-level passes
-(``all``, ``min``, ``max``, ``sum``), and walks the pairs in Python only to
-name the first bad one. Every backend but the fixture one has
-one rule for a text with nothing to score on (no token left after stopwords,
-no in-vocabulary token, word vectors that cancel, an all-zero response
-vector): it scores 0.0 against every text, itself included, and warns once
-per call, naming the text, in order of first appearance. Nothing is cached
-between calls, so such a text warns again in every call that scores it.
+text once); how the two vector backends pool and score their texts is set
+out in :mod:`sapphire_novelty.vectors`. The fixture backend defines only
+``similarity``. The package itself reaches a backend only through
+``similarities``: ``text_similarity`` is the one-pair case of
+``text_similarities``, the one place that checks a backend's output (one
+value per pair, each in [0, 1]) and raises ``ValueError`` on anything else,
+NaN included, rather than clamp it, and returns the backend's own list. It
+checks the texts and the range of a whole call in C-level passes (``all``,
+``min``, ``max``, ``sum``), and walks the pairs in Python only to name the
+first bad one. Every backend but the fixture one has one rule for a text
+with nothing to score on (no token left after stopwords, no in-vocabulary
+token, word vectors that cancel, an all-zero response vector): it scores 0.0
+against every text, itself included, and warns once per call, naming the
+text, in order of first appearance. Nothing is cached between calls, so
+such a text warns again in every call that scores it.
 
 All similarity calls are pure given a backend; backends are immutable after
 construction and safe for concurrent use.
@@ -56,7 +53,7 @@ import math
 import re
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -112,11 +109,12 @@ def tokenize(text: str, stopwords: Iterable[str] = ()) -> list[str]:
     """Lowercase and split on runs of non-alphanumeric characters.
 
     Empty tokens are dropped by construction; the stopword filter is applied
-    last. Deterministic; empty text gives an empty list.
+    last, with the stopwords lowercased as the text is. Deterministic; empty
+    text gives an empty list.
     """
     tokens = _TOKEN_RE.findall(text.lower())
     if stopwords:
-        stopset = set(stopwords)
+        stopset = set(map(str.lower, stopwords))
         tokens = [token for token in tokens if token not in stopset]
     return tokens
 
@@ -189,7 +187,7 @@ class SimilarityBackend:
     kind: str = ""
 
     def __init_subclass__(cls) -> None:
-        if not cls.kind:  # a built-in's kind is still a truthy dataclass field here
+        if not cls.kind:
             cls.kind = cls.__name__
 
     def similarity(self, a: str, b: str) -> float:
@@ -216,7 +214,7 @@ class LexicalBackend(SimilarityBackend):
     """
 
     stopwords: frozenset[str] = frozenset()
-    kind: str = field(default="lexical", init=False, repr=False)
+    kind = "lexical"
 
     def similarities(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
         scored: dict[str, tuple[list[str], Counter[str], float]] = {}
@@ -244,7 +242,7 @@ class FixtureBackend(SimilarityBackend):
     """Replay of pinned pair similarities; a missing pair is an explicit error."""
 
     table: Mapping[tuple[str, str], float]
-    kind: str = field(default="fixture", init=False, repr=False)
+    kind = "fixture"
 
     @classmethod
     def from_file(cls, path: str | Path) -> "FixtureBackend":
@@ -282,7 +280,7 @@ def text_similarities(pairs: Sequence[tuple[str, str]], backend: SimilarityBacke
     ``0.0 <= value <= 1.0``. Anything else raises ``ValueError`` naming
     ``backend.kind``; a value out of range, NaN or infinite, also names its
     pair. No value is clamped: a backend clamps its own cosines, as the
-    built-in ones do in their kernels.
+    built-in ones do in their kernels. The list returned is the backend's own.
     """
     try:  # one pass each in C: every text is not blank, every pair holds two
         checked = all(map(str.strip, chain.from_iterable(pairs)))
@@ -309,6 +307,4 @@ def text_similarities(pairs: Sequence[tuple[str, str]], backend: SimilarityBacke
                 raise ValueError(
                     f"{backend.kind!r} backend scored {pair!r} as {value!r}, outside [0, 1]"
                 )
-    # A copy, not the backend's own list: keeping that list through a 100 x 100
-    # lexical ranking raised its peak memory by 8 MiB, through where it was allocated.
-    return list(values)
+    return values

@@ -44,7 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -378,7 +378,7 @@ class WordVectorBackend(SimilarityBackend):
     """
 
     table: Mapping[str, np.ndarray]
-    kind: str = field(default="wordvec", init=False, repr=False)
+    kind = "wordvec"
 
     def __post_init__(self) -> None:
         if not self.table:

@@ -40,6 +40,7 @@ st = hypothesis.strategies
 
 LEVELS = list(ConstructLevel)
 ACTION = ConstructLevel.ACTION
+EFFECT = ConstructLevel.EFFECT
 NON_ACTION = LEVELS[1:]
 ACTIONS = ["boil water", "heat water", "spill liquid", "clean base"]
 WORDS = ["heat", "lid", "spout", "steam", "water", "coil", "base"]
@@ -150,9 +151,35 @@ def test_record_maps_pass_through_a_copy_of_the_record_uncopied():
         record.construct_novelty = {}
 
 
-def test_record_maps_reject_keys_that_are_not_levels():
-    with pytest.raises(ValueError, match="keys must be construct levels"):
-        _record({ACTION: 0.9, "parts": 0.3}, {})
+# Every input keyed by levels goes through one rule; each of these builds one
+# with the key "parts" in place of the level.
+NOT_A_LEVEL = {
+    "similarity map": lambda: _record({ACTION: 0.9, "parts": 0.3}, {}),
+    "novelty map": lambda: _record({}, {"parts": 0.7, ACTION: 0.1}),
+    "problem constructs": lambda: ProblemSapphire(
+        "P", "", Provenance.PAST, constructs={ACTION: "spill", "parts": "lid"}
+    ),
+    "averaged levels": lambda: aggregate_novelty({"parts": 0.2, EFFECT: 0.8}, ["parts", EFFECT]),
+}
+
+
+@pytest.mark.parametrize("build", NOT_A_LEVEL.values(), ids=NOT_A_LEVEL)
+def test_level_keyed_inputs_reject_keys_that_are_not_levels(build):
+    with pytest.raises(ValueError, match=r"^keys must be construct levels: \['parts'\]$"):
+        build()
+
+
+def test_a_record_is_the_same_built_positionally_by_keyword_or_with_the_default_flag():
+    similarity = {ConstructLevel.PARTS: 0.3, ACTION: 0.9}
+    novelty = {ACTION: 0.1, ConstructLevel.PARTS: 0.7}
+    values = ("P", "C", similarity, novelty, (ConstructLevel.PARTS,), 0.7, NoveltyBand.HIGH, False)
+    positional = PairAssessment(*values)
+    keyword = PairAssessment(**dict(zip((f.name for f in fields(PairAssessment)), values)))
+    default = PairAssessment(*values[:-1])
+    assert positional == keyword == default
+    assert default.no_comparable_constructs is False
+    for record in (positional, keyword, default):
+        assert type(record.construct_novelty).__name__ == "_LevelMap"
 
 
 def _dense_corpora(seed=7, size=12):

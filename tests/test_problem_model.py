@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from sapphire_novelty import (
@@ -173,6 +175,12 @@ class TestImmutability:
         assert list(problem.constructs) == [
             ConstructLevel.ACTION, ConstructLevel.INPUT, ConstructLevel.PARTS,
         ]
+
+    @pytest.mark.parametrize("key", ["state_change", "action", "Effect", None])
+    def test_a_key_that_is_not_a_level_raises_naming_it(self, key):
+        constructs = {ConstructLevel.ACTION: "spilling of liquid", key: "leak"}
+        with pytest.raises(ValueError, match=rf"^keys must be construct levels: \[{re.escape(repr(key))}\]$"):
+            ProblemSapphire(id="P1", label="x", provenance=Provenance.PAST, constructs=constructs)
 
 
 class TestValidateCorpus:

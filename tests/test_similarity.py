@@ -48,6 +48,10 @@ class TestTokenize:
             "spilling", "liquid",
         ]
 
+    @pytest.mark.parametrize("stopwords", [["Of", "The"], ["OF", "tHe"]])
+    def test_stopwords_are_lowercased_as_the_text_is(self, stopwords):
+        assert tokenize("Spilling OF the Liquid", stopwords=stopwords) == ["spilling", "liquid"]
+
     def test_deterministic(self):
         text = "Boiling;water,overflows--fast"
         assert tokenize(text) == tokenize(text)
@@ -368,6 +372,10 @@ class TestTextSimilarity:
             "contained to leak body", "static to movable liquid", LexicalBackend()
         )
         assert value == 0.25
+
+    def test_stopwords_in_another_case_still_filter(self):
+        backend = LexicalBackend(stopwords=frozenset({"The", "OF"}))
+        assert text_similarity("The liquid", "of liquid", backend) == 1.0
 
     def test_all_stopword_texts_score_zero_with_warning(self):
         backend = LexicalBackend(stopwords=frozenset({"of", "the"}))
