@@ -52,17 +52,15 @@ def _build_backend(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         if not args.fixtures:
             parser.error("--backend fixture requires --fixtures <path>")
         return FixtureBackend.from_file(args.fixtures)
-    if args.backend == "remote":
-        endpoint = args.endpoint or os.environ.get(ENV_EMBED_URL)
-        if not endpoint:
-            parser.error(
-                f"--backend remote requires --endpoint <url> or the {ENV_EMBED_URL} variable"
-            )
-        from .remote import RemoteBackend
+    # "remote": the parser admits no other backend.
+    endpoint = args.endpoint or os.environ.get(ENV_EMBED_URL)
+    if not endpoint:
+        parser.error(
+            f"--backend remote requires --endpoint <url> or the {ENV_EMBED_URL} variable"
+        )
+    from .remote import RemoteBackend
 
-        return RemoteBackend(endpoint=endpoint)
-    parser.error(f"unknown backend {args.backend!r}")
-    raise AssertionError("unreachable")
+    return RemoteBackend(endpoint=endpoint)
 
 
 def cmd_validate(paths: Sequence[str]) -> int:
@@ -207,25 +205,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return cmd_validate(args.paths)
     if args.command == "oscore":
         return cmd_oscore(args.n, args.m)
-    if args.command in ("assess", "rank"):
-        if not 0.0 <= args.threshold <= 1.0:
-            parser.error(f"--threshold must lie in [0, 1], got {args.threshold}")
-        with warnings.catch_warnings():
-            warnings.showwarning = _show_warning
-            if not args.strict:
-                # Lenient mode reports every skipped record, not one per location.
-                warnings.simplefilter("always")
-            try:
-                backend = _build_backend(args, parser)
-            except OSError as error:
-                print(f"cannot read backend data: {error}", file=sys.stderr)
-                return EXIT_ENVIRONMENT
-            except ValueError as error:
-                print(f"invalid backend data: {error}", file=sys.stderr)
-                return EXIT_DATA
-            return cmd_assess(args, backend)
-    parser.error(f"unknown command {args.command!r}")
-    raise AssertionError("unreachable")
+    # "assess" or "rank": the subparsers admit no other command.
+    if not 0.0 <= args.threshold <= 1.0:
+        parser.error(f"--threshold must lie in [0, 1], got {args.threshold}")
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        if not args.strict:
+            # Lenient mode reports every skipped record, not one per location.
+            warnings.simplefilter("always")
+        try:
+            backend = _build_backend(args, parser)
+        except OSError as error:
+            print(f"cannot read backend data: {error}", file=sys.stderr)
+            return EXIT_ENVIRONMENT
+        except ValueError as error:
+            print(f"invalid backend data: {error}", file=sys.stderr)
+            return EXIT_DATA
+        return cmd_assess(args, backend)
 
 
 if __name__ == "__main__":

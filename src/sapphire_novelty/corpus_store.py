@@ -241,11 +241,13 @@ def import_survey_csv(
     """Import survey responses (CSV) as a current-role corpus.
 
     The header row must carry ``id``, ``label``, ``source`` and ``action``;
-    the remaining construct columns are optional. Cells are trimmed and blank
-    rows skipped. Empty construct cells become absent levels; an empty id cell
-    auto-generates ``CUR-<row>`` from the 1-based data row number. Each row
-    then meets the record policy of :func:`load_corpus`, with errors and
-    warnings naming the data row.
+    the remaining construct columns are optional. A column that is read may
+    appear only once, while a blank or unknown column, repeated or not, is
+    ignored with a warning. Cells are trimmed and blank rows skipped. Empty
+    construct cells become absent levels; an empty id cell auto-generates
+    ``CUR-<row>`` from the 1-based data row number. Each row then meets the
+    record policy of :func:`load_corpus`, with errors and warnings naming
+    the data row.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as handle:
@@ -263,6 +265,11 @@ def import_survey_csv(
         if missing:
             raise CorpusFormatError(f"{path}: header lacks required column(s) {missing}")
         known = {*_SURVEY_REQUIRED_COLUMNS, *CANONICAL_LEVEL_KEYS}
+        repeated = [
+            column for column in dict.fromkeys(header) if column in known and header.count(column) > 1
+        ]
+        if repeated:
+            raise CorpusFormatError(f"{path}: unreadable header row (repeated column(s) {repeated})")
         unknown = [column for column in header if column not in known]
         if unknown:
             warnings.warn(f"{path}: ignoring unknown column(s) {unknown}", CorpusWarning)

@@ -37,10 +37,10 @@ NaN included, rather than clamp it, and returns the backend's own list. It
 checks the texts and the range of a whole call in C-level passes (``all``,
 ``min``, ``max``, ``sum``), and walks the pairs in Python only to name the
 first bad one. Every backend but the fixture one has one rule for a text
-with nothing to score on (no token left after stopwords, no in-vocabulary
-token, word vectors that cancel, an all-zero response vector): it scores 0.0
-against every text, itself included, and warns once per call, naming the
-text, in order of first appearance. Nothing is cached between calls, so
+with nothing to score on (no token at all, no in-vocabulary token, word
+vectors that cancel, an all-zero response vector): it scores 0.0 against
+every text, itself included, and warns once per call, naming the text, in
+order of first appearance. Nothing is cached between calls, so
 such a text warns again in every call that scores it.
 
 All similarity calls are pure given a backend; backends are immutable after
@@ -56,7 +56,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .problem_model import _not_utf8
 
@@ -105,18 +105,13 @@ class BackendUnavailableError(RuntimeError):
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
-def tokenize(text: str, stopwords: Iterable[str] = ()) -> list[str]:
+def tokenize(text: str) -> list[str]:
     """Lowercase and split on runs of non-alphanumeric characters.
 
-    Empty tokens are dropped by construction; the stopword filter is applied
-    last, with the stopwords lowercased as the text is. Deterministic; empty
-    text gives an empty list.
+    No word is dropped, and the pattern yields no empty token; empty text
+    gives an empty list.
     """
-    tokens = _TOKEN_RE.findall(text.lower())
-    if stopwords:
-        stopset = set(map(str.lower, stopwords))
-        tokens = [token for token in tokens if token not in stopset]
-    return tokens
+    return _TOKEN_RE.findall(text.lower())
 
 
 def _fixture_key(a: str, b: str) -> tuple[str, str]:
@@ -208,18 +203,17 @@ def _unique_texts(pairs: Sequence[tuple[str, str]]) -> list[str]:
 class LexicalBackend(SimilarityBackend):
     """Cosine of the token-count vectors of the two texts.
 
-    Deterministic stand-in for a learned embedder; the default stopword list
-    is empty because construct phrases are short and words like "of" or "to"
+    Deterministic stand-in for a learned embedder. It takes no settings and
+    drops no word: construct phrases are short, and words like "of" or "to"
     carry structure ("static to movable liquid").
     """
 
-    stopwords: frozenset[str] = frozenset()
     kind = "lexical"
 
     def similarities(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
         scored: dict[str, tuple[list[str], Counter[str], float]] = {}
         for text in _unique_texts(pairs):
-            tokens = tokenize(text, self.stopwords)
+            tokens = tokenize(text)
             if not tokens:
                 warnings.warn(f"no tokens survive in {text!r}", OovWarning)
             counts = Counter(tokens)

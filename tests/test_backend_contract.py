@@ -54,7 +54,7 @@ from conftest import canned_vector
 
 WORDS = ["kettle", "water", "steam", "lid", "heat", "coil", "spout", "boil", "spill"]
 OOV = ["xyzzy", "plugh", "frobozz"]
-STOPWORDS = ["of", "the"]
+FUNCTION_WORDS = ["of", "the"]
 
 
 def _cases():
@@ -64,10 +64,12 @@ def _cases():
     def phrases(words, count):
         return [" ".join(rng.choice(words) for _ in range(rng.randint(1, 6))) for _ in range(count)]
 
-    # In-vocabulary words only and no stopword, so every backend has something to score.
+    # In-vocabulary words only, so every backend has something to score.
     scorable = phrases(WORDS, 100) + ["Kettle-LID", "kettle lid"]
-    # Out-of-vocabulary words and stopwords among the words, or alone.
-    others = phrases(WORDS + OOV + STOPWORDS, 40) + ["xyzzy", "plugh frobozz", "frobozz plugh", "of the"]
+    # Out-of-vocabulary and function words among the words, or alone, and a text with no token.
+    others = phrases(WORDS + OOV + FUNCTION_WORDS, 40) + [
+        "xyzzy", "plugh frobozz", "frobozz plugh", "of the", "-- !!",
+    ]
     reordered = [(text, " ".join(reversed(text.split()))) for text in scorable[:20] + others[:20]]
     texts = list(dict.fromkeys(scorable + others + [text for _, text in reordered]))
     pairs = [(rng.choice(texts), rng.choice(texts)) for _ in range(150)]
@@ -95,7 +97,9 @@ class JaccardBackend(SimilarityBackend):
 def _fixture_backend():
     """A table that pins every pair of the suite's texts, self-pairs included."""
     keys = [tuple(sorted((a.casefold(), b.casefold()))) for i, a in enumerate(TEXTS) for b in TEXTS[i:]]
-    values = LexicalBackend().similarities(keys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OovWarning)
+        values = LexicalBackend().similarities(keys)
     return FixtureBackend(table={key: round(value, 6) for key, value in zip(keys, values)})
 
 
@@ -106,7 +110,6 @@ def _wordvec_backend():
 
 BACKENDS = {
     "lexical": LexicalBackend,
-    "lexical-stopwords": lambda: LexicalBackend(stopwords=frozenset(STOPWORDS)),
     "wordvec": _wordvec_backend,
     "remote": None,  # needs the stub service; built in the fixture
     "fixture": _fixture_backend,
@@ -154,6 +157,11 @@ class TestContract:
             warnings.simplefilter("ignore", OovWarning)
             checked, raw = text_similarities(PAIRS, backend), backend.similarities(PAIRS)
         assert [value.hex() for value in checked] == [value.hex() for value in raw]
+
+
+def test_the_lexical_cases_meet_a_tokenless_text():
+    _, messages = _recorded(lambda: LexicalBackend().similarities(PAIRS))
+    assert (OovWarning, "no tokens survive in '-- !!'") in messages
 
 
 @pytest.mark.parametrize(

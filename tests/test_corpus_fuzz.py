@@ -8,7 +8,9 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 from sapphire_novelty import (
     CorpusFormatError,
@@ -21,9 +23,6 @@ from sapphire_novelty import (
 )
 from sapphire_novelty.corpus_store import validate_corpus_file
 from sapphire_novelty.problem_model import CANONICAL_LEVEL_KEYS
-
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
 
 RECORD_KEYS = ["id", "label", "provenance", "source", "context", "constructs", "extra"]
 # Inputs that Python's parsers refuse with their own exceptions: an integer

@@ -1,6 +1,7 @@
 import json
 import random
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -251,6 +252,14 @@ class TestSaveCorpus:
         broken = ProblemCorpus("x", Provenance.PAST, twin.problems + twin.problems)
         with pytest.raises(ValueError, match="duplicate"):
             save_corpus(broken, tmp_path / "out.jsonl")
+        blank = replace(twin.problems[1], constructs=make_constructs(action="  "))
+        with pytest.raises(
+            ValueError,
+            match=r"^refusing to save an invalid corpus: problems\[0\]\.constructs\[action\]: "
+            "the Action construct is mandatory and must be non-empty$",
+        ):
+            save_corpus(ProblemCorpus("x", Provenance.PAST, (blank,)), tmp_path / "out.jsonl")
+        assert not (tmp_path / "out.jsonl").exists()
 
     def test_random_corpora_round_trip(self, tmp_path):
         rng = random.Random(67)
@@ -419,13 +428,35 @@ class TestImportSurveyCsv:
         with pytest.raises(CorpusFormatError, match="header"):
             import_survey_csv(path, context="kettle")
 
-    def test_unknown_column_warned(self, tmp_path):
-        path = write_lines(
-            tmp_path / "survey.csv", SURVEY_HEADER + ",notes", "R1,l,s,spill,,,,,,,note"
-        )
-        with pytest.warns(CorpusWarning, match="unknown column"):
+    @pytest.mark.parametrize(
+        "extra, cells, unknown",
+        [(",notes", ",note", "['notes']"), (",notes,notes,,", ",a,b,,", "['notes', 'notes', '', '']")],
+        ids=["once", "repeated-and-blank"],
+    )
+    def test_unknown_column_warned(self, tmp_path, extra, cells, unknown):
+        path = write_lines(tmp_path / "survey.csv", SURVEY_HEADER + extra, "R1,l,s,spill,,,,,," + cells)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             corpus = import_survey_csv(path, context="kettle")
+        assert [str(w.message) for w in caught] == [f"{path}: ignoring unknown column(s) {unknown}"]
         assert corpus.problems[0].id == "R1"
+        assert corpus.problems[0].constructs == {ConstructLevel.ACTION: "spill"}
+
+    @pytest.mark.parametrize(
+        "header, row, repeated",
+        [
+            ("id,label,source,action,action", "C1,l,s,spill liquid,heat water", ["action"]),
+            ("id,id,label,source,action", "C1,C2,l,s,spill", ["id"]),
+            (SURVEY_HEADER + ",effect,id", "R1,l,s,spill,,,,,,,boil,R2", ["id", "effect"]),
+        ],
+        ids=["action", "id", "effect-and-id"],
+    )
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_repeated_read_column_rejected(self, tmp_path, header, row, repeated, strict):
+        path = write_lines(tmp_path / "survey.csv", header, row)
+        with pytest.raises(CorpusFormatError) as raised:
+            import_survey_csv(path, context="kettle", strict=strict)
+        assert str(raised.value) == f"{path}: unreadable header row (repeated column(s) {repeated})"
 
     def test_rfc4180_quoting(self, tmp_path):
         path = write_lines(

@@ -140,6 +140,8 @@ class TestClassifyNovelty:
 
     def test_band_order_total(self):
         assert NoveltyBand.LOW < NoveltyBand.MEDIUM < NoveltyBand.HIGH
+        with pytest.raises(TypeError):
+            NoveltyBand.LOW < 1
 
     def test_monotone_in_score(self):
         scores = [i / 1000 for i in range(1001)]

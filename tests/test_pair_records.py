@@ -16,7 +16,9 @@ from collections.abc import Mapping
 from dataclasses import FrozenInstanceError, fields, replace
 from decimal import ROUND_HALF_UP, Decimal
 
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 from sapphire_novelty import (
     ConstructLevel,
@@ -34,9 +36,6 @@ from sapphire_novelty import (
     rank_current_problems,
 )
 from sapphire_novelty.data import load_case_study
-
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
 
 LEVELS = list(ConstructLevel)
 ACTION = ConstructLevel.ACTION
@@ -236,6 +235,9 @@ def test_the_public_constructor_keeps_its_checks():
     record = _record({ConstructLevel.PARTS: 0.3, ACTION: 0.9}, {ACTION: 0.1})
     assert type(record.construct_similarity).__name__ == "_LevelMap"
     assert record.construct_similarity.levels == (ACTION, ConstructLevel.PARTS)
+    assert repr(record.construct_similarity) == (
+        "_LevelMap({<ConstructLevel.ACTION: 'action'>: 0.9, <ConstructLevel.PARTS: 'parts'>: 0.3})"
+    )
 
 
 def _decimal_band(score):

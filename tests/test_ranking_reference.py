@@ -17,8 +17,10 @@ memo or level keys either.
 import warnings
 from decimal import ROUND_HALF_UP, Decimal
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from sapphire_novelty import (
     ConstructLevel,
@@ -32,9 +34,6 @@ from sapphire_novelty import (
     WordVectorBackend,
     rank_current_problems,
 )
-
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
 
 ACTION = ConstructLevel.ACTION
 NON_ACTION = [level for level in ConstructLevel if level is not ACTION]

@@ -8,7 +8,9 @@ including hand-built ones the pipeline never makes.
 
 import json
 
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 from sapphire_novelty import (
     ConstructLevel,
@@ -21,9 +23,6 @@ from sapphire_novelty import (
     round_half_up,
 )
 from sapphire_novelty.data import load_case_study
-
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
 
 LEVELS = list(ConstructLevel)
 NON_ACTION = LEVELS[1:]

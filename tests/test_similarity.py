@@ -43,18 +43,15 @@ class TestTokenize:
     def test_unicode_word_characters_survive(self):
         assert tokenize("Überdruck im café!") == ["überdruck", "im", "café"]
 
-    def test_stopwords_applied_last(self):
-        assert tokenize("spilling of the liquid", stopwords=["of", "the"]) == [
-            "spilling", "liquid",
-        ]
-
-    @pytest.mark.parametrize("stopwords", [["Of", "The"], ["OF", "tHe"]])
-    def test_stopwords_are_lowercased_as_the_text_is(self, stopwords):
-        assert tokenize("Spilling OF the Liquid", stopwords=stopwords) == ["spilling", "liquid"]
-
     def test_deterministic(self):
         text = "Boiling;water,overflows--fast"
         assert tokenize(text) == tokenize(text)
+
+    def test_takes_only_the_text(self):
+        with pytest.raises(TypeError):
+            tokenize("spilling of the liquid", ["of", "the"])
+        with pytest.raises(TypeError):
+            tokenize("spilling of the liquid", stopwords=["of", "the"])
 
 
 class TestCosineSimilarity:
@@ -323,10 +320,17 @@ class TestLoadFixtureSimilarities:
         path.write_text("a\tb\t0.5\nb\ta\t0.5\n", encoding="utf-8")
         assert len(load_fixture_similarities(path)) == 1
 
-    def test_non_decimal_similarity_names_line(self, tmp_path):
+    @pytest.mark.parametrize(
+        "content, line_no",
+        [("a\tb\t0.5\na\tc\thigh\n", 2), ("\na\tb\t0.5\n \t \na\tc\thigh\n", 4)],
+        ids=["plain", "blank-lines-skipped-and-counted"],
+    )
+    def test_non_decimal_similarity_names_line(self, tmp_path, content, line_no):
         path = tmp_path / "fix.tsv"
-        path.write_text("a\tb\t0.5\na\tc\thigh\n", encoding="utf-8")
-        with pytest.raises(FixtureFormatError, match="line 2: similarity 'high' is not a decimal"):
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(
+            FixtureFormatError, match=f"line {line_no}: similarity 'high' is not a decimal"
+        ):
             load_fixture_similarities(path)
 
     def test_wrong_field_count_names_line(self, tmp_path):
@@ -373,14 +377,19 @@ class TestTextSimilarity:
         )
         assert value == 0.25
 
-    def test_stopwords_in_another_case_still_filter(self):
-        backend = LexicalBackend(stopwords=frozenset({"The", "OF"}))
-        assert text_similarity("The liquid", "of liquid", backend) == 1.0
+    def test_lexical_backend_takes_no_settings(self):
+        assert repr(LexicalBackend()) == "LexicalBackend()"
+        assert LexicalBackend() == LexicalBackend()
+        with pytest.raises(TypeError):
+            LexicalBackend(stopwords=frozenset({"of", "the"}))
 
-    def test_all_stopword_texts_score_zero_with_warning(self):
-        backend = LexicalBackend(stopwords=frozenset({"of", "the"}))
-        with pytest.warns(OovWarning):
-            assert text_similarity("of the", "the of", backend) == 0.0
+    def test_tokenless_texts_score_zero_with_warning(self):
+        with pytest.warns(OovWarning) as caught:
+            assert text_similarity("-- !!", "?!", LexicalBackend()) == 0.0
+        assert [str(w.message) for w in caught] == [
+            "no tokens survive in '-- !!'",
+            "no tokens survive in '?!'",
+        ]
 
     def test_wordvector_identity_is_exactly_one(self):
         backend = WordVectorBackend(
@@ -415,9 +424,9 @@ def _random_texts(rng, words, count):
     ]
 
 
-def _dense_lexical_reference(a, b, stopwords):
+def _dense_lexical_reference(a, b):
     """Cosine of dense count vectors over the pair's sorted vocabulary."""
-    tokens_a, tokens_b = tokenize(a, stopwords), tokenize(b, stopwords)
+    tokens_a, tokens_b = tokenize(a), tokenize(b)
     if tokens_a == tokens_b:
         return 1.0 if tokens_a else 0.0
     vocabulary = {token: i for i, token in enumerate(sorted(set(tokens_a) | set(tokens_b)))}
@@ -433,22 +442,20 @@ def _dense_lexical_reference(a, b, stopwords):
 
 class TestLexicalAgainstDenseReference:
     WORDS = ["kettle", "water", "water", "steam", "lid", "of", "the", "to", "café", "überdruck"]
-    STOPWORDS = frozenset({"of", "the", "to"})
 
     def _text(self, rng):
         if rng.random() < 0.05:
             return rng.choice(["--- !!", "of the", "to of to"])
         return "-".join(rng.choice(self.WORDS) for _ in range(rng.randint(1, 12)))
 
-    @pytest.mark.parametrize("stopwords", [frozenset(), STOPWORDS])
-    def test_bit_identical_to_dense_count_vectors(self, stopwords):
+    def test_bit_identical_to_dense_count_vectors(self):
         rng = random.Random(23)
-        backend = LexicalBackend(stopwords=stopwords)
+        backend = LexicalBackend()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", OovWarning)
             for _ in range(10_000):
                 a, b = self._text(rng), self._text(rng)
-                assert backend.similarity(a, b) == _dense_lexical_reference(a, b, stopwords), (a, b)
+                assert backend.similarity(a, b) == _dense_lexical_reference(a, b), (a, b)
 
 
 class TestBulkMatchesScalar:
@@ -540,9 +547,9 @@ class TestOovWarningsPerUniqueText:
         assert len(self._warned(backend, pairs[:1])) == 1
 
     def test_lexical_warns_once_per_tokenless_text(self):
-        backend = LexicalBackend(stopwords=frozenset({"of", "the"}))
-        pairs = [("of the", "kettle"), ("of the", "the of"), ("kettle", "of the")] * 3
+        backend = LexicalBackend()
+        pairs = [("-- !!", "kettle"), ("-- !!", "?!"), ("kettle", "-- !!")] * 3
         assert self._warned(backend, pairs) == [
-            "no tokens survive in 'of the'",
-            "no tokens survive in 'the of'",
+            "no tokens survive in '-- !!'",
+            "no tokens survive in '?!'",
         ]

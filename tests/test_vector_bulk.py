@@ -15,8 +15,10 @@ import math
 import warnings
 from unittest import mock
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from sapphire_novelty import vectors as vector_backends
 from sapphire_novelty import (
@@ -29,9 +31,6 @@ from sapphire_novelty import (
     embed_wordvector,
     tokenize,
 )
-
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
 
 VOCABULARY = ["heat", "lid", "spout", "steam", "water", "coil"]
 OOV = ["xyzzy", "plugh"]

@@ -6,13 +6,12 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 from sapphire_novelty import WordVectorFormatError, load_word_vectors
 from sapphire_novelty import vectors
-
-hypothesis = pytest.importorskip("hypothesis")
-st = hypothesis.strategies
 
 WORDS = ["hot", "cold", "3", "2", "caf\u00e9", "x#y", 'q"t']
 # Components the fast path takes, then those it leaves to the line parser.
