@@ -71,11 +71,13 @@ def problem_to_record(problem: ProblemSapphire) -> dict:
     }
 
 
-def problem_from_record(record: dict, *, line_no: int, strict: bool) -> ProblemSapphire:
-    """Build one problem from a parsed JSONL object, enforcing the schema.
+def problem_from_record(record: dict, *, path: str | Path, line_no: int, strict: bool) -> ProblemSapphire:
+    """Build one problem from ``record``, the parsed object on line
+    ``line_no`` of the JSONL file ``path``, enforcing the schema.
 
-    Raises :class:`CorpusFormatError` for schema breaches; in lenient mode the
-    breaches that have a safe reading (unknown keys) are warnings instead.
+    Raises :class:`CorpusFormatError` naming the line for schema breaches; in
+    lenient mode the breaches that have a safe reading (unknown keys) are
+    warnings instead, naming the file and the line.
     """
     if not isinstance(record, dict):
         raise CorpusFormatError(f"line {line_no}: expected a JSON object, got {type(record).__name__}")
@@ -85,7 +87,7 @@ def problem_from_record(record: dict, *, line_no: int, strict: bool) -> ProblemS
         message = f"line {line_no}: unknown key(s) {unknown}"
         if strict:
             raise CorpusFormatError(message)
-        warnings.warn(message + " (ignored)", CorpusWarning)
+        warnings.warn(f"{path}: {message} (ignored)", CorpusWarning)
 
     raw_provenance = record.get("provenance")
     try:
@@ -105,7 +107,7 @@ def problem_from_record(record: dict, *, line_no: int, strict: bool) -> ProblemS
             message = f"line {line_no}: unknown construct key {key!r}"
             if strict:
                 raise CorpusFormatError(message)
-            warnings.warn(message + " (ignored)", CorpusWarning)
+            warnings.warn(f"{path}: {message} (ignored)", CorpusWarning)
             continue
         if not isinstance(text, str):
             raise CorpusFormatError(f"line {line_no}: construct {key!r} must be a string")
@@ -156,7 +158,7 @@ def _read_records(path: Path, strict: bool) -> Iterator[tuple[int, ProblemSapphi
             yield line_no, f"line {line_no}: malformed JSON ({getattr(error, 'msg', error)})"
             continue
         try:
-            yield line_no, problem_from_record(record, line_no=line_no, strict=strict)
+            yield line_no, problem_from_record(record, path=path, line_no=line_no, strict=strict)
         except CorpusFormatError as error:
             yield line_no, str(error)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import http.client
 import json
 import math
+import numbers
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -31,6 +32,9 @@ from .vectors import _checked_vector, _cosines, _unscorable
 
 __all__ = ["RemoteBackend"]
 
+# Requests per batch: the first and two immediate retries.
+_ATTEMPTS = 3
+
 
 @dataclass(frozen=True)
 class RemoteBackend(SimilarityBackend):
@@ -41,32 +45,36 @@ class RemoteBackend(SimilarityBackend):
     with one vector per input text, in the same order, each meeting the rule
     of :func:`_checked_vector` and, if nonzero, with a squared norm that
     :func:`_unscorable` accepts; all vectors of one call to :meth:`embed_texts`,
-    across its batches, share one dimension. A 4xx status other than 408 and
-    429 is the request's fault and raises :class:`BackendUnavailableError` at
-    once. So does an endpoint whose scheme is not ``http`` or ``https``,
-    before any request is sent. A transport failure, 408, 429, 5xx or other
-    non-2xx status, or a response that is not JSON (one nested past the
-    recursion limit included) or breaks a vector rule is retried; after
-    ``retries`` attempts the call raises :class:`BackendUnavailableError`.
+    across its batches, share one dimension. Each call to :meth:`embed_texts`
+    first checks the endpoint: one that is not a URL with a valid port, or
+    whose scheme is not ``http`` or ``https``, raises
+    :class:`BackendUnavailableError` before any request is sent. A 4xx status
+    other than 408 and 429 is the request's fault and raises
+    :class:`BackendUnavailableError` at once. A transport failure, 408, 429,
+    5xx or other non-2xx status, or a response that is not JSON (one nested
+    past the recursion limit included) or breaks a vector rule is retried at
+    once; after three attempts at one batch the call raises
+    :class:`BackendUnavailableError`.
     A text whose vector is all zero scores 0.0 against every text, itself
     included, and emits one :class:`OovWarning` per :meth:`similarities`
     call naming it, in order of first appearance, before any pair is scored.
-    ``batch_size`` and ``retries`` below 1, and a ``timeout`` that is not a
-    finite number above 0, raise ``ValueError`` at construction.
+    A ``batch_size`` that is not an integer of at least 1, or a ``timeout``
+    that is not a finite number of seconds above 0, raises ``ValueError`` at
+    construction.
     """
 
     endpoint: str
     batch_size: int = 32
     timeout: float = 30.0
-    retries: int = 3
     kind = "remote"
 
     def __post_init__(self) -> None:
-        for name in ("batch_size", "retries"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if not 0 < self.timeout < math.inf:
-            raise ValueError(f"timeout must be a finite number of seconds above 0, got {self.timeout}")
+        # A bool is an int to Python, but it is neither a count nor a duration.
+        size, timeout = self.batch_size, self.timeout
+        if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1:
+            raise ValueError(f"batch_size must be an integer of at least 1, got {size!r}")
+        if isinstance(timeout, bool) or not isinstance(timeout, numbers.Real) or not 0 < timeout < math.inf:
+            raise ValueError(f"timeout must be a finite number of seconds above 0, got {timeout!r}")
 
     def similarities(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
         if not pairs:
@@ -81,6 +89,7 @@ class RemoteBackend(SimilarityBackend):
 
     def embed_texts(self, texts: Sequence[str]) -> list[np.ndarray]:
         """Embed ``texts`` in order, batching requests at ``batch_size``."""
+        _check_endpoint(self.endpoint)
         vectors: list[np.ndarray] = []
         for start in range(0, len(texts), self.batch_size):
             batch = list(texts[start : start + self.batch_size])
@@ -88,13 +97,9 @@ class RemoteBackend(SimilarityBackend):
         return vectors
 
     def _post_batch(self, batch: list[str], dimension: int | None) -> list[np.ndarray]:
-        # urllib also opens file:// and ftp:// URLs; only HTTP speaks the protocol.
-        scheme = urllib.parse.urlsplit(self.endpoint).scheme
-        if scheme not in ("http", "https"):
-            raise BackendUnavailableError(f"endpoint scheme must be http or https, got {scheme!r}")
         body = json.dumps({"texts": batch}).encode("utf-8")
         last_error: Exception | None = None
-        for attempt in range(1, self.retries + 1):
+        for attempt in range(1, _ATTEMPTS + 1):
             try:
                 request = urllib.request.Request(
                     self.endpoint, data=body, headers={"Content-Type": "application/json"}
@@ -110,13 +115,24 @@ class RemoteBackend(SimilarityBackend):
                 # sending it again cannot succeed.
                 if 400 <= error.code < 500 and error.code not in (408, 429):
                     break
-            except (
-                OSError, http.client.HTTPException, ValueError, KeyError, TypeError, RecursionError
-            ) as error:
+            except (OSError, http.client.HTTPException, ValueError, RecursionError) as error:
                 last_error = error
         raise BackendUnavailableError(
             f"embedding service at {self.endpoint} failed after {attempt} attempt(s): {last_error}"
         )
+
+
+def _check_endpoint(endpoint: str) -> None:
+    """Raise :class:`BackendUnavailableError` unless ``endpoint`` is an ``http``
+    or ``https`` URL that ``urllib`` can split, a port included."""
+    try:
+        parts = urllib.parse.urlsplit(endpoint)
+        parts.port  # raises ValueError for a port that is not a number in range
+    except ValueError as error:
+        raise BackendUnavailableError(f"endpoint {endpoint!r} is not a valid URL: {error}") from None
+    # urllib also opens file:// and ftp:// URLs; only HTTP speaks the protocol.
+    if parts.scheme not in ("http", "https"):
+        raise BackendUnavailableError(f"endpoint scheme must be http or https, got {parts.scheme!r}")
 
 
 def _parse_vectors(payload: object, expected: int, dimension: int | None) -> list[np.ndarray]:

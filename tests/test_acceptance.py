@@ -360,14 +360,14 @@ class TestCriterion8NonReproducibility:
         from sapphire_novelty import BackendUnavailableError
 
         embed_stub.fail_remaining = 2
-        backend = RemoteBackend(endpoint=embed_stub.url, retries=3)
+        backend = RemoteBackend(endpoint=embed_stub.url)
         assert backend.embed_texts(["a b"])  # succeeds on the third attempt
 
         embed_stub.fail_remaining = 99
         with pytest.raises(BackendUnavailableError):
-            RemoteBackend(endpoint=embed_stub.url, retries=2).embed_texts(["a b"])
+            RemoteBackend(endpoint=embed_stub.url).embed_texts(["a b"])
 
         embed_stub.fail_remaining = 0
         embed_stub.mode = "bad_count"
         with pytest.raises(BackendUnavailableError):
-            RemoteBackend(endpoint=embed_stub.url, retries=1).embed_texts(["a", "b"])
+            RemoteBackend(endpoint=embed_stub.url).embed_texts(["a", "b"])

@@ -128,8 +128,10 @@ class TestLoadCorpus:
 
     def test_unknown_top_level_key_lenient_warned_and_ignored(self, tmp_path):
         path = write_lines(tmp_path / "c.jsonl", record("A", extra="x"))
-        with pytest.warns(CorpusWarning, match="unknown key"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             corpus = load_corpus(path, Provenance.PAST, strict=False)
+        assert [str(w.message) for w in caught] == [f"{path}: line 1: unknown key(s) ['extra'] (ignored)"]
         assert corpus.problems[0].id == "A"
 
     def test_unknown_construct_key_strict_rejected(self, tmp_path):
@@ -137,8 +139,9 @@ class TestLoadCorpus:
             tmp_path / "c.jsonl",
             record("A", constructs={"action": "spill", "organs": "x"}),
         )
-        with pytest.raises(CorpusFormatError, match="unknown construct key"):
+        with pytest.raises(CorpusFormatError) as raised:
             load_corpus(path, Provenance.PAST, strict=True)
+        assert str(raised.value) == f"{path}: line 1: unknown construct key 'organs'"
 
     def test_invalid_record_strict_names_line_and_violation(self, tmp_path):
         path = write_lines(
@@ -168,7 +171,8 @@ class TestLoadCorpus:
 
 class TestProblemFromRecord:
     def parse(self, strict=True, **overrides):
-        return problem_from_record(json.loads(record("A", **overrides)), line_no=3, strict=strict)
+        parsed = json.loads(record("A", **overrides))
+        return problem_from_record(parsed, path="c.jsonl", line_no=3, strict=strict)
 
     def test_constructs_must_be_an_object(self):
         with pytest.raises(CorpusFormatError, match="line 3: 'constructs' must be an object"):
@@ -185,7 +189,7 @@ class TestProblemFromRecord:
 
     def test_lenient_unknown_construct_key_is_ignored_with_warning(self):
         constructs = {"action": "spilling of liquid", "smell": "burnt"}
-        with pytest.warns(CorpusWarning, match=r"line 3: unknown construct key 'smell' \(ignored\)"):
+        with pytest.warns(CorpusWarning, match=r"^c\.jsonl: line 3: unknown construct key 'smell' \(ignored\)$"):
             problem = self.parse(strict=False, constructs=constructs)
         assert dict(problem.constructs) == {ConstructLevel.ACTION: "spilling of liquid"}
 

@@ -1,15 +1,19 @@
 """Wire-protocol checks for the remote embedding backend, against a stub server."""
 
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import urllib.request
 import warnings
 from pathlib import Path
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import sapphire_novelty
 from sapphire_novelty import (
@@ -32,6 +36,7 @@ from sapphire_novelty.data import (
     load_case_study,
     past_corpus_path,
 )
+from sapphire_novelty.remote import _parse_vectors
 
 from conftest import canned_vector
 
@@ -137,23 +142,25 @@ class TestZeroVectors:
 
 class TestRetries:
     def test_transient_failures_are_retried(self, embed_stub):
+        # The first batch fails twice and succeeds; the second starts again
+        # at its first attempt.
         embed_stub.fail_remaining = 2
-        backend = RemoteBackend(endpoint=embed_stub.url, retries=3)
-        vectors = backend.embed_texts(["a b"])
-        assert list(vectors[0]) == canned_vector("a b")
-        assert len(embed_stub.batches) == 3  # two failures plus the success
+        backend = RemoteBackend(endpoint=embed_stub.url, batch_size=1)
+        vectors = backend.embed_texts(["a b", "c"])
+        assert [list(v) for v in vectors] == [canned_vector("a b"), canned_vector("c")]
+        assert embed_stub.batches == [["a b"]] * 3 + [["c"]]
 
     def test_exhausted_retries_raise_backend_unavailable(self, embed_stub):
         embed_stub.fail_remaining = 5
-        backend = RemoteBackend(endpoint=embed_stub.url, retries=2)
-        with pytest.raises(BackendUnavailableError, match="after 2 attempt"):
+        backend = RemoteBackend(endpoint=embed_stub.url)
+        with pytest.raises(BackendUnavailableError, match="after 3 attempt"):
             backend.embed_texts(["a b"])
-        assert len(embed_stub.batches) == 2
+        assert len(embed_stub.batches) == 3
 
     @pytest.mark.parametrize("status", [400, 404])
     def test_client_error_fails_at_once(self, embed_stub, status):
         embed_stub.fail_remaining, embed_stub.fail_status = 5, status
-        backend = RemoteBackend(endpoint=embed_stub.url, retries=3)
+        backend = RemoteBackend(endpoint=embed_stub.url)
         with pytest.raises(BackendUnavailableError, match=f"after 1 attempt.*{status}"):
             backend.embed_texts(["a b"])
         assert len(embed_stub.batches) == 1
@@ -161,7 +168,7 @@ class TestRetries:
     @pytest.mark.parametrize("status", [408, 429, 500])
     def test_timeout_rate_limit_and_server_errors_are_retried(self, embed_stub, status):
         embed_stub.fail_remaining, embed_stub.fail_status = 5, status
-        backend = RemoteBackend(endpoint=embed_stub.url, retries=3)
+        backend = RemoteBackend(endpoint=embed_stub.url)
         with pytest.raises(BackendUnavailableError, match=f"after 3 attempt.*{status}"):
             backend.embed_texts(["a b"])
         assert len(embed_stub.batches) == 3
@@ -183,35 +190,35 @@ class TestRetries:
 class TestErrorPaths:
     def test_wrong_vector_count_is_a_shape_error(self, embed_stub):
         embed_stub.mode = "bad_count"
-        backend = RemoteBackend(endpoint=embed_stub.url, retries=2)
+        backend = RemoteBackend(endpoint=embed_stub.url)
         with pytest.raises(BackendUnavailableError, match="expected 2 vectors"):
             backend.embed_texts(["a", "b"])
 
     def test_missing_vectors_field_is_a_shape_error(self, embed_stub):
         embed_stub.mode = "missing_field"
-        backend = RemoteBackend(endpoint=embed_stub.url, retries=1)
+        backend = RemoteBackend(endpoint=embed_stub.url)
         with pytest.raises(BackendUnavailableError, match="vectors"):
             backend.embed_texts(["a", "b"])
 
     def test_mixed_dimensions_rejected(self, embed_stub):
         embed_stub.mode = "mixed_dims"
-        backend = RemoteBackend(endpoint=embed_stub.url, retries=1)
+        backend = RemoteBackend(endpoint=embed_stub.url)
         with pytest.raises(BackendUnavailableError, match="mixed dimensions"):
             backend.embed_texts(["a", "b"])
 
     def test_non_finite_component_rejected_and_retried(self, embed_stub):
         embed_stub.mode = "non_finite"
-        backend = RemoteBackend(endpoint=embed_stub.url, retries=2)
+        backend = RemoteBackend(endpoint=embed_stub.url)
         with pytest.raises(BackendUnavailableError, match="finite"):
             backend.embed_texts(["a", "b"])
-        assert len(embed_stub.batches) == 2
+        assert len(embed_stub.batches) == 3
 
     @pytest.mark.parametrize("component", [float("inf"), float("-inf")], ids=["inf", "-inf"])
     def test_infinite_component_rejected(self, embed_stub, component):
         # json.dumps writes Infinity and -Infinity, which the client's JSON parser accepts.
         embed_stub.mode = "table"
         embed_stub.table = {"a": [1.0, 1.0], "b": [0.5, component]}
-        backend = RemoteBackend(endpoint=embed_stub.url, retries=1)
+        backend = RemoteBackend(endpoint=embed_stub.url)
         with pytest.raises(BackendUnavailableError, match=r"response vector 1 must have finite components"):
             backend.embed_texts(["a", "b"])
 
@@ -220,24 +227,24 @@ class TestErrorPaths:
     )
     def test_non_number_or_empty_vectors_rejected_and_retried(self, embed_stub, mode):
         embed_stub.mode = mode
-        backend = RemoteBackend(endpoint=embed_stub.url, retries=2)
+        backend = RemoteBackend(endpoint=embed_stub.url)
         # A response nested past the recursion limit fails in the JSON parser.
         reason = "recursion depth" if mode == "deep_nesting" else "non-empty flat array of numbers"
         with pytest.raises(BackendUnavailableError, match=reason):
             backend.embed_texts(["a", "b"])
-        assert len(embed_stub.batches) == 2
+        assert len(embed_stub.batches) == 3
 
     @pytest.mark.parametrize("vector", [[1e200, 1.0], [1e-170, 1e-170]], ids=["overflow", "underflow"])
     def test_squared_norm_that_overflows_or_underflows_is_retried(self, embed_stub, vector):
         embed_stub.mode = "table"
         embed_stub.table = {"a b": [1.0, 0.0], "c d": vector}
-        backend = RemoteBackend(endpoint=embed_stub.url, retries=2)
+        backend = RemoteBackend(endpoint=embed_stub.url)
         with pytest.raises(
             BackendUnavailableError,
-            match="after 2 attempt.*response vector 1 is nonzero, but its squared norm overflows or underflows",
+            match="after 3 attempt.*response vector 1 is nonzero, but its squared norm overflows or underflows",
         ):
             text_similarity("a b", "c d", backend)
-        assert embed_stub.batches == [["a b", "c d"]] * 2
+        assert embed_stub.batches == [["a b", "c d"]] * 3
 
     def test_squared_norm_that_underflows_exits_2_from_the_cli(self, embed_stub, tmp_path, capsys):
         embed_stub.mode = "table"
@@ -257,13 +264,13 @@ class TestErrorPaths:
 
     def test_dimension_change_across_batches_is_retried_then_unavailable(self, embed_stub):
         embed_stub.mode = "growing_dims"
-        backend = RemoteBackend(endpoint=embed_stub.url, batch_size=1, retries=2)
+        backend = RemoteBackend(endpoint=embed_stub.url, batch_size=1)
         with pytest.raises(
             BackendUnavailableError,
-            match="after 2 attempt.*mixed dimensions: response vector 0 has 4 components, expected 2",
+            match="after 3 attempt.*mixed dimensions: response vector 0 has 5 components, expected 2",
         ):
             backend.similarity("a", "b")
-        assert embed_stub.batches == [["a"], ["b"], ["b"]]
+        assert embed_stub.batches == [["a"], ["b"], ["b"], ["b"]]
 
     def test_dimension_change_across_batches_exits_2_from_the_cli(
         self, embed_stub, tmp_path, capsys
@@ -293,25 +300,35 @@ class TestErrorPaths:
         assert [len(batch) for batch in embed_stub.batches] == [32, 8, 8, 8]
 
     def test_unreachable_endpoint(self):
-        backend = RemoteBackend(endpoint="http://127.0.0.1:9/embed", retries=2, timeout=1)
-        with pytest.raises(BackendUnavailableError):
+        backend = RemoteBackend(endpoint="http://127.0.0.1:9/embed", timeout=1)
+        with pytest.raises(BackendUnavailableError, match="after 3 attempt"):
             backend.embed_texts(["a"])
 
 
 class TestConstruction:
-    @pytest.mark.parametrize("batch_size", [0, -1])
-    def test_batch_size_below_one_rejected(self, batch_size):
-        with pytest.raises(ValueError, match=f"batch_size must be at least 1, got {batch_size}"):
+    @pytest.mark.parametrize("batch_size", [0, -1, 2.5, 32.0, "32", True, None])
+    def test_batch_size_not_an_integer_of_at_least_one_rejected(self, batch_size):
+        message = f"batch_size must be an integer of at least 1, got {batch_size!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             RemoteBackend(endpoint="http://127.0.0.1:9/embed", batch_size=batch_size)
 
-    def test_retries_below_one_rejected(self):
-        with pytest.raises(ValueError, match="retries must be at least 1, got 0"):
-            RemoteBackend(endpoint="http://127.0.0.1:9/embed", retries=0)
-
-    @pytest.mark.parametrize("timeout", [0, -1, float("nan"), float("inf")])
+    @pytest.mark.parametrize("timeout", [0, -1, float("nan"), float("inf"), "5", True, None])
     def test_timeout_not_finite_and_above_zero_rejected(self, timeout):
-        with pytest.raises(ValueError, match=f"timeout must be a finite number .* got {timeout}"):
+        message = f"timeout must be a finite number of seconds above 0, got {timeout!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             RemoteBackend(endpoint="http://127.0.0.1:9/embed", timeout=timeout)
+
+    def test_numpy_numbers_are_accepted(self):
+        backend = RemoteBackend(
+            endpoint="http://127.0.0.1:9/embed", batch_size=np.int64(2), timeout=np.float64(1.5)
+        )
+        assert (backend.batch_size, backend.timeout) == (2, 1.5)
+
+    def test_the_settings_are_batch_size_and_timeout(self):
+        fields = [field.name for field in dataclasses.fields(RemoteBackend)]
+        assert fields == ["endpoint", "batch_size", "timeout"]
+        with pytest.raises(TypeError, match="retries"):
+            RemoteBackend(endpoint="http://127.0.0.1:9/embed", retries=2)
 
 
 class TestEndpointScheme:
@@ -325,7 +342,7 @@ class TestEndpointScheme:
             "ftp": "ftp://127.0.0.1:9/response.json",
             "scheme-less": "127.0.0.1:9/embed",
         }[kind]
-        backend = RemoteBackend(endpoint=endpoint, retries=2)
+        backend = RemoteBackend(endpoint=endpoint)
         with pytest.raises(BackendUnavailableError, match="scheme must be http or https"):
             backend.embed_texts(["a"])
 
@@ -334,10 +351,95 @@ class TestEndpointScheme:
             raise AssertionError("a non-HTTP endpoint was opened")
 
         monkeypatch.setattr(urllib.request, "urlopen", urlopen)
-        backend = RemoteBackend(endpoint="ftp://127.0.0.1:9/embed", retries=3)
+        backend = RemoteBackend(endpoint="ftp://127.0.0.1:9/embed")
         with pytest.raises(BackendUnavailableError) as raised:
             backend.embed_texts(["a"])
         assert str(raised.value) == "endpoint scheme must be http or https, got 'ftp'"
+
+
+class TestMalformedEndpoint:
+    """An endpoint that urllib cannot split, or whose port is not a number in
+    range, is unavailable before any request is sent, and is not retried."""
+
+    ENDPOINTS = {
+        "unclosed-ipv6": ("http://[::1/embed", "Invalid IPv6 URL"),
+        "non-numeric-port": ("http://127.0.0.1:abc/embed", "Port could not be cast to integer value as 'abc'"),
+        "port-out-of-range": ("http://127.0.0.1:70000/embed", "Port out of range 0-65535"),
+    }
+
+    @pytest.fixture(autouse=True)
+    def no_request(self, monkeypatch):
+        def urlopen(*args, **kwargs):
+            raise AssertionError("a malformed endpoint was opened")
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+
+    @pytest.mark.parametrize("kind", sorted(ENDPOINTS))
+    def test_unavailable_before_any_request(self, kind):
+        endpoint, reason = self.ENDPOINTS[kind]
+        with pytest.raises(BackendUnavailableError) as raised:
+            RemoteBackend(endpoint=endpoint).embed_texts(["a"])
+        assert str(raised.value) == f"endpoint {endpoint!r} is not a valid URL: {reason}"
+
+    @pytest.mark.parametrize("kind", sorted(ENDPOINTS))
+    def test_exits_2_from_the_cli_with_one_line(self, kind, capsys):
+        endpoint, reason = self.ENDPOINTS[kind]
+        argv = [
+            "rank",
+            "--past", str(past_corpus_path()),
+            "--current", str(current_corpus_path()),
+            "--backend", "remote",
+            "--endpoint", endpoint,
+        ]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"embedding backend failure: endpoint {endpoint!r} is not a valid URL: {reason}\n"
+        )
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def answers(draw):
+    """A response value with the vector count and dimension the client expects:
+    any JSON value, or a list of float vectors of one size that may meet both."""
+    size = draw(st.integers(1, 3))
+    # Finite components as often as any float, NaN and inf included.
+    components = st.floats(-1e3, 1e3) | st.floats()
+    vectors = st.lists(st.lists(components, min_size=size, max_size=size), min_size=1, max_size=4)
+    raw = draw(json_values | vectors)
+    counts = st.integers(0, 4)
+    expected = draw(counts | st.just(len(raw)) if isinstance(raw, list) else counts)
+    dimension = draw(st.none() | st.integers(1, 3) | st.just(size))
+    return raw, expected, dimension
+
+
+@hypothesis.settings(max_examples=500, deadline=None)
+@hypothesis.given(answer=answers(), wrapped=st.booleans())
+@hypothesis.example(answer=([[1.0, 2.0], [0.0, 0.0]], 2, None), wrapped=True)
+@hypothesis.example(answer=([[2**64, -1]], 1, 2), wrapped=True)
+def test_the_response_parser_returns_vectors_or_raises_value_error(answer, wrapped):
+    """For any JSON value, bare or under "vectors", the response parser returns
+    ``expected`` finite vectors of one dimension (``dimension`` if given) or
+    raises ``ValueError``, the one parsing error the client retries besides a
+    ``RecursionError`` from the JSON reader."""
+    raw, expected, dimension = answer
+    payload = {"vectors": raw} if wrapped else raw
+    try:
+        vectors = _parse_vectors(payload, expected, dimension)
+    except ValueError:
+        return
+    assert len(vectors) == expected
+    assert len({vector.size for vector in vectors}) == 1
+    for vector in vectors:
+        assert vector.dtype == np.float64 and vector.ndim == 1
+        assert np.isfinite(vector).all()
+        assert dimension in (None, vector.size)
 
 
 def test_cli_import_loads_no_third_party_http_client(tmp_path):

@@ -204,6 +204,17 @@ class TestCmdAssess:
             assert main(argv) == 1
         assert f"past corpus {bad} contains no valid problems" in capsys.readouterr().err
 
+    def test_lenient_run_names_the_file_of_an_unknown_key(self, tmp_path, capsys):
+        past = tmp_path / "past.jsonl"
+        constructs = {"action": "spilling of liquid", "colour": "red"}
+        past.write_text(validate_record(extra="x", constructs=constructs) + "\n", encoding="utf-8")
+        argv = ["rank", "--past", str(past), "--current", str(current_corpus_path()), "--backend", "lexical"]
+        assert main(argv) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"CorpusWarning: {past}: line 1: unknown key(s) ['extra'] (ignored)",
+            f"CorpusWarning: {past}: line 1: unknown construct key 'colour' (ignored)",
+        ]
+
     def test_identity_run_scores_zero_low_rank_one(self, tmp_path, capsys):
         record = {
             "id": "SAME",
