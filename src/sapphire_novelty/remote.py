@@ -18,6 +18,7 @@ import http.client
 import json
 import math
 import numbers
+import re
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -34,6 +35,9 @@ __all__ = ["RemoteBackend"]
 
 # Requests per batch: the first and two immediate retries.
 _ATTEMPTS = 3
+
+# The characters http.client refuses in a URL: whitespace, C0 controls and DEL.
+_REFUSED_IN_URL = re.compile(r"[\x00-\x20\x7f]")
 
 
 @dataclass(frozen=True)
@@ -124,7 +128,8 @@ class RemoteBackend(SimilarityBackend):
 
 def _check_endpoint(endpoint: str) -> None:
     """Raise :class:`BackendUnavailableError` unless ``endpoint`` is an ``http``
-    or ``https`` URL that ``urllib`` can split, a port included."""
+    or ``https`` URL that ``urllib`` can split, a port included, with a host and
+    no whitespace or control character."""
     try:
         parts = urllib.parse.urlsplit(endpoint)
         parts.port  # raises ValueError for a port that is not a number in range
@@ -133,6 +138,15 @@ def _check_endpoint(endpoint: str) -> None:
     # urllib also opens file:// and ftp:// URLs; only HTTP speaks the protocol.
     if parts.scheme not in ("http", "https"):
         raise BackendUnavailableError(f"endpoint scheme must be http or https, got {parts.scheme!r}")
+    # Every attempt would fail alike: urllib opens no URL without a host, and
+    # http.client none with such a character, though urlsplit drops some of them.
+    if not parts.hostname:
+        reason = "no host given"
+    elif refused := _REFUSED_IN_URL.search(endpoint):
+        reason = f"it holds {refused.group()!r}"
+    else:
+        return
+    raise BackendUnavailableError(f"endpoint {endpoint!r} is not a valid URL: {reason}")
 
 
 def _parse_vectors(payload: object, expected: int, dimension: int | None) -> list[np.ndarray]:

@@ -87,7 +87,10 @@ def _band_label(band: NoveltyBand | None) -> str:
 def _pair_columns(report: NoveltyReport) -> list[PairAssessment]:
     """All gated pairs ordered by past id, then current id, as strings ("p10" before "p2")."""
     pairs = [a for entry in report.entries for a in entry.assessments]
-    pairs.sort(key=attrgetter("past_id", "current_id"))
+    # Two stable one-key sorts give the order of one sort on the pair of ids,
+    # without building a tuple key for every pair.
+    pairs.sort(key=attrgetter("current_id"))
+    pairs.sort(key=attrgetter("past_id"))
     return pairs
 
 

@@ -32,15 +32,17 @@ out in :mod:`sapphire_novelty.vectors`. The fixture backend defines only
 ``similarity``. The package itself reaches a backend only through
 ``similarities``: ``text_similarity`` is the one-pair case of
 ``text_similarities``, the one place that checks a backend's output (one
-value per pair, each in [0, 1]) and raises ``ValueError`` on anything else,
-NaN included, rather than clamp it, and returns the backend's own list. It
-checks the texts and the range of a whole call in C-level passes (``all``,
-``min``, ``max``, ``sum``), and walks the pairs in Python only to name the
-first bad one. Every backend but the fixture one has one rule for a text
-with nothing to score on (no token at all, no in-vocabulary token, word
-vectors that cancel, an all-zero response vector): it scores 0.0 against
-every text, itself included, and warns once per call, naming the text, in
-order of first appearance. Nothing is cached between calls, so
+value per pair, each a real number in [0, 1], handed on as a ``float``) and
+raises ``ValueError`` on anything else, ``bool`` and NaN included, rather
+than clamp it. It returns the backend's own list when every value is a
+``float``, as the built-in backends' are. It checks the texts, the types and
+the range of a whole call in C-level passes (``all``, ``set``, ``min``,
+``max``, ``sum``), and walks the pairs in Python only to name the first bad
+one or to check a list that holds another type. Every backend but the
+fixture one has one rule for a text with nothing to score on (no token at
+all, no in-vocabulary token, word vectors that cancel, an all-zero response
+vector): it scores 0.0 against every text, itself included, and warns once
+per call, naming the text, in order of first appearance. Nothing is cached between calls, so
 such a text warns again in every call that scores it.
 
 All similarity calls are pure given a backend; backends are immutable after
@@ -50,6 +52,7 @@ construction and safe for concurrent use.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 import warnings
 from collections import Counter
@@ -164,10 +167,14 @@ def load_fixture_similarities(path: str | Path) -> dict[tuple[str, str], float]:
 class SimilarityBackend:
     """Contract shared by every backend: (text, text) -> similarity in [0, 1].
 
-    A value is symmetric in the pair, and equal texts score 1.0 when they
-    have something to score on. :func:`text_similarities` raises on a value
-    outside [0, 1] or NaN and clamps nothing, so a backend clamps its own
-    scores, as the built-in ones do.
+    A value is a real number in [0, 1], symmetric in the pair, and equal
+    texts score 1.0 when they have something to score on.
+    :func:`text_similarities` hands every value on as a ``float``: it
+    converts another real type (an ``int``, a numpy scalar, the items of an
+    array) with ``float()``, and raises ``ValueError`` naming ``kind`` and
+    the pair on a ``bool``, a value that is not a real number, one outside
+    [0, 1] or NaN. It clamps nothing, so a backend clamps its own scores, as
+    the built-in ones do.
 
     A backend defines one of two methods. ``similarities`` scores a list of
     pairs in order; a backend that shares work between pairs defines it, and
@@ -253,13 +260,14 @@ class FixtureBackend(SimilarityBackend):
 
 
 def text_similarity(a: str, b: str, backend: SimilarityBackend) -> float:
-    """Similarity of two texts under ``backend``, as the backend returns it.
+    """Similarity of two texts under ``backend``, as a ``float``.
 
-    It is the one-pair case of :func:`text_similarities`, so a value outside
-    [0, 1], NaN included, raises ``ValueError`` instead of reaching a novelty
-    score. Under the lexical and word-vector backends two texts identical
-    after tokenization score exactly 1.0, and under the remote backend two
-    equal texts do (given a nonzero vector).
+    It is the one-pair case of :func:`text_similarities`, so a value that is
+    not a real number, or is outside [0, 1] (NaN included), raises
+    ``ValueError`` instead of reaching a novelty score. Under the lexical and
+    word-vector backends two texts identical after tokenization score exactly
+    1.0, and under the remote backend two equal texts do (given a nonzero
+    vector).
     """
     return text_similarities([(a, b)], backend)[0]
 
@@ -270,11 +278,15 @@ def text_similarities(pairs: Sequence[tuple[str, str]], backend: SimilarityBacke
 
     A text that is blank raises ``ValueError`` naming the first pair that
     holds one, before the backend is called. This is the one place the package
-    checks a backend's output: one value per pair, each within
-    ``0.0 <= value <= 1.0``. Anything else raises ``ValueError`` naming
-    ``backend.kind``; a value out of range, NaN or infinite, also names its
-    pair. No value is clamped: a backend clamps its own cosines, as the
-    built-in ones do in their kernels. The list returned is the backend's own.
+    checks a backend's output: one value per pair, each a real number
+    (``numbers.Real``, but not a ``bool``) within ``0.0 <= value <= 1.0``.
+    Anything else raises ``ValueError`` naming ``backend.kind``; a value that
+    is not a real number, a ``bool``, or a value out of range, NaN or
+    infinite, also names its pair. The type is checked before the range. No
+    value is clamped: a backend clamps its own cosines, as the built-in ones
+    do in their kernels. When every value is a ``float`` the list returned is
+    the backend's own; otherwise it is a new list of ``float(value)``, so
+    ranking and the renderers only ever see Python floats.
     """
     try:  # one pass each in C: every text is not blank, every pair holds two
         checked = all(map(str.strip, chain.from_iterable(pairs)))
@@ -291,6 +303,15 @@ def text_similarities(pairs: Sequence[tuple[str, str]], backend: SimilarityBacke
         raise ValueError(
             f"{backend.kind!r} backend returned {len(values)} similarities for {len(pairs)} pairs"
         )
+    # One pass in C; a backend that returns only floats, as the built-in ones do,
+    # skips the walk and the conversion below.
+    floats = set(map(type, values)) <= {float}
+    if not floats:
+        for pair, value in zip(pairs, values):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(
+                    f"{backend.kind!r} backend scored {pair!r} as {value!r}, not a real number"
+                )
     # Three passes in C; the loop below runs only to name the first bad pair.
     # A NaN fails the min() test only when it comes first, and the max() test
     # never, but it makes the sum NaN, which fails the sum test; a sum of
@@ -301,4 +322,5 @@ def text_similarities(pairs: Sequence[tuple[str, str]], backend: SimilarityBacke
                 raise ValueError(
                     f"{backend.kind!r} backend scored {pair!r} as {value!r}, outside [0, 1]"
                 )
-    return values
+    # Converted only now, so an int too large for a float is named as out of range.
+    return values if floats else list(map(float, values))

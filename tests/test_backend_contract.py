@@ -16,9 +16,13 @@ in ``tests/test_similarity.py::TestLoadWordVectors`` and a remote response in
 and ``test_infinite_component_rejected``).
 
 ``text_similarities`` is the one place the package checks a backend's
-output. It returns the values unchanged, or raises ``ValueError`` naming the
+output. It returns float values unchanged, or raises ``ValueError`` naming the
 backend: a value outside [0, 1] or NaN never becomes a clamped score, and a
-missing value never becomes an ``IndexError`` or ``KeyError`` further on.
+missing value never becomes an ``IndexError`` or ``KeyError`` further on. It
+also owns the values' type: another real number (a numpy scalar, an ``int``,
+an array's items) is handed on as the equal ``float``, so it ranks and renders
+as that float does, and a ``bool`` or a value that is not a real number raises
+there instead of inside novelty or a renderer.
 """
 
 import ast
@@ -45,9 +49,11 @@ from sapphire_novelty import (
     assess_pair,
     make_constructs,
     rank_current_problems,
+    render_report,
     text_similarity,
     tokenize,
 )
+from sapphire_novelty.data import load_case_study
 from sapphire_novelty.similarity import text_similarities
 
 from conftest import canned_vector
@@ -213,7 +219,7 @@ class ShortBackend(SimilarityBackend):
 
 
 class ListedBackend(SimilarityBackend):
-    """A custom backend that returns ``values`` as they are, whatever the pairs."""
+    """A custom backend that returns ``values`` itself, whatever the pairs."""
 
     kind = "listed"
 
@@ -221,7 +227,19 @@ class ListedBackend(SimilarityBackend):
         self.values = values
 
     def similarities(self, pairs):
-        return list(self.values)
+        return self.values
+
+
+class ConvertedBackend(SimilarityBackend):
+    """A custom backend that returns ``convert`` of what ``inner`` scores."""
+
+    kind = "converted"
+
+    def __init__(self, inner, convert):
+        self.inner, self.convert = inner, convert
+
+    def similarities(self, pairs):
+        return self.convert(self.inner.similarities(pairs))
 
 
 THREE_PAIRS = [("spill", "boil"), ("boil", "lid"), ("lid", "spout")]
@@ -340,6 +358,84 @@ class TestBoundary:
             report = rank_current_problems(past, current, backend, threshold=1.0)
             assert [entry.current_id for entry in report.ranked] == ["C1"], backend.kind
             assert report.ranked[0].assessments[0].construct_similarity[ConstructLevel.ACTION] == 1.0
+
+
+# Each case: a backend's values in another real type, and the equal Python floats.
+REAL_TYPES = {
+    "numpy-float64": (lambda values: [np.float64(value) for value in values], list),
+    "numpy-float32": (
+        lambda values: [np.float32(value) for value in values],
+        lambda values: [float(np.float32(value)) for value in values],
+    ),
+    "int": (
+        lambda values: [int(value >= 0.5) for value in values],
+        lambda values: [float(value >= 0.5) for value in values],
+    ),
+    "ndarray": (np.array, list),
+}
+
+
+class TestValueType:
+    """Every value leaves ``text_similarities`` as a Python ``float``, or raises there."""
+
+    @pytest.mark.parametrize("name", sorted(REAL_TYPES))
+    def test_a_real_type_ranks_and_renders_as_the_equal_floats(self, name):
+        past, current, fixture = load_case_study()
+        typed, floats = REAL_TYPES[name]
+        reports = [
+            rank_current_problems(past, current, ConvertedBackend(fixture, convert))
+            for convert in (typed, floats)
+        ]
+        for fmt in ("table", "csv", "json"):
+            for summary_only in (False, True):
+                typed_bytes, float_bytes = (render_report(report, fmt, summary_only) for report in reports)
+                assert typed_bytes == float_bytes, (fmt, summary_only)
+
+    @pytest.mark.parametrize("name", sorted(REAL_TYPES))
+    def test_a_real_type_is_handed_on_as_floats(self, name):
+        typed, floats = REAL_TYPES[name]
+        values = text_similarities(THREE_PAIRS, ListedBackend(typed([0.25, 1.0, 0.0])))
+        assert [type(value) for value in values] == [float] * 3
+        assert values == floats([0.25, 1.0, 0.0])
+
+    def test_a_numpy_minus_zero_keeps_its_sign(self):
+        values = text_similarities(THREE_PAIRS, ListedBackend([np.float64(-0.0), 0.5, 1]))
+        assert [value.hex() for value in values] == [(-0.0).hex(), (0.5).hex(), (1.0).hex()]
+
+    def test_a_float_list_is_the_backends_own(self):
+        values = [0.5, 1.0, 0.0]
+        assert text_similarities(THREE_PAIRS, ListedBackend(values)) is values
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [True, False, np.True_, None, "0.5", 0.5j, [0.5]], ids=repr)
+    def test_a_value_that_is_not_a_real_number_is_named(self, bad, position):
+        values = [0.5, 1.0, 0.0]
+        values[position] = bad
+        with pytest.raises(ValueError) as raised:
+            text_similarities(THREE_PAIRS, ListedBackend(values))
+        assert str(raised.value) == (
+            f"'listed' backend scored {THREE_PAIRS[position]!r} as {bad!r}, not a real number"
+        )
+
+    def test_the_type_is_checked_before_the_range(self):
+        with pytest.raises(ValueError, match=r"scored \('lid', 'spout'\) as None, not a real number$"):
+            text_similarities(THREE_PAIRS, ListedBackend([7.0, math.nan, None]))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.float64(7.0), np.float32(math.nan), 2, -1, 10**400],
+        ids=["float64-7", "float32-nan", "int-2", "int-minus-1", "int-too-large-for-a-float"],
+    )
+    def test_a_real_type_out_of_range_is_named(self, bad):
+        with pytest.raises(ValueError) as raised:
+            text_similarities(THREE_PAIRS, ListedBackend([0.5, bad, 1]))
+        assert str(raised.value) == f"'listed' backend scored ('boil', 'lid') as {bad!r}, outside [0, 1]"
+
+    def test_a_bool_fails_ranking_naming_the_backend(self):
+        past, current, fixture = load_case_study()
+        backend = ConvertedBackend(fixture, lambda values: [value == 1.0 for value in values])
+        with pytest.raises(ValueError, match=r"^'converted' backend scored \(.*\) as True, not a real number$"):
+            rank_current_problems(past, current, backend)
 
 
 def test_only_text_similarities_reaches_a_backend():

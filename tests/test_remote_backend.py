@@ -358,13 +358,20 @@ class TestEndpointScheme:
 
 
 class TestMalformedEndpoint:
-    """An endpoint that urllib cannot split, or whose port is not a number in
-    range, is unavailable before any request is sent, and is not retried."""
+    """An endpoint that urllib cannot split, whose port is not a number in
+    range, that has no host, or that holds whitespace or a control character
+    is unavailable before any request is sent, and is not retried."""
 
     ENDPOINTS = {
         "unclosed-ipv6": ("http://[::1/embed", "Invalid IPv6 URL"),
         "non-numeric-port": ("http://127.0.0.1:abc/embed", "Port could not be cast to integer value as 'abc'"),
         "port-out-of-range": ("http://127.0.0.1:70000/embed", "Port out of range 0-65535"),
+        "no-host": ("http:///embed", "no host given"),
+        "port-but-no-host": ("http://:9/embed", "no host given"),
+        "space": ("http://127.0.0.1:9/a b", "it holds ' '"),
+        "tab": ("http://127.0.0.1:9/a\tb", "it holds '\\t'"),
+        "delete": ("http://127.0.0.1:9/a\x7fb", "it holds '\\x7f'"),
+        "newline-in-host": ("https://127.0.0.\n1:9/embed", "it holds '\\n'"),
     }
 
     @pytest.fixture(autouse=True)
