@@ -11,7 +11,6 @@ from pathlib import Path
 from sapphire_novelty import (
     LexicalBackend,
     WordVectorBackend,
-    cosine_similarity,
     text_similarity,
     tokenize,
 )
@@ -29,8 +28,10 @@ pairs = [
 for a, b in pairs:
     print(f"lexical({a!r}, {b!r}) = {text_similarity(a, b, lexical)}")
 
-# Cosine is the common core of every vector backend.
-print("cosine((1,1,0), (1,0,0)) =", cosine_similarity((1, 1, 0), (1, 0, 0)))
+# Cosine is the common core of every vector backend: here of the vectors
+# (1, 1, 0) and (1, 0, 0), given to two one-word texts.
+unit_vectors = WordVectorBackend(table={"a": (1.0, 1.0, 0.0), "b": (1.0, 0.0, 0.0)})
+print("cosine((1,1,0), (1,0,0)) =", text_similarity("a", "b", unit_vectors))
 
 # The word-vector backend mean-pools pre-trained vectors from the standard
 # text format: optional "<count> <dim>" header, then "word v1 ... vd" lines.

@@ -101,8 +101,6 @@ __all__ = [
     "SimilarityBackend",
     "WordVectorBackend",
     "WordVectorFormatError",
-    "cosine_similarity",
-    "embed_wordvector",
     "load_fixture_similarities",
     "load_word_vectors",
     "text_similarity",
@@ -111,9 +109,7 @@ __all__ = [
 
 # Served on first access from the module that defines them, so only the
 # vector backends load numpy, and only the remote backend the HTTP client.
-_VECTOR_NAMES = frozenset(
-    {"WordVectorBackend", "cosine_similarity", "embed_wordvector", "load_word_vectors"}
-)
+_VECTOR_NAMES = frozenset({"WordVectorBackend", "load_word_vectors"})
 
 
 def __getattr__(name: str):

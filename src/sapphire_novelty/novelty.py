@@ -45,7 +45,7 @@ from .problem_model import (
     _canonical_levels,
     construct_text,
 )
-from .similarity import SimilarityBackend, text_similarities, text_similarity
+from .similarity import SimilarityBackend, _is_real, text_similarities, text_similarity
 
 __all__ = [
     "DEFAULT_ACTION_THRESHOLD",
@@ -102,11 +102,30 @@ _BAND_RANK = {NoveltyBand.LOW: 0, NoveltyBand.MEDIUM: 1, NoveltyBand.HIGH: 2}
 _QUANTA = {ndigits: Decimal(1).scaleb(-ndigits) for ndigits in (2, 3)}
 
 
+def _as_float(value: object, name: str) -> float:
+    """``value`` as a ``float``, by the type rule :func:`text_similarities` applies
+    to a backend's scores: a real number that is not a ``bool`` is converted
+    with ``float()``, and anything else raises ``ValueError`` naming it.
+
+    The public scalars below call it only for a value that is not a ``float``
+    already, so ranking, which hands them only floats, pays nothing for it.
+    """
+    if not _is_real(value):
+        raise ValueError(f"{name} {value!r} is not a real number")
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the largest float
+        raise ValueError(f"{name} {value!r} outside the range of a float") from None
+
+
 def round_half_up(value: float, ndigits: int = 2) -> float:
     """Decimal half-up rounding of the shortest decimal representation of ``value``.
 
     Avoids the binary-float trap where e.g. round(0.675, 2) rounds down.
+    ``value`` is a real number, taken as its ``float`` (see :func:`_as_float`).
     """
+    if type(value) is not float:
+        value = _as_float(value, "value")
     return round_repr_half_up(repr(value), ndigits)
 
 
@@ -118,7 +137,13 @@ def round_repr_half_up(text: str, ndigits: int = 2) -> float:
 
 
 def construct_novelty(similarity: float) -> float:
-    """Novelty of one construct pair: 1 - similarity, computed decimal-faithfully."""
+    """Novelty of one construct pair: 1 - similarity, computed decimal-faithfully.
+
+    ``similarity`` is a real number in [0, 1], taken as its ``float`` (see
+    :func:`_as_float`).
+    """
+    if type(similarity) is not float:
+        similarity = _as_float(similarity, "similarity")
     if not 0.0 <= similarity <= 1.0:
         raise ValueError(f"similarity {similarity} outside [0, 1]")
     return float(Decimal(1) - Decimal(repr(similarity)))
@@ -132,8 +157,11 @@ def classify_novelty(score: float) -> NoveltyBand:
     is below 0.3 exactly when the score is below the float 0.295, and below
     0.7 exactly when it is below 0.695, since the shortest ``repr`` of a float
     is strictly increasing with it and those two floats print as ``0.295``
-    and ``0.695``; so the score is compared with them directly.
+    and ``0.695``; so the score is compared with them directly. ``score`` is a
+    real number in [0, 1], taken as its ``float`` (see :func:`_as_float`).
     """
+    if type(score) is not float:
+        score = _as_float(score, "novelty score")
     if not 0.0 <= score <= 1.0:
         raise ValueError(f"novelty score {score} outside [0, 1]")
     if score < 0.295:

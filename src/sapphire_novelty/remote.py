@@ -4,12 +4,12 @@ It is the one module of the package that loads the standard library's HTTP
 client; the package exports ``RemoteBackend`` lazily, so this module is
 imported on first access to that name. It scores with the word-vector
 backend's kernel (:func:`sapphire_novelty.vectors._cosines`) and checks each
-response vector by the same rules, so a remote score is bit-identical to
-:func:`~sapphire_novelty.vectors.cosine_similarity` of the response vectors,
-clamped at 0, except on equal texts: they share one row, which the kernel
-scores exactly 1.0 if it is nonzero. A text whose response vector is all zero
-matches nothing and warns once per call, as a word-vector text that pools to
-the zero sentinel does.
+response vector by the same rules, so a remote score is the cosine of the
+response vectors, clamped to [0, 1], bit-identical to the tests' scalar
+reference (``tests/vector_reference.py``) clamped at 0, except on equal
+texts: they share one row, which the kernel scores exactly 1.0 if it is
+nonzero. A text whose response vector is all zero matches nothing and warns
+once per call, as a word-vector text that pools to the zero sentinel does.
 """
 
 from __future__ import annotations
@@ -36,8 +36,11 @@ __all__ = ["RemoteBackend"]
 # Requests per batch: the first and two immediate retries.
 _ATTEMPTS = 3
 
-# The characters http.client refuses in a URL: whitespace, C0 controls and DEL.
+# The characters http.client refuses in a URL: whitespace, C0 controls and DEL;
+# and outside the host, which name resolution encodes, any that is not ASCII,
+# since it writes the request line in ASCII.
 _REFUSED_IN_URL = re.compile(r"[\x00-\x20\x7f]")
+_NON_ASCII = re.compile(r"[^\x00-\x7f]")
 
 
 @dataclass(frozen=True)
@@ -128,8 +131,9 @@ class RemoteBackend(SimilarityBackend):
 
 def _check_endpoint(endpoint: str) -> None:
     """Raise :class:`BackendUnavailableError` unless ``endpoint`` is an ``http``
-    or ``https`` URL that ``urllib`` can split, a port included, with a host and
-    no whitespace or control character."""
+    or ``https`` URL that ``urllib`` can split, a port included, with a host, no
+    whitespace or control character, and no character that is not ASCII but
+    in the host."""
     try:
         parts = urllib.parse.urlsplit(endpoint)
         parts.port  # raises ValueError for a port that is not a number in range
@@ -140,9 +144,11 @@ def _check_endpoint(endpoint: str) -> None:
         raise BackendUnavailableError(f"endpoint scheme must be http or https, got {parts.scheme!r}")
     # Every attempt would fail alike: urllib opens no URL without a host, and
     # http.client none with such a character, though urlsplit drops some of them.
+    # The port is ASCII digits once .port accepts it.
+    outside_host = (parts.netloc.rpartition("@")[0], parts.path, parts.query, parts.fragment)
     if not parts.hostname:
         reason = "no host given"
-    elif refused := _REFUSED_IN_URL.search(endpoint):
+    elif refused := _REFUSED_IN_URL.search(endpoint) or _NON_ASCII.search("".join(outside_host)):
         reason = f"it holds {refused.group()!r}"
     else:
         return

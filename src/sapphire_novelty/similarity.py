@@ -14,8 +14,8 @@ the pair, with equal texts scoring 1.0 (given something to score on):
 
 This module holds the contract, the tokenizer, the lexical and fixture
 backends and every exception the backends raise; it needs neither numpy nor
-an HTTP client. The word-vector backend and the vector helpers
-(``cosine_similarity``, ``embed_wordvector``, ``load_word_vectors``) live in
+an HTTP client. The word-vector backend, ``load_word_vectors`` and the
+vector kernel both vector backends score with live in
 :mod:`sapphire_novelty.vectors`, and the remote backend in
 :mod:`sapphire_novelty.remote`; each module is imported only when one of its
 names is asked for. Import them from there or from the package.
@@ -79,8 +79,11 @@ __all__ = [
 
 
 class OovWarning(UserWarning):
-    """Warned once per call for each text with nothing to score on, and by
-    ``cosine_similarity`` for a pair of zero vectors."""
+    """Warned once per call for each text with nothing to score on.
+
+    The tests' scalar reference ``cosine_similarity``
+    (``tests/vector_reference.py``) warns it once per pair of zero vectors.
+    """
 
 
 class WordVectorFormatError(ValueError):
@@ -259,6 +262,12 @@ class FixtureBackend(SimilarityBackend):
             ) from None
 
 
+def _is_real(value: object) -> bool:
+    """Whether ``value`` is a real number but not a ``bool``: the one type rule
+    for a similarity or a novelty score, which is then taken as ``float(value)``."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def text_similarity(a: str, b: str, backend: SimilarityBackend) -> float:
     """Similarity of two texts under ``backend``, as a ``float``.
 
@@ -308,7 +317,7 @@ def text_similarities(pairs: Sequence[tuple[str, str]], backend: SimilarityBacke
     floats = set(map(type, values)) <= {float}
     if not floats:
         for pair, value in zip(pairs, values):
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if not _is_real(value):
                 raise ValueError(
                     f"{backend.kind!r} backend scored {pair!r} as {value!r}, not a real number"
                 )

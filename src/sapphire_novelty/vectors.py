@@ -25,12 +25,12 @@ tokenizing, and scores every pair in batched BLAS calls
 kernel takes each block's quotient, clamp, identity and zero-row rules in
 numpy too, and builds each block's row indices from that block's pairs, so
 the kernel runs no Python loop per pair.
-Each value is bit-identical to :func:`cosine_similarity` of the
-:func:`embed_wordvector` vectors, clamped at 0, and the warnings are
-``embed_wordvector``'s, once per unique text; those two are the scalar
-references, and the backends do not call them. The one exception is
-identity, which the kernel owns: texts with equal tokens are scored by one
-row, and a nonzero row scores exactly 1.0 against itself. A vector that gets
+The kernel is the package's one definition of word-vector similarity: each
+value is the cosine of the two pooled vectors, clamped to [0, 1], with 0.0
+for a zero vector, and texts with equal tokens are scored by one row, which
+scores exactly 1.0 against itself if it is nonzero. The scalar references
+that the tests compare it against, bit for bit, live in the tests' helper
+``tests/vector_reference.py``, not in the package. A vector that gets
 scored (a text's pooled vector, a response vector) and is nonzero must have
 a squared norm that is finite and at least ``np.finfo(float).tiny``
 (:func:`_unscorable`), so that its cosine is not an overflow's or an
@@ -60,40 +60,9 @@ from .similarity import (
 )
 
 __all__ = [
-    "cosine_similarity",
-    "embed_wordvector",
     "load_word_vectors",
     "WordVectorBackend",
 ]
-
-
-def cosine_similarity(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> float:
-    """Cosine of the angle between two equal-dimension vectors, clamped to [-1, 1].
-
-    A zero vector is the out-of-vocabulary sentinel and matches nothing, so the
-    similarity is 0.0 whenever either norm vanishes; the zero-vs-zero case also
-    emits an :class:`OovWarning`, the package's one warning per pair; the
-    backends warn once per text instead. A NaN or inf component raises
-    ``ValueError``: it has no cosine, and must not pass for a dissimilar
-    (novel) pair. So does a vector that breaks the rule of :func:`_unscorable`.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
-        raise ValueError("cosine of a vector with a non-finite component (NaN or inf)")
-    if _unscorable(np.stack([u.ravel(), v.ravel()])).any():
-        raise ValueError("cosine of a nonzero vector whose squared norm overflows or underflows")
-    norm_u = float(np.linalg.norm(u))
-    norm_v = float(np.linalg.norm(v))
-    if norm_u == 0.0 and norm_v == 0.0:
-        warnings.warn("cosine of two all-zero vectors (OOV vs OOV); defined as 0.0", OovWarning)
-        return 0.0
-    if norm_u == 0.0 or norm_v == 0.0:
-        return 0.0
-    value = float(np.dot(u, v)) / (norm_u * norm_v)
-    return min(1.0, max(-1.0, value))
 
 
 _TINY = np.finfo(float).tiny
@@ -146,9 +115,11 @@ def _pool(matrix: np.ndarray, rows: np.ndarray, hits: np.ndarray) -> np.ndarray:
 def _cosines(
     matrix: np.ndarray, pairs: Sequence[tuple[str, str]], where: Mapping[str, int]
 ) -> list[float]:
-    """``max(0.0, cosine_similarity)`` of the rows ``where`` gives each pair of texts
-    in ``pairs``, bit for bit, warning nothing, except that a nonzero row scores
-    exactly 1.0 against itself.
+    """The cosine of the rows ``where`` gives each pair of texts in ``pairs``,
+    clamped to [0, 1], or 0.0 if a row is zero, warning nothing; a nonzero row
+    scores exactly 1.0 against itself. Each value is bit-identical to
+    ``max(0.0, cosine_similarity(...))`` of the tests' scalar reference
+    (``tests/vector_reference.py``), but for that identity rule.
 
     That is the identity rule of both vector backends, which give equal texts
     one row: a row's cosine with itself is 1.0 only up to rounding. Every row
@@ -214,25 +185,6 @@ class WordVectors(Mapping[str, np.ndarray]):
 
     def __len__(self) -> int:
         return len(self.index)
-
-
-def embed_wordvector(tokens: Sequence[str], table: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Mean of the vectors of in-vocabulary tokens.
-
-    Out-of-vocabulary tokens are skipped; if no token is in vocabulary the
-    all-zero sentinel is returned and an :class:`OovWarning` is emitted. So is
-    one when the vectors of the in-vocabulary tokens sum to zero.
-    """
-    if not table:
-        raise ValueError("word-vector table must be non-empty")
-    vectors = [table[token] for token in tokens if token in table]
-    if not vectors:
-        _warn_zero_sentinel(tokens, found=False)
-        return np.zeros(len(next(iter(table.values()))), dtype=float)
-    mean = np.mean(np.stack(vectors), axis=0)
-    if not mean.any():
-        _warn_zero_sentinel(tokens, found=True)
-    return mean
 
 
 def _warn_zero_sentinel(tokens: Sequence[str], found: bool) -> None:

@@ -39,7 +39,6 @@ from sapphire_novelty import (
     assess_pair,
     classify_novelty,
     construct_novelty,
-    cosine_similarity,
     load_corpus,
     make_constructs,
     rank_current_problems,
@@ -57,6 +56,7 @@ from sapphire_novelty.data import (
 from sapphire_novelty.problem_model import ProblemSapphire
 
 from conftest import CASE_STUDY_NOVELTY, canned_vector, random_corpus
+from vector_reference import cosine_similarity
 
 NON_ACTION = [level for level in ConstructLevel if level is not ConstructLevel.ACTION]
 

@@ -63,6 +63,8 @@ class TestRoundHalfUp:
             (0.295, 0.30),
             (0.0, 0.0),
             (1.0, 1.0),
+            (np.float64(0.675), 0.68),
+            (np.float32(0.25), 0.25),
         ],
     )
     def test_two_decimals(self, value, expected):
@@ -70,6 +72,11 @@ class TestRoundHalfUp:
 
     def test_three_decimals(self):
         assert round_half_up(0.3145, 3) == 0.315
+
+    @pytest.mark.parametrize("bad", [True, "0.675", None])
+    def test_bool_or_non_real_rejected(self, bad):
+        with pytest.raises(ValueError, match="is not a real number"):
+            round_half_up(bad)
 
     def test_monotone(self):
         rng = random.Random(5)
@@ -97,9 +104,21 @@ class TestConstructNovelty:
     def test_zero_similarity_is_full_novelty(self):
         assert construct_novelty(0.0) == 1.0
 
-    @pytest.mark.parametrize("bad", [-0.01, 1.01, 2.0])
+    @pytest.mark.parametrize("bad", [-0.01, 1.01, 2.0, 10**400])
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(ValueError, match="outside"):
+            construct_novelty(bad)
+
+    @pytest.mark.parametrize(
+        ("similarity", "novelty"),
+        [(np.float64(0.5), 0.5), (np.float32(0.25), 0.75), (np.float64(0.314), 0.686), (1, 0.0)],
+    )
+    def test_real_numbers_are_taken_as_floats(self, similarity, novelty):
+        assert construct_novelty(similarity) == novelty
+
+    @pytest.mark.parametrize("bad", [True, False, np.True_, "0.5", None])
+    def test_bool_or_non_real_rejected(self, bad):
+        with pytest.raises(ValueError, match="is not a real number"):
             construct_novelty(bad)
 
     def test_complement_is_decimal_faithful(self):
@@ -122,6 +141,8 @@ class TestClassifyNovelty:
             (0.69, NoveltyBand.MEDIUM),
             (0.7, NoveltyBand.HIGH),
             (1.0, NoveltyBand.HIGH),
+            (np.float64(0.7), NoveltyBand.HIGH),
+            (np.float32(0.25), NoveltyBand.LOW),
         ],
     )
     def test_band_boundaries(self, score, band):
@@ -133,7 +154,7 @@ class TestClassifyNovelty:
         assert classify_novelty(0.2949) is NoveltyBand.LOW
         assert classify_novelty(0.295) is NoveltyBand.MEDIUM
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.1])
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, 10**400, True, False, "0.5"])
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(ValueError):
             classify_novelty(bad)

@@ -9,8 +9,7 @@ import pytest
 import sapphire_novelty
 from sapphire_novelty import LexicalBackend, remote, similarity, vectors
 
-# Every name the package exported before the vector backends moved to their
-# own module, in its import order.
+# Every public name of the package, in its import order.
 PUBLIC_NAMES = [
     "CorpusFormatError", "CorpusWarning", "import_survey_csv", "load_corpus", "save_corpus",
     "DEFAULT_ACTION_THRESHOLD", "NoveltyBand", "NoveltyReport", "OScoreInput",
@@ -23,14 +22,13 @@ PUBLIC_NAMES = [
     "render_csv", "render_json", "render_report", "render_table",
     "BackendUnavailableError", "FixtureBackend", "FixtureFormatError", "LexicalBackend",
     "MissingFixtureError", "OovWarning", "RemoteBackend", "SimilarityBackend",
-    "WordVectorBackend", "WordVectorFormatError", "cosine_similarity", "embed_wordvector",
-    "load_fixture_similarities", "load_word_vectors", "text_similarity", "tokenize",
+    "WordVectorBackend", "WordVectorFormatError", "load_fixture_similarities",
+    "load_word_vectors", "text_similarity", "tokenize",
 ]
 
 # The names served lazily, each by the module that defines it.
 VECTOR_NAMES = {
-    "RemoteBackend": remote, "WordVectorBackend": vectors, "cosine_similarity": vectors,
-    "embed_wordvector": vectors, "load_word_vectors": vectors,
+    "RemoteBackend": remote, "WordVectorBackend": vectors, "load_word_vectors": vectors,
 }
 
 
@@ -58,6 +56,12 @@ class TestPublicNames:
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             sapphire_novelty.no_such_name
+
+    @pytest.mark.parametrize("module", [sapphire_novelty, vectors], ids=["package", "vectors"])
+    @pytest.mark.parametrize("name", ["cosine_similarity", "embed_wordvector"])
+    def test_scalar_vector_references_are_not_in_the_package(self, module, name):
+        with pytest.raises(AttributeError, match=name):
+            getattr(module, name)
 
 
 class TestTokenizerSeam:

@@ -24,7 +24,6 @@ from sapphire_novelty import (
     ProblemSapphire,
     Provenance,
     RemoteBackend,
-    cosine_similarity,
     make_constructs,
     rank_current_problems,
     text_similarity,
@@ -36,9 +35,10 @@ from sapphire_novelty.data import (
     load_case_study,
     past_corpus_path,
 )
-from sapphire_novelty.remote import _parse_vectors
+from sapphire_novelty.remote import _check_endpoint, _parse_vectors
 
 from conftest import canned_vector
+from vector_reference import cosine_similarity
 
 
 class TestEmbedTexts:
@@ -359,8 +359,9 @@ class TestEndpointScheme:
 
 class TestMalformedEndpoint:
     """An endpoint that urllib cannot split, whose port is not a number in
-    range, that has no host, or that holds whitespace or a control character
-    is unavailable before any request is sent, and is not retried."""
+    range, that has no host, or that holds whitespace, a control character or,
+    outside the host, a character that is not ASCII is unavailable before any
+    request is sent, and is not retried."""
 
     ENDPOINTS = {
         "unclosed-ipv6": ("http://[::1/embed", "Invalid IPv6 URL"),
@@ -372,6 +373,8 @@ class TestMalformedEndpoint:
         "tab": ("http://127.0.0.1:9/a\tb", "it holds '\\t'"),
         "delete": ("http://127.0.0.1:9/a\x7fb", "it holds '\\x7f'"),
         "newline-in-host": ("https://127.0.0.\n1:9/embed", "it holds '\\n'"),
+        "non-ascii-path": ("http://127.0.0.1:9/émbed", "it holds 'é'"),
+        "non-ascii-query": ("http://127.0.0.1:9/e?q=é", "it holds 'é'"),
     }
 
     @pytest.fixture(autouse=True)
@@ -387,6 +390,9 @@ class TestMalformedEndpoint:
         with pytest.raises(BackendUnavailableError) as raised:
             RemoteBackend(endpoint=endpoint).embed_texts(["a"])
         assert str(raised.value) == f"endpoint {endpoint!r} is not a valid URL: {reason}"
+
+    def test_a_non_ascii_host_is_left_to_name_resolution(self):
+        assert _check_endpoint("http://bücher.test:9/embed") is None
 
     @pytest.mark.parametrize("kind", sorted(ENDPOINTS))
     def test_exits_2_from_the_cli_with_one_line(self, kind, capsys):

@@ -15,13 +15,13 @@ from sapphire_novelty import (
     SimilarityBackend,
     WordVectorBackend,
     WordVectorFormatError,
-    cosine_similarity,
-    embed_wordvector,
     load_fixture_similarities,
     load_word_vectors,
     text_similarity,
     tokenize,
 )
+
+from vector_reference import cosine_similarity, embed_wordvector
 
 
 class TestTokenize:

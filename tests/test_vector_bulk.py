@@ -27,10 +27,10 @@ from sapphire_novelty import (
     RemoteBackend,
     WordVectorBackend,
     WordVectorFormatError,
-    cosine_similarity,
-    embed_wordvector,
     tokenize,
 )
+
+from vector_reference import cosine_similarity, embed_wordvector
 
 VOCABULARY = ["heat", "lid", "spout", "steam", "water", "coil"]
 OOV = ["xyzzy", "plugh"]
