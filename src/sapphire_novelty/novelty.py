@@ -178,9 +178,11 @@ def aggregate_novelty(
     """Arithmetic mean of per-construct novelty over ``included`` levels.
 
     The Action level is the gate, not part of the average, and is rejected
-    here, as is anything in ``included`` that is not a level. Summation
-    follows the canonical level order so the result is bit-identical
-    regardless of the order callers assembled the map in.
+    here, as is anything in ``included`` that is not a level. Each averaged
+    score is a real number, taken as its ``float`` (see :func:`_as_float`),
+    and the mean is a ``float``. Summation follows the canonical level order
+    so the result is bit-identical regardless of the order callers assembled
+    the map in.
     """
     included = _canonical_levels(dict.fromkeys(included))
     if not included:
@@ -190,7 +192,8 @@ def aggregate_novelty(
     missing = [level.key for level in included if level not in construct_scores]
     if missing:
         raise ValueError(f"no score for included level(s): {sorted(missing)}")
-    return sum(construct_scores[level] for level in included) / len(included)
+    scores = [_as_float(construct_scores[level], f"{level.key} novelty") for level in included]
+    return sum(scores) / len(included)
 
 
 class _LevelMap(Mapping[ConstructLevel, float]):
@@ -204,10 +207,12 @@ class _LevelMap(Mapping[ConstructLevel, float]):
         self.scores = scores
 
     @classmethod
-    def of(cls, scores: Mapping[ConstructLevel, float]) -> "_LevelMap":
-        """``scores`` in canonical level order; a key that is not a level raises ``ValueError``."""
+    def of(cls, scores: Mapping[ConstructLevel, float], name: str) -> "_LevelMap":
+        """``scores`` in canonical level order, each taken as its ``float`` (see
+        :func:`_as_float`, which names a bad one as the level's ``name``); a key
+        that is not a level raises ``ValueError``."""
         levels = _canonical_levels(scores)
-        return cls(levels, tuple(scores[level] for level in levels))
+        return cls(levels, tuple(_as_float(scores[level], f"{level.key} {name}") for level in levels))
 
     def __getitem__(self, level: ConstructLevel) -> float:
         for present, score in zip(self.levels, self.scores):
@@ -266,9 +271,9 @@ class PairAssessment:
         if _ACTION in included_levels:
             raise ValueError("the Action level cannot be part of the average")
         if type(construct_similarity) is not _LevelMap:
-            construct_similarity = _LevelMap.of(construct_similarity)
+            construct_similarity = _LevelMap.of(construct_similarity, "similarity")
         if type(construct_novelty) is not _LevelMap:
-            construct_novelty = _LevelMap.of(construct_novelty)
+            construct_novelty = _LevelMap.of(construct_novelty, "novelty")
         _set(self, "past_id", past_id)
         _set(self, "current_id", current_id)
         _set(self, "construct_similarity", construct_similarity)
@@ -329,9 +334,12 @@ class _Memo(dict):
         return value
 
 
-def _check_threshold(threshold: float) -> None:
-    if not 0.0 <= threshold <= 1.0:
+def _check_threshold(threshold: float) -> float:
+    """``threshold`` as a ``float`` (see :func:`_as_float`), which must lie in [0, 1]."""
+    value = _as_float(threshold, "threshold")
+    if not 0.0 <= value <= 1.0:
         raise ValueError(f"threshold {threshold} outside [0, 1]")
+    return value
 
 
 def _action_texts(problems: Iterable[ProblemSapphire]) -> list[str]:
@@ -381,7 +389,7 @@ def action_match(
 
     Callers are expected to pass validated problems (Action present).
     """
-    _check_threshold(threshold)
+    threshold = _check_threshold(threshold)
     past_action, current_action = _action_texts((past, current))
     similarity = text_similarity(past_action, current_action, backend)
     return similarity >= threshold, similarity
@@ -427,7 +435,7 @@ def rank_current_problems(
     """
     if not past.problems:
         raise ValueError("the past corpus must be non-empty")
-    _check_threshold(threshold)
+    threshold = _check_threshold(threshold)
     past_actions = _action_texts(past.problems)
     current_actions = _action_texts(current.problems)
 

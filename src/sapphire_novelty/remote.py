@@ -2,14 +2,17 @@
 
 It is the one module of the package that loads the standard library's HTTP
 client; the package exports ``RemoteBackend`` lazily, so this module is
-imported on first access to that name. It scores with the word-vector
-backend's kernel (:func:`sapphire_novelty.vectors._cosines`) and checks each
-response vector by the same rules, so a remote score is the cosine of the
-response vectors, clamped to [0, 1], bit-identical to the tests' scalar
-reference (``tests/vector_reference.py``) clamped at 0, except on equal
-texts: they share one row, which the kernel scores exactly 1.0 if it is
-nonzero. A text whose response vector is all zero matches nothing and warns
-once per call, as a word-vector text that pools to the zero sentinel does.
+imported on first access to that name. It shares the word-vector backend's
+one scoring path (:class:`sapphire_novelty.vectors._VectorBackend`) and
+defines only ``_rows``, which embeds a call's unique texts; each batch's
+response vectors pass the word-vector table's row rule
+(:func:`sapphire_novelty.vectors._checked_rows`) into one matrix. So a
+remote score is the cosine of the response vectors, clamped to [0, 1],
+bit-identical to the tests' scalar reference (``tests/vector_reference.py``)
+clamped at 0, except on equal texts: they share one row, which the kernel
+scores exactly 1.0 if it is nonzero. A text whose response vector is all
+zero matches nothing and warns once per call, as a word-vector text that
+pools to the zero sentinel does.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .similarity import BackendUnavailableError, OovWarning, SimilarityBackend, _unique_texts
-from .vectors import _checked_vector, _cosines, _unscorable
+from .similarity import BackendUnavailableError, OovWarning
+from .vectors import _checked_rows, _unscorable, _VectorBackend
 
 __all__ = ["RemoteBackend"]
 
@@ -44,13 +47,13 @@ _NON_ASCII = re.compile(r"[^\x00-\x7f]")
 
 
 @dataclass(frozen=True)
-class RemoteBackend(SimilarityBackend):
+class RemoteBackend(_VectorBackend):
     """Cosine over sentence vectors fetched from an embedding HTTP service.
 
     Wire protocol: POST to an ``http`` or ``https`` ``endpoint`` with JSON
     body ``{"texts": [...]}``; the response must be ``{"vectors": [[...], ...]}``
     with one vector per input text, in the same order, each meeting the rule
-    of :func:`_checked_vector` and, if nonzero, with a squared norm that
+    of :func:`_checked_rows` and, if nonzero, with a squared norm that
     :func:`_unscorable` accepts; all vectors of one call to :meth:`embed_texts`,
     across its batches, share one dimension. Each call to :meth:`embed_texts`
     first checks the endpoint: one that is not a URL with a valid port, or
@@ -63,8 +66,9 @@ class RemoteBackend(SimilarityBackend):
     once; after three attempts at one batch the call raises
     :class:`BackendUnavailableError`.
     A text whose vector is all zero scores 0.0 against every text, itself
-    included, and emits one :class:`OovWarning` per :meth:`similarities`
-    call naming it, in order of first appearance, before any pair is scored.
+    included, and emits one :class:`OovWarning` per ``similarities`` call
+    (inherited, as the word-vector backend's is) naming it, in order of first
+    appearance, before any pair is scored.
     A ``batch_size`` that is not an integer of at least 1, or a ``timeout``
     that is not a finite number of seconds above 0, raises ``ValueError`` at
     construction.
@@ -83,16 +87,12 @@ class RemoteBackend(SimilarityBackend):
         if isinstance(timeout, bool) or not isinstance(timeout, numbers.Real) or not 0 < timeout < math.inf:
             raise ValueError(f"timeout must be a finite number of seconds above 0, got {timeout!r}")
 
-    def similarities(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
-        if not pairs:
-            return []
-        texts = _unique_texts(pairs)
-        where = {text: position for position, text in enumerate(texts)}
+    def _rows(self, texts: list[str]) -> tuple[np.ndarray, dict[str, int]]:
         matrix = np.stack(self.embed_texts(texts))
         for text, nonzero in zip(texts, matrix.any(axis=1).tolist()):
             if not nonzero:
                 warnings.warn(f"all-zero response vector for {text!r}; it matches nothing", OovWarning)
-        return _cosines(matrix, pairs, where)
+        return matrix, {text: position for position, text in enumerate(texts)}
 
     def embed_texts(self, texts: Sequence[str]) -> list[np.ndarray]:
         """Embed ``texts`` in order, batching requests at ``batch_size``."""
@@ -103,7 +103,7 @@ class RemoteBackend(SimilarityBackend):
             vectors.extend(self._post_batch(batch, vectors[0].size if vectors else None))
         return vectors
 
-    def _post_batch(self, batch: list[str], dimension: int | None) -> list[np.ndarray]:
+    def _post_batch(self, batch: list[str], dimension: int | None) -> np.ndarray:
         body = json.dumps({"texts": batch}).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(1, _ATTEMPTS + 1):
@@ -155,20 +155,17 @@ def _check_endpoint(endpoint: str) -> None:
     raise BackendUnavailableError(f"endpoint {endpoint!r} is not a valid URL: {reason}")
 
 
-def _parse_vectors(payload: object, expected: int, dimension: int | None) -> list[np.ndarray]:
+def _parse_vectors(payload: object, expected: int, dimension: int | None) -> np.ndarray:
     if not isinstance(payload, dict) or "vectors" not in payload:
         raise ValueError("response body must be an object with a 'vectors' field")
     raw = payload["vectors"]
     if not isinstance(raw, list) or len(raw) != expected:
         raise ValueError(f"expected {expected} vectors, got {len(raw) if isinstance(raw, list) else type(raw)}")
-    vectors = []
-    for index, item in enumerate(raw):
-        vectors.append(_checked_vector(item, dimension, f"response vector {index}"))
-        dimension = vectors[0].size
-    unscorable = _unscorable(np.stack(vectors))
+    matrix = _checked_rows(raw, map("response vector {}".format, range(expected)), dimension)
+    unscorable = _unscorable(matrix)
     if unscorable.any():
         raise ValueError(
             f"response vector {int(np.argmax(unscorable))} is nonzero, but its squared norm "
             "overflows or underflows"
         )
-    return vectors
+    return matrix

@@ -23,15 +23,15 @@ names is asked for. Import them from there or from the package.
 The contract has a bulk and a scalar method: ``similarities(pairs)`` and
 ``similarity(a, b)``. A backend defines one of them and inherits the other:
 ``similarity(a, b)`` is ``similarities([(a, b)])[0]``, and ``similarities``
-calls ``similarity`` once per pair. The lexical, word-vector and remote
-backends define only ``similarities``, which scores a whole list of pairs,
-tokenizing and embedding each unique text once (the remote backend sends one
-set of batched requests per call, so one comparison of equal texts sends that
-text once); how the two vector backends pool and score their texts is set
-out in :mod:`sapphire_novelty.vectors`. The fixture backend defines only
-``similarity``. The package itself reaches a backend only through
-``similarities``: ``text_similarity`` is the one-pair case of
-``text_similarities``, the one place that checks a backend's output (one
+calls ``similarity`` once per pair. The lexical backend defines only
+``similarities``, which scores a whole list of pairs, tokenizing each unique
+text once; the two vector backends share one ``similarities``, which embeds
+each unique text once (the remote backend sends one set of batched requests
+per call, so one comparison of equal texts sends that text once); how they
+pool and score their texts is set out in :mod:`sapphire_novelty.vectors`.
+The fixture backend defines only ``similarity``. The package itself reaches
+a backend only through ``similarities``: ``text_similarity`` is the one-pair
+case of ``text_similarities``, the one place that checks a backend's output (one
 value per pair, each a real number in [0, 1], handed on as a ``float``) and
 raises ``ValueError`` on anything else, ``bool`` and NaN included, rather
 than clamp it. It returns the backend's own list when every value is a

@@ -14,17 +14,21 @@ index, checked once when it is built. ``load_word_vectors`` streams the file
 into one ``np.loadtxt`` call; a file that call does not take whole goes to a
 line-by-line parser, whose errors name the line.
 
-It defines only ``similarities`` (``similarity`` is the contract's one-pair
-case of it), which scores a list of pairs as arrays, embedding each unique
-text once: it maps every token of the call to its row in one pass, into one
-flat array, pools the texts with the same number of in-vocabulary tokens
-together from it (:func:`_pool`), so no Python code runs per text after
-tokenizing, and scores every pair in batched BLAS calls
-(:func:`_cosines`, which ``RemoteBackend`` uses too), each over at most
-``_BLOCK_ROWS`` rows, so memory does not grow with pairs times dimension. The
-kernel takes each block's quotient, clamp, identity and zero-row rules in
-numpy too, and builds each block's row indices from that block's pairs, so
-the kernel runs no Python loop per pair.
+Both vector backends score through one ``similarities``, that of their
+private base :class:`_VectorBackend` (``similarity`` is the contract's
+one-pair case of it): it hands the backend's ``_rows`` each unique text of
+the call once and scores every pair of the rows it returns with
+:func:`_cosines`. Each backend defines only ``_rows``. The word-vector one
+maps every token of the call to its row in one pass, into one flat array,
+and pools the texts with the same number of in-vocabulary tokens together
+from it (:func:`_pool`), so no Python code runs per text after tokenizing;
+the remote one embeds them. One row rule, :func:`_checked_rows`, checks the
+vectors of a word-vector table built from a mapping and those of each remote
+response, into one matrix. Every pair is scored in batched BLAS calls, each
+over at most ``_BLOCK_ROWS`` rows, so memory does not grow with pairs times
+dimension. The kernel takes each block's quotient, clamp, identity and
+zero-row rules in numpy too, and builds each block's row indices from that
+block's pairs, so the kernel runs no Python loop per pair.
 The kernel is the package's one definition of word-vector similarity: each
 value is the cosine of the two pooled vectors, clamped to [0, 1], with 0.0
 for a zero vector, and texts with equal tokens are scored by one row, which
@@ -318,14 +322,58 @@ def _is_header(line: str) -> bool:
     return True
 
 
+def _checked_rows(raws: Iterable[object], names: Iterable[str], dimension: int | None) -> np.ndarray:
+    """The float matrix of ``raws``, one row each, if every one is a non-empty
+    flat array of int or float numbers, all finite, with ``dimension``
+    components, or the first one's number if that is None.
+
+    Anything else raises ``ValueError`` naming the bad one by its item of
+    ``names``, which is read in step with ``raws``. Booleans, strings and nulls
+    fail: numpy gives them another dtype kind. No ``raws`` at all fails too.
+    """
+    rows: list[np.ndarray] = []
+    for raw, name in zip(raws, names):
+        try:
+            array = np.asarray(raw)
+        except ValueError:  # a ragged nesting has no array form
+            array = np.asarray(None)
+        if array.dtype.kind not in "iuf" or array.ndim != 1 or array.size == 0:
+            raise ValueError(f"{name} must be a non-empty flat array of numbers")
+        if not np.isfinite(array).all():
+            raise ValueError(f"{name} must have finite components (no NaN or inf)")
+        if dimension is not None and array.size != dimension:
+            raise ValueError(f"mixed dimensions: {name} has {array.size} components, expected {dimension}")
+        dimension = array.size
+        rows.append(array.astype(float, copy=False))
+    return np.stack(rows)
+
+
+class _VectorBackend(SimilarityBackend):
+    """The scoring of both vector backends: the cosines (:func:`_cosines`) of
+    one row per unique text of a call.
+
+    Its ``similarities`` is the only one either vector backend has. A
+    subclass defines ``_rows(texts)``, which is handed each text of a
+    non-empty call once, in order of first appearance, and returns a matrix
+    and each text's row in it; it warns and raises by its own rules before
+    any pair is scored.
+    """
+
+    def similarities(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
+        if not pairs:
+            return []
+        matrix, where = self._rows(_unique_texts(pairs))
+        return _cosines(matrix, pairs, where)
+
+
 @dataclass(frozen=True)
-class WordVectorBackend(SimilarityBackend):
+class WordVectorBackend(_VectorBackend):
     """Cosine over mean-pooled pre-trained word vectors.
 
     ``table`` is the value :func:`load_word_vectors` returns, used as it is, or
-    any other non-empty mapping, whose vectors must each meet the rule of
-    :func:`_checked_vector`, all of one dimension: it is checked and converted
-    to a :class:`WordVectors` once, at construction. An empty table or a bad
+    any other non-empty mapping, whose vectors must meet the rule of
+    :func:`_checked_rows`: it is checked and converted to a
+    :class:`WordVectors` once, at construction. An empty table or a bad
     vector raises ``ValueError``.
     """
 
@@ -337,18 +385,15 @@ class WordVectorBackend(SimilarityBackend):
             raise ValueError("word-vector table must be non-empty")
         if isinstance(self.table, WordVectors):
             return
-        rows: list[np.ndarray] = []
-        for word, vector in self.table.items():
-            rows.append(_checked_vector(vector, rows[0].size if rows else None, f"vector of {word!r}"))
-        index = dict(zip(self.table, range(len(rows))))
-        object.__setattr__(self, "table", WordVectors(index, np.stack(rows)))
+        matrix = _checked_rows(self.table.values(), (f"vector of {word!r}" for word in self.table), None)
+        index = dict(zip(self.table, range(len(matrix))))
+        object.__setattr__(self, "table", WordVectors(index, matrix))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "WordVectorBackend":
         return cls(table=load_word_vectors(path))
 
-    def similarities(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
-        texts = _unique_texts(pairs)
+    def _rows(self, texts: list[str]) -> tuple[np.ndarray, dict[str, int]]:
         tokens = [_similarity.tokenize(text) for text in texts]
         # Each text is scored by the row of the first text with equal tokens, so
         # equal texts share one row, and the kernel scores them 1.0.
@@ -379,24 +424,4 @@ class WordVectorBackend(SimilarityBackend):
                 f"the word vectors of {text!r} pool to a nonzero vector whose squared norm "
                 "overflows or underflows"
             )
-        return _cosines(pooled, pairs, where)
-
-
-def _checked_vector(raw: object, dimension: int | None, name: str) -> np.ndarray:
-    """``raw`` as a float vector, if it is a non-empty flat array of int or float
-    numbers, all finite, with ``dimension`` components unless that is None.
-
-    Anything else raises ``ValueError`` naming ``name``. Booleans, strings and
-    nulls fail: numpy gives them another dtype kind.
-    """
-    try:
-        array = np.asarray(raw)
-    except ValueError:  # a ragged nesting has no array form
-        array = np.asarray(None)
-    if array.dtype.kind not in "iuf" or array.ndim != 1 or array.size == 0:
-        raise ValueError(f"{name} must be a non-empty flat array of numbers")
-    if not np.isfinite(array).all():
-        raise ValueError(f"{name} must have finite components (no NaN or inf)")
-    if dimension is not None and array.size != dimension:
-        raise ValueError(f"mixed dimensions: {name} has {array.size} components, expected {dimension}")
-    return array.astype(float, copy=False)
+        return pooled, where

@@ -53,6 +53,7 @@ from sapphire_novelty import (
     text_similarity,
     tokenize,
 )
+from sapphire_novelty import vectors
 from sapphire_novelty.data import load_case_study
 from sapphire_novelty.similarity import text_similarities
 
@@ -468,3 +469,57 @@ def test_only_text_similarities_reaches_a_backend():
         "similarity.SimilarityBackend.similarities",
         "similarity.text_similarities",
     }
+
+
+def test_the_vector_backends_share_one_scoring_path():
+    """Only ``vectors._VectorBackend.similarities`` refers to the vector kernel,
+    and neither vector backend defines ``similarities`` in its class body: each
+    defines the rows it scores, and inherits the one scoring path."""
+
+    class Scopes(ast.NodeVisitor):
+        def __init__(self, module):
+            self.scope, self.kernel_users, self.class_names = [module], set(), {}
+
+        def enter(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def visit_ClassDef(self, node):
+            names = set()
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.add(item.name)
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                    names |= {target.id for target in targets if isinstance(target, ast.Name)}
+            self.class_names[node.name] = names
+            self.enter(node)
+
+        visit_FunctionDef = visit_AsyncFunctionDef = enter
+
+        def visit_Name(self, node):
+            if node.id == "_cosines":
+                self.kernel_users.add(".".join(self.scope))
+
+        def visit_Attribute(self, node):
+            if node.attr == "_cosines":
+                self.kernel_users.add(".".join(self.scope))
+            self.generic_visit(node)
+
+        def visit_alias(self, node):
+            if node.name == "_cosines":
+                self.kernel_users.add(".".join(self.scope) + " (import)")
+
+    kernel_users, class_names = set(), {}
+    for path in sorted(Path(sapphire_novelty.__file__).parent.rglob("*.py")):
+        scopes = Scopes(path.stem)
+        scopes.visit(ast.parse(path.read_text(encoding="utf-8")))
+        kernel_users |= scopes.kernel_users
+        class_names.update(scopes.class_names)
+    assert kernel_users == {"vectors._VectorBackend.similarities"}
+    assert "similarities" in class_names["_VectorBackend"]
+    for backend in (WordVectorBackend, RemoteBackend):
+        assert "similarities" not in class_names[backend.__name__]
+        assert "_rows" in class_names[backend.__name__]
+        assert backend.similarities is vectors._VectorBackend.similarities

@@ -1,5 +1,6 @@
 import random
 import warnings
+from fractions import Fraction
 from itertools import product
 from unittest import mock
 
@@ -213,6 +214,23 @@ class TestAggregateNovelty:
         backward = dict(zip(reversed(NON_ACTION), reversed(values)))
         assert aggregate_novelty(forward, NON_ACTION) == aggregate_novelty(backward, NON_ACTION)
 
+    @pytest.mark.parametrize(
+        ("score", "average"),
+        [(np.float64(0.375), 0.5625), (np.float32(0.25), 0.5), (1, 0.875), (0, 0.375)],
+        ids=["float64", "float32", "int-1", "int-0"],
+    )
+    def test_real_numbers_are_averaged_as_floats(self, score, average):
+        scores = {ConstructLevel.PARTS: 0.75, ConstructLevel.EFFECT: score}
+        result = aggregate_novelty(scores, scores)
+        assert type(result) is float
+        assert result == average
+
+    @pytest.mark.parametrize("bad", [True, False, np.True_, "0.5", None], ids=repr)
+    def test_bool_or_non_real_rejected(self, bad):
+        scores = {ConstructLevel.PARTS: 0.75, ConstructLevel.EFFECT: bad}
+        with pytest.raises(ValueError, match=r"^effect novelty .+ is not a real number$"):
+            aggregate_novelty(scores, scores)
+
 
 class TestActionMatch:
     def test_identical_actions_match_exactly(self):
@@ -246,6 +264,64 @@ class TestActionMatch:
         past, current, backend = load_case_study()
         matched, similarity = action_match(past.problems[0], current.problems[0], backend)
         assert matched and similarity == 1.0
+
+
+# Each entry point that takes an Action threshold, called with one; each gates
+# the case study's first past and current problems, whose Actions score 1.0.
+THRESHOLD_ENTRY_POINTS = {
+    "action_match": lambda past, current, backend, threshold: action_match(
+        past.problems[0], current.problems[0], backend, threshold
+    ),
+    "assess_pair": lambda past, current, backend, threshold: assess_pair(
+        past.problems[0], current.problems[0], backend, threshold
+    ),
+    "rank_current_problems": rank_current_problems,
+}
+
+
+class TestThresholdType:
+    """The threshold takes the number-type rule of the scores: a real number
+    that is not a ``bool`` is taken as its ``float``; anything else raises."""
+
+    @pytest.mark.parametrize("entry", THRESHOLD_ENTRY_POINTS.values(), ids=THRESHOLD_ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", [True, False, np.True_, "0.7", None], ids=repr)
+    def test_a_threshold_that_is_not_a_real_number_is_rejected(self, entry, bad):
+        past, current, backend = load_case_study()
+        with pytest.raises(ValueError, match=r"^threshold .+ is not a real number$"):
+            entry(past, current, backend, bad)
+
+    @pytest.mark.parametrize("entry", THRESHOLD_ENTRY_POINTS.values(), ids=THRESHOLD_ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", [2, -1, np.float64(1.5)], ids=repr)
+    def test_a_real_threshold_out_of_range_is_named_as_given(self, entry, bad):
+        past, current, backend = load_case_study()
+        with pytest.raises(ValueError, match=rf"^threshold {bad} outside \[0, 1\]$"):
+            entry(past, current, backend, bad)
+
+    @pytest.mark.parametrize(
+        "threshold", [np.float64(0.7), np.float32(0.5), 1, Fraction(7, 10)], ids=repr
+    )
+    def test_one_pair_gates_at_the_thresholds_float(self, threshold):
+        past, current, backend = load_case_study()
+        pair = (past.problems[0], current.problems[0])
+        matched, similarity = action_match(*pair, backend, threshold)
+        assert type(matched) is bool
+        assert (matched, similarity) == (True, 1.0)
+        assert assess_pair(*pair, backend, threshold) == assess_pair(*pair, backend, float(threshold))
+
+    @pytest.mark.parametrize(
+        ("threshold", "expected"),
+        [(np.float64(0.7), 0.7), (np.float32(0.5), 0.5), (1, 1.0), (0, 0.0), (Fraction(7, 10), 0.7)],
+        ids=["float64", "float32", "int-1", "int-0", "fraction"],
+    )
+    def test_the_report_holds_and_renders_the_threshold_as_a_float(self, threshold, expected):
+        past, current, backend = load_case_study()
+        report = rank_current_problems(past, current, backend, threshold)
+        assert type(report.threshold) is float
+        assert report.threshold == expected
+        reference = rank_current_problems(past, current, backend, expected)
+        assert report == reference
+        for fmt in ("table", "csv", "json"):
+            assert render_report(report, fmt) == render_report(reference, fmt)
 
 
 class TestAssessPair:

@@ -17,6 +17,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 from decimal import ROUND_HALF_UP, Decimal
 
 import hypothesis
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -24,7 +25,9 @@ from sapphire_novelty import (
     ConstructLevel,
     LexicalBackend,
     NoveltyBand,
+    NoveltyReport,
     PairAssessment,
+    ProblemNovelty,
     ProblemCorpus,
     ProblemSapphire,
     Provenance,
@@ -34,6 +37,7 @@ from sapphire_novelty import (
     construct_novelty,
     construct_text,
     rank_current_problems,
+    render_report,
 )
 from sapphire_novelty.data import load_case_study
 
@@ -166,6 +170,40 @@ NOT_A_LEVEL = {
 def test_level_keyed_inputs_reject_keys_that_are_not_levels(build):
     with pytest.raises(ValueError, match=r"^keys must be construct levels: \['parts'\]$"):
         build()
+
+
+@pytest.mark.parametrize("field", ["similarity", "novelty"])
+@pytest.mark.parametrize("bad", [True, False, np.True_, "0.5", None], ids=repr)
+def test_a_record_rejects_a_score_that_is_not_a_real_number(field, bad):
+    scores = {ACTION: 0.5, ConstructLevel.PARTS: bad}
+    maps = {"similarity": {ACTION: 0.5}, "novelty": {ACTION: 0.5}, field: scores}
+    with pytest.raises(ValueError, match=rf"^parts {field} .+ is not a real number$"):
+        _record(maps["similarity"], maps["novelty"])
+
+
+def _report_of(score):
+    """A one-pair report whose record holds ``score`` at every level of both maps."""
+    scores = {ACTION: score, ConstructLevel.PARTS: score}
+    record = PairAssessment("p1", "c1", scores, scores, (ConstructLevel.PARTS,), 0.25, NoveltyBand.LOW)
+    entry = ProblemNovelty("c1", (record,), 0.25, NoveltyBand.LOW, 1)
+    return NoveltyReport("lexical", 0.7, "past", "current", ranked=(entry,))
+
+
+@pytest.mark.parametrize(
+    ("score", "expected"),
+    [(np.float64(0.375), 0.375), (np.float32(0.25), 0.25), (1, 1.0), (0, 0.0)],
+    ids=["float64", "float32", "int-1", "int-0"],
+)
+def test_a_record_holds_real_scores_as_floats_and_renders_them_so(score, expected):
+    report, reference = _report_of(score), _report_of(expected)
+    (record,) = report.ranked[0].assessments
+    for held in (record.construct_similarity, record.construct_novelty):
+        assert [type(value) for value in held.values()] == [float, float]
+        assert list(held.values()) == [expected, expected]
+    assert report == reference
+    for fmt in ("table", "csv", "json"):
+        for summary_only in (False, True):
+            assert render_report(report, fmt, summary_only) == render_report(reference, fmt, summary_only)
 
 
 def test_a_record_is_the_same_built_positionally_by_keyword_or_with_the_default_flag():
