@@ -12,7 +12,13 @@ Scores are kept at full precision internally; display and banding use
 half-up rounding to two decimals, which banding applies by comparing the
 score with the floats 0.295 and 0.695. Novelty conversion is decimal-faithful so
 that a similarity read from a report (say 0.314) converts to exactly the
-complement a human would write down (0.686), with no binary-float drift.
+complement a human would write down (0.686), with no binary-float drift: the
+result is ``float(Decimal(1) - Decimal(repr(similarity)))``. For a similarity
+in [2**-36, 0.5) whose float complement is provably that same float, it is
+computed in floats (see :func:`construct_novelty`); every other similarity
+takes the ``Decimal`` line. Every ``Decimal`` rule here runs in one private,
+fixed context, equal to Python's default, so a caller's
+``decimal.localcontext`` changes no score and no rounding.
 
 Everything here is a pure function over immutable inputs, and the report's
 order is fixed by sorting, not by the order pairs were scored in. A pair
@@ -31,7 +37,8 @@ bands each distinct score once, in a :class:`_Memo` made anew per call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_EVEN, ROUND_HALF_UP, Context, Decimal
+from decimal import DivisionByZero, InvalidOperation, Overflow
 from enum import Enum
 from functools import total_ordering
 from itertools import islice, product
@@ -98,8 +105,25 @@ class NoveltyBand(Enum):
 _BAND_RANK = {NoveltyBand.LOW: 0, NoveltyBand.MEDIUM: 1, NoveltyBand.HIGH: 2}
 
 
+#: The context of every ``Decimal`` rule here: Python's default, spelled out
+#: field by field rather than copied from the mutable ``DefaultContext``, so
+#: the thread's current context never changes a score. Operations set its
+#: flags, which nothing reads.
+_CONTEXT = Context(
+    prec=28, rounding=ROUND_HALF_EVEN, Emin=-999999, Emax=999999, capitals=1, clamp=0,
+    flags=[], traps=[InvalidOperation, DivisionByZero, Overflow],
+)
+_ONE = Decimal(1)
+
 #: 10 ** -ndigits for the digit counts the reports display, made once.
-_QUANTA = {ndigits: Decimal(1).scaleb(-ndigits) for ndigits in (2, 3)}
+_QUANTA = {ndigits: _ONE.scaleb(-ndigits, _CONTEXT) for ndigits in (2, 3)}
+
+#: The similarities whose novelty :func:`construct_novelty` may take in
+#: floats, [_FAST_LOW, _FAST_HIGH), and the bound on the float complement's
+#: rounding error below which it does.
+_FAST_LOW = 2.0**-36
+_FAST_HIGH = 0.5
+_HALF_GAP = 2.0**-54
 
 
 def _as_float(value: object, name: str) -> float:
@@ -118,6 +142,16 @@ def _as_float(value: object, name: str) -> float:
         raise ValueError(f"{name} {value!r} outside the range of a float") from None
 
 
+def _unit(value: object, name: str) -> float:
+    """``value`` as a ``float`` (see :func:`_as_float`), which must lie in [0, 1];
+    a NaN or a value outside raises ``ValueError`` naming it."""
+    if type(value) is not float:
+        value = _as_float(value, name)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} {value} outside [0, 1]")
+    return value
+
+
 def round_half_up(value: float, ndigits: int = 2) -> float:
     """Decimal half-up rounding of the shortest decimal representation of ``value``.
 
@@ -132,21 +166,43 @@ def round_half_up(value: float, ndigits: int = 2) -> float:
 def round_repr_half_up(text: str, ndigits: int = 2) -> float:
     """:func:`round_half_up` of the float whose ``repr`` is ``text``, for a
     caller that holds that shortest decimal representation already."""
-    quantum = _QUANTA[ndigits] if ndigits in _QUANTA else Decimal(1).scaleb(-ndigits)
-    return float(Decimal(text).quantize(quantum, rounding=ROUND_HALF_UP))
+    quantum = _QUANTA[ndigits] if ndigits in _QUANTA else _ONE.scaleb(-ndigits, _CONTEXT)
+    return float(Decimal(text, _CONTEXT).quantize(quantum, ROUND_HALF_UP, _CONTEXT))
 
 
 def construct_novelty(similarity: float) -> float:
     """Novelty of one construct pair: 1 - similarity, computed decimal-faithfully.
 
     ``similarity`` is a real number in [0, 1], taken as its ``float`` (see
-    :func:`_as_float`).
+    :func:`_as_float`). The result is ``float(Decimal(1) - Decimal(r))`` for
+    ``r = repr(similarity)``: the complement of the similarity as a report
+    prints it.
+
+    For ``2**-36 <= s < 0.5`` it is found in floats, bit for bit the same:
+
+    - ``c = fl(1 - s)`` lies in [0.5, 1], so ``1 - c`` is exact (Sterbenz's
+      lemma), and so is ``e = (1 - c) - s``; then ``1 - s = c + e``.
+    - ``1``, ``c`` and ``s`` are multiples of ``ulp(s) <= 2**-54``, and so is
+      ``e``; so ``|e| < 2**-54`` gives ``|e| <= 2**-54 - ulp(s)``.
+    - ``r`` lies within ``ulp(s) / 2`` of ``s``, so ``|(1 - r) - c| < 2**-54``,
+      which is at most half the gap on either side of ``c`` (``c = 0.5`` needs
+      ``|e| = 2**-54`` and never gets here). The double nearest ``1 - r`` is
+      therefore ``c``.
+    - ``r`` has at most 17 significant digits, the first no further right
+      than the 11th decimal place since ``s >= 2**-36``; so ``1 - r`` has at
+      most 27 decimal places, the ``Decimal`` subtraction is exact at 28
+      digits, and ``float()`` rounds it once, to the same ``c``.
+
+    A tie (``|e| = 2**-54``), ``s >= 0.5`` and ``s < 2**-36`` (``0.0`` and
+    ``-0.0`` too) take the ``Decimal`` line.
     """
-    if type(similarity) is not float:
-        similarity = _as_float(similarity, "similarity")
-    if not 0.0 <= similarity <= 1.0:
-        raise ValueError(f"similarity {similarity} outside [0, 1]")
-    return float(Decimal(1) - Decimal(repr(similarity)))
+    if not (type(similarity) is float and 0.0 <= similarity <= 1.0):
+        similarity = _unit(similarity, "similarity")
+    if _FAST_LOW <= similarity < _FAST_HIGH:
+        complement = 1.0 - similarity
+        if abs((1.0 - complement) - similarity) < _HALF_GAP:
+            return complement
+    return float(_CONTEXT.subtract(_ONE, Decimal(repr(similarity))))
 
 
 def classify_novelty(score: float) -> NoveltyBand:
@@ -160,10 +216,8 @@ def classify_novelty(score: float) -> NoveltyBand:
     and ``0.695``; so the score is compared with them directly. ``score`` is a
     real number in [0, 1], taken as its ``float`` (see :func:`_as_float`).
     """
-    if type(score) is not float:
-        score = _as_float(score, "novelty score")
-    if not 0.0 <= score <= 1.0:
-        raise ValueError(f"novelty score {score} outside [0, 1]")
+    if not (type(score) is float and 0.0 <= score <= 1.0):
+        score = _unit(score, "novelty score")
     if score < 0.295:
         return NoveltyBand.LOW
     if score < 0.695:
@@ -179,8 +233,9 @@ def aggregate_novelty(
 
     The Action level is the gate, not part of the average, and is rejected
     here, as is anything in ``included`` that is not a level. Each averaged
-    score is a real number, taken as its ``float`` (see :func:`_as_float`),
-    and the mean is a ``float``. Summation follows the canonical level order
+    score is a real number in [0, 1], taken as its ``float`` (see
+    :func:`_as_float`); a NaN or a score outside raises ``ValueError`` naming
+    its level. The mean is a ``float``. Summation follows the canonical level order
     so the result is bit-identical regardless of the order callers assembled
     the map in.
     """
@@ -192,7 +247,7 @@ def aggregate_novelty(
     missing = [level.key for level in included if level not in construct_scores]
     if missing:
         raise ValueError(f"no score for included level(s): {sorted(missing)}")
-    scores = [_as_float(construct_scores[level], f"{level.key} novelty") for level in included]
+    scores = [_unit(construct_scores[level], f"{level.key} novelty") for level in included]
     return sum(scores) / len(included)
 
 
@@ -242,7 +297,9 @@ class PairAssessment:
     non-Action levels that were averaged; when the pair shares none,
     ``no_comparable_constructs`` is set and the average and band are absent.
     Both score maps are read-only and iterate in canonical level order,
-    whatever order the maps given to the constructor were built in.
+    whatever order the maps given to the constructor were built in. An
+    average that is present is a real number in [0, 1], held as its
+    ``float`` (see :func:`_as_float`).
     """
 
     past_id: str
@@ -274,6 +331,12 @@ class PairAssessment:
             construct_similarity = _LevelMap.of(construct_similarity, "similarity")
         if type(construct_novelty) is not _LevelMap:
             construct_novelty = _LevelMap.of(construct_novelty, "novelty")
+        # One test for ranking's averages, which are floats in [0, 1].
+        if (
+            not (type(average_novelty) is float and 0.0 <= average_novelty <= 1.0)
+            and average_novelty is not None
+        ):
+            average_novelty = _unit(average_novelty, "average_novelty")
         _set(self, "past_id", past_id)
         _set(self, "current_id", current_id)
         _set(self, "construct_similarity", construct_similarity)
@@ -289,7 +352,9 @@ class ProblemNovelty:
     """One current problem's assessments, minimum novelty, band, and rank.
 
     ``rank`` (1 = most novel) and the scores are absent for unmatched
-    problems, i.e. those with no gated pair carrying an average.
+    problems, i.e. those with no gated pair carrying an average. A minimum
+    that is present is a real number in [0, 1], held as its ``float`` (see
+    :func:`_as_float`).
     """
 
     current_id: str
@@ -297,6 +362,11 @@ class ProblemNovelty:
     min_novelty: Optional[float] = None
     band: Optional[NoveltyBand] = None
     rank: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        minimum = self.min_novelty
+        if not (type(minimum) is float and 0.0 <= minimum <= 1.0) and minimum is not None:
+            _set(self, "min_novelty", _unit(minimum, "min_novelty"))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,15 @@
+import math
 import random
 import warnings
+from decimal import ROUND_DOWN, ROUND_HALF_EVEN, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 from itertools import product
 from unittest import mock
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from sapphire_novelty import (
     ConstructLevel,
@@ -131,6 +135,107 @@ class TestConstructNovelty:
             assert novelty + similarity == pytest.approx(1.0, abs=1e-15)
 
 
+def decimal_complement(similarity):
+    """1 - similarity as ``float(Decimal(1) - Decimal(repr(similarity)))``, at
+    Python's default precision and rounding, whatever the current context."""
+    context = Context(prec=28, rounding=ROUND_HALF_EVEN)
+    return float(context.subtract(Decimal(1), Decimal(repr(similarity))))
+
+
+def _neighbours(value, steps=2):
+    """``value`` and the ``steps`` floats on each side of it, within [0, 1]."""
+    below, above = [value], [value]
+    for _ in range(steps):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], 1.0))
+    return sorted(set(below + above))
+
+
+# The edges of the float path, [2**-36, 0.5), and of the range; a tie, where
+# the float complement rounds to even (0.75) but the decimal one does not; and
+# short decimals, as reports print similarities, with their neighbours.
+COMPLEMENT_EDGES = [
+    0.0,
+    -0.0,
+    5e-324,
+    2.0**-36,
+    math.nextafter(2.0**-36, 0.0),
+    0.5,
+    math.nextafter(0.5, 0.0),
+    1.0,
+    0.25 + 2.0**-54,
+    *(v for short in (0.1, 0.2, 0.3, 0.314, 0.001, 1e-5, 0.45, 0.7, 0.999) for v in _neighbours(short)),
+]
+
+
+class TestFloatComplement:
+    """``construct_novelty`` is the decimal complement bit for bit, on its
+    float path as on its ``Decimal`` one."""
+
+    @pytest.mark.parametrize("similarity", COMPLEMENT_EDGES, ids=lambda s: s.hex())
+    def test_edges_equal_the_decimal_complement(self, similarity):
+        assert construct_novelty(similarity).hex() == decimal_complement(similarity).hex()
+
+    def test_a_tie_takes_the_decimal_complement_not_the_even_float(self):
+        # 1 - s lies halfway between 0.7499999999999999 and 0.75; the float
+        # subtraction rounds to 0.75, but 1 - 0.25000000000000006 does not.
+        assert construct_novelty(0.25 + 2.0**-54) == 0.7499999999999999
+
+    def test_full_mantissas_in_every_binade_equal_the_decimal_complement(self):
+        rng = random.Random(30)
+        for exponent in range(-1, -41, -1):
+            for _ in range(500):
+                similarity = math.ldexp(1.0 + rng.getrandbits(52) / 2.0**52, exponent)
+                assert construct_novelty(similarity).hex() == decimal_complement(similarity).hex()
+
+    @hypothesis.settings(max_examples=2000, deadline=None)
+    @hypothesis.given(similarity=st.floats(0.0, 1.0))
+    def test_every_similarity_equals_the_decimal_complement(self, similarity):
+        assert construct_novelty(similarity).hex() == decimal_complement(similarity).hex()
+
+
+# Contexts a caller may have made current, each changing Decimal arithmetic.
+HOSTILE_CONTEXTS = {
+    "prec-3": Context(prec=3),
+    "round-down": Context(prec=3, rounding=ROUND_DOWN),
+    "inexact-trapped": Context(traps=[Inexact, Rounded]),
+}
+
+
+class TestDecimalContext:
+    """No ``Decimal`` rule follows the caller's current context."""
+
+    VALUES = [0.31415926, 0.0004, 0.675, 0.6225, 0.295, 1e-12, 0.0, 1.0, 0.7056666666666667]
+
+    @pytest.mark.parametrize("context", HOSTILE_CONTEXTS.values(), ids=HOSTILE_CONTEXTS)
+    def test_the_scalars_ignore_the_current_context(self, context):
+        calls = [
+            *((construct_novelty, value) for value in self.VALUES),
+            *((lambda v, n=n: round_half_up(v, n), value) for value in self.VALUES for n in (2, 3, 4)),
+            *((lambda v, n=n: round_repr_half_up(repr(v), n), value) for value in self.VALUES for n in (2, 3)),
+        ]
+        expected = [function(value).hex() for function, value in calls]
+        with localcontext(context):
+            assert [function(value).hex() for function, value in calls] == expected
+
+    @pytest.mark.parametrize("context", HOSTILE_CONTEXTS.values(), ids=HOSTILE_CONTEXTS)
+    def test_the_case_study_reports_ignore_the_current_context(self, context):
+        # The pinned table's three-decimal similarities, and the lexical
+        # backend's full-precision ones.
+        def reports():
+            past, current, fixture = load_case_study()
+            return [
+                render_report(rank_current_problems(past, current, backend), fmt, summary)
+                for backend in (fixture, LexicalBackend())
+                for fmt in ("table", "csv", "json")
+                for summary in (False, True)
+            ]
+
+        expected = reports()
+        with localcontext(context):
+            assert reports() == expected
+
+
 class TestClassifyNovelty:
     @pytest.mark.parametrize(
         ("score", "band"),
@@ -229,6 +334,14 @@ class TestAggregateNovelty:
     def test_bool_or_non_real_rejected(self, bad):
         scores = {ConstructLevel.PARTS: 0.75, ConstructLevel.EFFECT: bad}
         with pytest.raises(ValueError, match=r"^effect novelty .+ is not a real number$"):
+            aggregate_novelty(scores, scores)
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, 5.0, -1.0, math.nextafter(1.0, 2.0), -5e-324, np.float64(1.5), 2]
+    )
+    def test_score_outside_the_unit_interval_rejected(self, bad):
+        scores = {ConstructLevel.PARTS: 0.75, ConstructLevel.EFFECT: bad}
+        with pytest.raises(ValueError, match=r"^effect novelty \S+ outside \[0, 1\]$"):
             aggregate_novelty(scores, scores)
 
 

@@ -181,11 +181,12 @@ def test_a_record_rejects_a_score_that_is_not_a_real_number(field, bad):
         _record(maps["similarity"], maps["novelty"])
 
 
-def _report_of(score):
-    """A one-pair report whose record holds ``score`` at every level of both maps."""
+def _report_of(score, average=0.25, minimum=0.25):
+    """A one-pair report whose record holds ``score`` at every level of both
+    maps, and ``average``, whose entry holds ``minimum``."""
     scores = {ACTION: score, ConstructLevel.PARTS: score}
-    record = PairAssessment("p1", "c1", scores, scores, (ConstructLevel.PARTS,), 0.25, NoveltyBand.LOW)
-    entry = ProblemNovelty("c1", (record,), 0.25, NoveltyBand.LOW, 1)
+    record = PairAssessment("p1", "c1", scores, scores, (ConstructLevel.PARTS,), average, NoveltyBand.LOW)
+    entry = ProblemNovelty("c1", (record,), minimum, NoveltyBand.LOW, 1)
     return NoveltyReport("lexical", 0.7, "past", "current", ranked=(entry,))
 
 
@@ -204,6 +205,45 @@ def test_a_record_holds_real_scores_as_floats_and_renders_them_so(score, expecte
     for fmt in ("table", "csv", "json"):
         for summary_only in (False, True):
             assert render_report(report, fmt, summary_only) == render_report(reference, fmt, summary_only)
+
+
+@pytest.mark.parametrize(
+    ("score", "expected"),
+    [(np.float64(0.25), 0.25), (np.float32(0.25), 0.25), (1, 1.0), (0, 0.0)],
+    ids=["float64", "float32", "int-1", "int-0"],
+)
+def test_an_average_and_a_minimum_are_held_as_floats_and_render_so(score, expected):
+    report, reference = _report_of(0.5, score, score), _report_of(0.5, expected, expected)
+    (entry,) = report.ranked
+    (record,) = entry.assessments
+    assert type(record.average_novelty) is float and record.average_novelty == expected
+    assert type(entry.min_novelty) is float and entry.min_novelty == expected
+    assert report == reference
+    for fmt in ("table", "csv", "json"):
+        for summary_only in (False, True):
+            assert render_report(report, fmt, summary_only) == render_report(reference, fmt, summary_only)
+
+
+@pytest.mark.parametrize("field", ["average_novelty", "min_novelty"])
+@pytest.mark.parametrize(
+    ("bad", "message"),
+    [
+        (math.nan, r"nan outside \[0, 1\]"),
+        (math.inf, r"inf outside \[0, 1\]"),
+        (-0.25, r"-0.25 outside \[0, 1\]"),
+        (math.nextafter(1.0, 2.0), r"1.0000000000000002 outside \[0, 1\]"),
+        (np.float32(1.5), r"1.5 outside \[0, 1\]"),
+        (2, r"2.0 outside \[0, 1\]"),
+        (True, "True is not a real number"),
+        (np.True_, r"\S+ is not a real number"),  # np.True_ or True, as numpy writes it
+        ("0.5", "'0.5' is not a real number"),
+    ],
+    ids=repr,
+)
+def test_an_average_or_a_minimum_outside_the_number_rule_is_rejected(field, bad, message):
+    average, minimum = (bad, 0.25) if field == "average_novelty" else (0.25, bad)
+    with pytest.raises(ValueError, match=rf"^{field} {message}$"):
+        _report_of(0.5, average, minimum)
 
 
 def test_a_record_is_the_same_built_positionally_by_keyword_or_with_the_default_flag():
