@@ -6,9 +6,12 @@ On-disk format is UTF-8 JSON Lines: one problem object per line with the keys
 construct keys to phrases; keys other than ``action`` may be absent).
 
 Survey responses arrive as CSV and are imported as a current-role corpus.
-Records from either source meet one policy: strict mode aborts at the first
-invalid record, naming its line (JSONL) or data row (CSV); lenient mode skips
-invalid records with warnings.
+Records from either source meet one rule set, the one that
+``validate_corpus_file`` and ``problem_model.validate_corpus`` apply too
+(``problem_model._corpus_findings``): a record's invariants, its provenance
+against the corpus role, and an id that no earlier record holds. Strict mode
+aborts at the first finding, naming its line (JSONL) or data row (CSV);
+lenient mode skips the record with one warning per finding.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import csv
 import json
 import warnings
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .problem_model import (
     CANONICAL_LEVEL_KEYS,
@@ -25,9 +28,9 @@ from .problem_model import (
     ProblemCorpus,
     ProblemSapphire,
     Provenance,
+    _corpus_findings,
     _not_utf8,
     validate_corpus,
-    validate_problem,
 )
 
 __all__ = [
@@ -128,10 +131,6 @@ def problem_from_record(record: dict, *, path: str | Path, line_no: int, strict:
     )
 
 
-def _duplicate_message(where: str, number: int, problem_id: str, first: int) -> str:
-    return f"{where} {number}: duplicate id {problem_id!r} (first on {where} {first})"
-
-
 def _read_records(path: Path, strict: bool) -> Iterator[tuple[int, ProblemSapphire | str]]:
     """Yield ``(line_no, problem)`` per record line, or ``(line_no, message)``
     for a line that is not a record; the message names the line.
@@ -165,60 +164,68 @@ def _read_records(path: Path, strict: bool) -> Iterator[tuple[int, ProblemSapphi
 
 def _admit_records(
     items: Iterable[tuple[int, ProblemSapphire | str]],
+    role: Provenance | None,
+    where: str,
+    report: Callable[[str], None],
+) -> tuple[list[ProblemSapphire], int]:
+    """The record policy of every corpus source: returns the problems that
+    break no rule of :func:`_corpus_findings` and the last position read (0
+    when there was none).
+
+    ``items`` pairs a record's ``where`` number (``"line"`` or ``"row"``)
+    with its problem, or with a message naming that number. Each finding, the
+    message or a broken rule as ``f"{where} {number}: {violation}"``, goes to
+    ``report`` in order, and its record is not kept.
+    """
+    problems: list[ProblemSapphire] = []
+    number = 0
+    for number, item, violations in _corpus_findings(items, role, f"{where} {{}}".format):
+        if isinstance(item, str):
+            report(item)
+        elif violations:
+            for violation in violations:
+                report(f"{where} {number}: {violation}")
+        else:
+            problems.append(item)
+    return problems, number
+
+
+def _load(
+    items: Iterable[tuple[int, ProblemSapphire | str]],
     path: Path,
     role: Provenance,
     strict: bool,
     where: str,
-) -> tuple[list[ProblemSapphire], int]:
-    """The record policy of every corpus source: returns the kept problems and
-    the last position read (0 when there was none).
+    empty: str,
+) -> ProblemCorpus:
+    """The corpus of the records of ``path`` that :func:`_admit_records`
+    keeps, named after the file stem. Strict mode raises
+    :class:`CorpusFormatError` at the first finding; lenient mode warns for
+    each one that its record is skipped. A source without records warns
+    ``empty``."""
 
-    ``items`` pairs a record's ``where`` number (``"line"`` or ``"row"``) with
-    its problem, or with a message naming that number. A problem is kept when
-    it passes :func:`validate_problem`, matches ``role`` and has a new id.
-    Strict mode raises :class:`CorpusFormatError` at any other item; lenient
-    mode skips it with a :class:`CorpusWarning`.
-    """
-    problems: list[ProblemSapphire] = []
-    seen_ids: dict[str, int] = {}
-    number = 0
-    for number, item in items:
-        if isinstance(item, str):
-            message = item
-        elif violations := validate_problem(item):
-            joined = "; ".join(str(v) for v in violations)
-            message = f"{where} {number}: invalid record: {joined}"
-        elif item.provenance is not role:
-            message = (
-                f"{where} {number}: provenance {item.provenance.value!r} "
-                f"does not match the corpus role {role.value!r}"
-            )
-        elif item.id in seen_ids:
-            message = _duplicate_message(where, number, item.id, seen_ids[item.id])
-        else:
-            seen_ids[item.id] = number
-            problems.append(item)
-            continue
+    def report(finding: str) -> None:
         if strict:
-            raise CorpusFormatError(f"{path}: {message}")
-        warnings.warn(f"{path}: {message} (skipped)", CorpusWarning)
-    return problems, number
+            raise CorpusFormatError(f"{path}: {finding}")
+        warnings.warn(f"{path}: {finding} (skipped)", CorpusWarning)
+
+    problems, last = _admit_records(items, role, where, report)
+    if not last:
+        warnings.warn(f"{path}: {empty}", CorpusWarning)
+    return ProblemCorpus(name=path.stem, role=role, problems=tuple(problems))
 
 
 def load_corpus(path: str | Path, role: Provenance, strict: bool = True) -> ProblemCorpus:
     """Load a JSONL corpus file; the corpus takes its name from the file stem.
 
-    Every line is parsed and validated; ids must be unique and every record's
-    provenance must agree with ``role``. Strict mode raises
-    :class:`CorpusFormatError` naming the offending line; lenient mode skips
-    bad records with a :class:`CorpusWarning`. An empty file yields an empty
-    corpus with a warning.
+    Every line is parsed and checked by the corpus rules: each record's
+    invariants, its provenance against ``role``, and an id no earlier line
+    holds. Strict mode raises :class:`CorpusFormatError` naming the offending
+    line; lenient mode skips bad records with a :class:`CorpusWarning` per
+    finding. An empty file yields an empty corpus with a warning.
     """
     path = Path(path)
-    problems, last_line = _admit_records(_read_records(path, strict), path, role, strict, "line")
-    if not last_line:
-        warnings.warn(f"{path}: empty corpus file", CorpusWarning)
-    return ProblemCorpus(name=path.stem, role=role, problems=tuple(problems))
+    return _load(_read_records(path, strict), path, role, strict, "line", "empty corpus file")
 
 
 def save_corpus(corpus: ProblemCorpus, path: str | Path) -> None:
@@ -278,11 +285,7 @@ def import_survey_csv(
         position = {column: i for i, column in enumerate(header)}
 
         items = _survey_items(reader, position, context)
-        problems, last_row = _admit_records(items, path, Provenance.CURRENT, strict, "row")
-
-    if not last_row:
-        warnings.warn(f"{path}: survey file contains no data rows", CorpusWarning)
-    return ProblemCorpus(name=path.stem, role=Provenance.CURRENT, problems=tuple(problems))
+        return _load(items, path, Provenance.CURRENT, strict, "row", "survey file contains no data rows")
 
 
 def _survey_items(
@@ -324,29 +327,14 @@ def _survey_problem(
 
 
 def validate_corpus_file(path: str | Path) -> list[str]:
-    """Strictly check one corpus file and return every violation as a message.
+    """Strictly check one corpus file and return every finding, in line order.
 
-    The corpus role is taken from the records themselves; a file mixing past
-    and current provenance is reported as a violation. Used by the CLI's
-    ``validate`` command, which wants the full list rather than a first-error
-    abort.
+    The findings are those a strict :func:`load_corpus` raises the first of,
+    worded the same way; the corpus role is that of the first record that
+    parses, so each record of the other provenance is a finding. Used by the
+    CLI's ``validate`` command, which wants the full list rather than a
+    first-error abort.
     """
     findings: list[str] = []
-    problems: list[tuple[int, ProblemSapphire]] = []
-    for line_no, item in _read_records(Path(path), strict=True):
-        if isinstance(item, str):
-            findings.append(item)
-            continue
-        findings.extend(f"line {line_no}: {violation}" for violation in validate_problem(item))
-        problems.append((line_no, item))
-
-    seen: dict[str, int] = {}
-    for line_no, problem in problems:
-        if problem.id in seen:
-            findings.append(_duplicate_message("line", line_no, problem.id, seen[problem.id]))
-        else:
-            seen[problem.id] = line_no
-
-    if len({problem.provenance for _, problem in problems}) > 1:
-        findings.append("file mixes 'past' and 'current' provenance records")
+    _admit_records(_read_records(Path(path), strict=True), None, "line", findings.append)
     return findings

@@ -156,7 +156,8 @@ def round_half_up(value: float, ndigits: int = 2) -> float:
     """Decimal half-up rounding of the shortest decimal representation of ``value``.
 
     Avoids the binary-float trap where e.g. round(0.675, 2) rounds down.
-    ``value`` is a real number, taken as its ``float`` (see :func:`_as_float`).
+    ``value`` is a real number, taken as its ``float`` (see :func:`_as_float`),
+    that :func:`round_repr_half_up` can round.
     """
     if type(value) is not float:
         value = _as_float(value, "value")
@@ -165,9 +166,20 @@ def round_half_up(value: float, ndigits: int = 2) -> float:
 
 def round_repr_half_up(text: str, ndigits: int = 2) -> float:
     """:func:`round_half_up` of the float whose ``repr`` is ``text``, for a
-    caller that holds that shortest decimal representation already."""
+    caller that holds that shortest decimal representation already.
+
+    A NaN, an infinity, or a value whose rounding needs more than the 28
+    digits of ``_CONTEXT`` (``abs(value) >= 10 ** (28 - ndigits)``) raises
+    ``ValueError`` naming it.
+    """
     quantum = _QUANTA[ndigits] if ndigits in _QUANTA else _ONE.scaleb(-ndigits, _CONTEXT)
-    return float(Decimal(text, _CONTEXT).quantize(quantum, ROUND_HALF_UP, _CONTEXT))
+    try:
+        rounded = Decimal(text, _CONTEXT).quantize(quantum, ROUND_HALF_UP, _CONTEXT)
+        if not rounded.is_nan():
+            return float(rounded)
+    except InvalidOperation:  # an infinity, or more digits than the context holds
+        pass
+    raise ValueError(f"value {text} cannot be rounded to {ndigits} decimal places")
 
 
 def construct_novelty(similarity: float) -> float:

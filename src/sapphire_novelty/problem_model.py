@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 
 class ConstructLevel(Enum):
@@ -211,34 +211,46 @@ def construct_text(problem: ProblemSapphire, level: ConstructLevel) -> Optional[
     return text
 
 
+def _corpus_findings(
+    items: Iterable[tuple[int, ProblemSapphire | str]],
+    role: Optional[Provenance],
+    name: Callable[[int], str],
+) -> Iterator[tuple[int, ProblemSapphire | str, list[Violation]]]:
+    """The one rule set of a corpus, in any form: yields ``(number, item,
+    violations)`` for each ``(number, item)`` of ``items``.
+
+    An item is a problem at position ``number``, or a reader's message
+    naming a position that holds no problem; a message breaks no rule of its
+    own. A problem's violations are those of :func:`validate_problem`, then a
+    provenance other than ``role`` (when ``role`` is None, that of the first
+    problem), then an id that an earlier problem holds, valid or not, whose
+    position ``name`` names.
+    """
+    first: dict[str, int] = {}
+    for number, item in items:
+        if isinstance(item, str):
+            yield number, item, []
+            continue
+        violations = validate_problem(item)
+        role = role or item.provenance
+        if item.provenance is not role:
+            message = f"{item.provenance.value!r} does not match the corpus role {role.value!r}"
+            violations.append(Violation("provenance", message))
+        if first.setdefault(item.id, number) != number:
+            violations.append(Violation("id", f"duplicate id {item.id!r} (first on {name(first[item.id])})"))
+        yield number, item, violations
+
+
 def validate_corpus(corpus: ProblemCorpus) -> list[Violation]:
-    """Check corpus invariants plus each member problem's own invariants."""
-    violations: list[Violation] = []
-    seen: dict[str, int] = {}
-    for index, problem in enumerate(corpus.problems):
-        prefix = f"problems[{index}]"
-        if problem.id in seen:
-            violations.append(
-                Violation(
-                    f"{prefix}.id",
-                    f"duplicate id {problem.id!r} (first seen at index {seen[problem.id]})",
-                )
-            )
-        else:
-            seen[problem.id] = index
-        if problem.provenance is not corpus.role:
-            violations.append(
-                Violation(
-                    f"{prefix}.provenance",
-                    f"problem {problem.id!r} is {problem.provenance.value!r} "
-                    f"but the corpus role is {corpus.role.value!r}",
-                )
-            )
-        for violation in validate_problem(problem):
-            violations.append(
-                Violation(f"{prefix}.{violation.field}", violation.message, violation.level)
-            )
-    return violations
+    """Check each member problem by :func:`_corpus_findings`, against the
+    corpus role; each violation's field names its problem, as in
+    ``problems[1].id``."""
+    findings = _corpus_findings(enumerate(corpus.problems), corpus.role, "problems[{}]".format)
+    return [
+        Violation(f"problems[{index}].{violation.field}", violation.message, violation.level)
+        for index, _, violations in findings
+        for violation in violations
+    ]
 
 
 def make_constructs(**texts: str) -> dict[ConstructLevel, str]:

@@ -231,6 +231,16 @@ class ListedBackend(SimilarityBackend):
         return self.values
 
 
+class CountedPairs(list):
+    """A list of pairs that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
 class ConvertedBackend(SimilarityBackend):
     """A custom backend that returns ``convert`` of what ``inner`` scores."""
 
@@ -406,6 +416,17 @@ class TestValueType:
     def test_a_float_list_is_the_backends_own(self):
         values = [0.5, 1.0, 0.0]
         assert text_similarities(THREE_PAIRS, ListedBackend(values)) is values
+
+    @pytest.mark.parametrize(
+        "values",
+        [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.25, 0.5, 0.75]],
+        ids=["all-one", "all-zero", "inside"],
+    )
+    def test_in_range_floats_cost_no_walk_over_the_pairs(self, values):
+        pairs = CountedPairs(THREE_PAIRS)
+        assert text_similarities(pairs, ListedBackend(values)) is values
+        # The C-level blank and length passes only: no per-pair walk.
+        assert pairs.iterations == 2
 
     @pytest.mark.parametrize("position", [0, 1, 2])
     @pytest.mark.parametrize("bad", [True, False, np.True_, None, "0.5", 0.5j, [0.5]], ids=repr)

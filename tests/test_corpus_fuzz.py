@@ -21,7 +21,7 @@ from sapphire_novelty import (
     save_corpus,
     validate_problem,
 )
-from sapphire_novelty.corpus_store import validate_corpus_file
+from sapphire_novelty.corpus_store import _read_records, validate_corpus_file
 from sapphire_novelty.problem_model import CANONICAL_LEVEL_KEYS
 
 RECORD_KEYS = ["id", "label", "provenance", "source", "context", "constructs", "extra"]
@@ -187,6 +187,27 @@ def test_survey_importer_fails_only_with_corpus_errors(content):
         Provenance.CURRENT,
         ("missing header row", "header lacks required column(s)", "unreadable header row"),
     )
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(content=jsonl_files())
+def test_validate_finds_nothing_exactly_when_a_strict_load_succeeds(content):
+    """``validate`` and strict load apply one rule set, in one wording: with
+    the role of the first record that parses, a strict load raises the first
+    finding that ``validate`` lists, word for word, or succeeds when it lists
+    none."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "corpus.jsonl"
+        path.write_bytes(content)
+        findings = validate_corpus_file(path)
+        first = next((item for _, item in _read_records(path, strict=True) if not isinstance(item, str)), None)
+        role = first.provenance if first else Provenance.PAST
+        strict, _ = _load(lambda path, strict: load_corpus(path, role, strict=strict), path, True)
+    if findings:
+        assert isinstance(strict, CorpusFormatError)
+        assert str(strict) == f"{path}: {findings[0]}", findings
+    else:
+        assert not isinstance(strict, CorpusFormatError), strict
 
 
 class TestInputsThePythonParsersRefuse:

@@ -377,7 +377,7 @@ class TestImportSurveyCsv:
     def test_whitespace_id_strict_names_row(self, tmp_path):
         path = write_lines(tmp_path / "survey.csv", SURVEY_HEADER, "R 1,label,src,spill,,,,,,")
         with pytest.raises(
-            CorpusFormatError, match="row 1: invalid record: id: must not contain whitespace"
+            CorpusFormatError, match="row 1: id: must not contain whitespace"
         ):
             import_survey_csv(path, context="kettle", strict=True)
 
@@ -405,9 +405,9 @@ class TestImportSurveyCsv:
             warnings.simplefilter("always")
             corpus = import_survey_csv(path, context="kettle", strict=False)
         assert [str(w.message) for w in caught] == [
-            f"{path}: row 2: invalid record: constructs[action]: "
+            f"{path}: row 2: constructs[action]: "
             "the Action construct is mandatory and must be non-empty (skipped)",
-            f"{path}: row 3: duplicate id 'R1' (first on row 1) (skipped)",
+            f"{path}: row 3: id: duplicate id 'R1' (first on row 1) (skipped)",
         ]
         assert [p.id for p in corpus.problems] == ["R1"]
 
@@ -417,7 +417,7 @@ class TestImportSurveyCsv:
             warnings.simplefilter("always")
             corpus = import_survey_csv(path, context="kettle", strict=False)
         assert [str(w.message) for w in caught] == [
-            f"{path}: row 1: invalid record: id: must not contain whitespace: 'R 1' (skipped)"
+            f"{path}: row 1: id: must not contain whitespace: 'R 1' (skipped)"
         ]
         assert corpus.problems == ()
 
@@ -471,3 +471,49 @@ class TestImportSurveyCsv:
         corpus = import_survey_csv(path, context="kettle")
         assert corpus.problems[0].label == "spout, lid and rim"
         assert corpus.problems[0].constructs[ConstructLevel.PARTS] == "spout, lid, rim"
+
+
+EMPTY_ACTION = "constructs[action]: the Action construct is mandatory and must be non-empty"
+
+
+class TestOneRuleSet:
+    """Lenient load and survey import skip records by one rule set, worded as
+    ``validate`` and strict load word it."""
+
+    @pytest.mark.parametrize("source", ["jsonl", "survey"])
+    def test_an_invalid_record_still_holds_its_id(self, tmp_path, source):
+        if source == "jsonl":
+            path = write_lines(
+                tmp_path / "current.jsonl",
+                record("A", "current", constructs={"action": " "}),
+                record("A", "current"),
+                record("B", "current"),
+            )
+            where, read = "line", lambda: load_corpus(path, Provenance.CURRENT, strict=False)
+        else:
+            path = write_lines(
+                tmp_path / "survey.csv", SURVEY_HEADER, "A,l,s, ,,,,,,", "A,l,s,spill,,,,,,", "B,l,s,spill,,,,,,"
+            )
+            where, read = "row", lambda: import_survey_csv(path, context="kettle", strict=False)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            corpus = read()
+        assert [str(w.message) for w in caught] == [
+            f"{path}: {where} 1: {EMPTY_ACTION} (skipped)",
+            f"{path}: {where} 2: id: duplicate id 'A' (first on {where} 1) (skipped)",
+        ]
+        assert [p.id for p in corpus.problems] == ["B"]
+
+    def test_lenient_load_warns_once_per_broken_rule(self, tmp_path):
+        path = write_lines(tmp_path / "past.jsonl", record("A"), record("A", "current"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            corpus = load_corpus(path, Provenance.PAST, strict=False)
+        assert [str(w.message) for w in caught] == [
+            f"{path}: line 2: provenance: 'current' does not match the corpus role 'past' (skipped)",
+            f"{path}: line 2: id: duplicate id 'A' (first on line 1) (skipped)",
+        ]
+        assert [p.id for p in corpus.problems] == ["A"]
+        with pytest.raises(CorpusFormatError) as raised:
+            load_corpus(path, Provenance.PAST)
+        assert str(raised.value) == f"{path}: line 2: provenance: 'current' does not match the corpus role 'past'"

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import warnings
 from decimal import ROUND_DOWN, ROUND_HALF_EVEN, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
@@ -39,6 +40,7 @@ from sapphire_novelty import (
     text_similarity,
 )
 from sapphire_novelty.data import load_case_study
+from sapphire_novelty import novelty
 from sapphire_novelty.novelty import round_repr_half_up
 
 from conftest import CASE_STUDY_NOVELTY
@@ -70,6 +72,8 @@ class TestRoundHalfUp:
             (1.0, 1.0),
             (np.float64(0.675), 0.68),
             (np.float32(0.25), 0.25),
+            # The largest magnitude the 28-digit context rounds to 2 places.
+            (-9.999999999999999e25, -9.999999999999999e25),
         ],
     )
     def test_two_decimals(self, value, expected):
@@ -78,10 +82,26 @@ class TestRoundHalfUp:
     def test_three_decimals(self):
         assert round_half_up(0.3145, 3) == 0.315
 
-    @pytest.mark.parametrize("bad", [True, "0.675", None])
-    def test_bool_or_non_real_rejected(self, bad):
-        with pytest.raises(ValueError, match="is not a real number"):
-            round_half_up(bad)
+    @pytest.mark.parametrize(
+        ("call", "bad", "message"),
+        [
+            (round_half_up, True, "value True is not a real number"),
+            (round_half_up, "0.675", "value '0.675' is not a real number"),
+            (round_half_up, None, "value None is not a real number"),
+            # Not finite, or more than the context's 28 digits once rounded.
+            (round_half_up, math.nan, "value nan cannot be rounded to 2 decimal places"),
+            (round_half_up, math.inf, "value inf cannot be rounded to 2 decimal places"),
+            (round_half_up, -math.inf, "value -inf cannot be rounded to 2 decimal places"),
+            (round_half_up, 1e26, "value 1e+26 cannot be rounded to 2 decimal places"),
+            (lambda v: round_half_up(v, 3), 1e25, "value 1e+25 cannot be rounded to 3 decimal places"),
+            (round_repr_half_up, "nan", "value nan cannot be rounded to 2 decimal places"),
+            (round_repr_half_up, "-inf", "value -inf cannot be rounded to 2 decimal places"),
+        ],
+        ids=lambda v: repr(v) if not callable(v) else None,
+    )
+    def test_a_value_it_cannot_round_rejected(self, call, bad, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(bad)
 
     def test_monotone(self):
         rng = random.Random(5)
@@ -151,6 +171,33 @@ def _neighbours(value, steps=2):
     return sorted(set(below + above))
 
 
+def off_the_float_path(similarity):
+    """Whether ``1 - similarity`` is out of the float path's domain: below
+    ``2**-36``, at least 0.5, or a tie, exactly halfway between two floats."""
+    if not 2.0**-36 <= similarity < 0.5:
+        return True
+    error = Fraction(1) - Fraction(similarity) - Fraction(1.0 - similarity)
+    return abs(error) == Fraction(1, 2**54)
+
+
+class CountingContext(Context):
+    """The package's ``Decimal`` context, counting its subtractions."""
+
+    subtractions = 0
+
+    def __init__(self):
+        package = novelty._CONTEXT
+        super().__init__(
+            prec=package.prec, rounding=package.rounding, Emin=package.Emin, Emax=package.Emax,
+            capitals=package.capitals, clamp=package.clamp, flags=[],
+            traps=[signal for signal, on in package.traps.items() if on],
+        )
+
+    def subtract(self, a, b):
+        self.subtractions += 1
+        return super().subtract(a, b)
+
+
 # The edges of the float path, [2**-36, 0.5), and of the range; a tie, where
 # the float complement rounds to even (0.75) but the decimal one does not; and
 # short decimals, as reports print similarities, with their neighbours.
@@ -192,6 +239,21 @@ class TestFloatComplement:
     @hypothesis.given(similarity=st.floats(0.0, 1.0))
     def test_every_similarity_equals_the_decimal_complement(self, similarity):
         assert construct_novelty(similarity).hex() == decimal_complement(similarity).hex()
+
+    def test_only_similarities_off_the_float_path_pay_a_decimal_subtraction(self):
+        rng = random.Random(31)
+        similarities = [
+            *COMPLEMENT_EDGES,
+            *(math.ldexp(1.0 + rng.getrandbits(52) / 2.0**52, rng.randint(-40, -1)) for _ in range(5000)),
+            *(round(rng.random(), 3) for _ in range(1000)),
+        ]
+        context = CountingContext()
+        with mock.patch.object(novelty, "_CONTEXT", context):
+            for similarity in similarities:
+                construct_novelty(similarity)
+        off_path = sum(map(off_the_float_path, similarities))
+        assert context.subtractions == off_path
+        assert 1000 < off_path < 5000  # the sweep reaches both paths
 
 
 # Contexts a caller may have made current, each changing Decimal arithmetic.
@@ -267,6 +329,10 @@ class TestClassifyNovelty:
 
     def test_band_order_total(self):
         assert NoveltyBand.LOW < NoveltyBand.MEDIUM < NoveltyBand.HIGH
+        # Strict: no band is below itself or below a lower band.
+        assert not NoveltyBand.LOW < NoveltyBand.LOW
+        assert not NoveltyBand.MEDIUM < NoveltyBand.MEDIUM
+        assert not NoveltyBand.HIGH < NoveltyBand.MEDIUM
         with pytest.raises(TypeError):
             NoveltyBand.LOW < 1
 
@@ -787,9 +853,11 @@ class TestOneScoringPath:
 class TestOScore:
     def test_all_ideas_similar(self):
         assert o_score(OScoreInput(n=5, m=5)) == 0.0
+        assert o_score(OScoreInput(n=1, m=1)) == 0.0
 
     def test_no_ideas_similar(self):
         assert o_score(OScoreInput(n=0, m=5)) == 1.0
+        assert o_score(OScoreInput(n=0, m=1)) == 1.0
 
     def test_arithmetic(self):
         assert o_score(OScoreInput(n=2, m=8)) == 0.75

@@ -209,3 +209,16 @@ class TestValidateCorpus:
         )
         violations = validate_corpus(corpus)
         assert any("corpus role" in v.message for v in violations)
+
+    def test_each_rule_is_worded_as_the_file_rules_word_it(self):
+        blank = ProblemSapphire(id="A", label="x", provenance=Provenance.PAST, constructs={})
+        corpus = ProblemCorpus(
+            name="past",
+            role=Provenance.PAST,
+            problems=(blank, full_problem("A"), full_problem("B", Provenance.CURRENT)),
+        )
+        assert [str(v) for v in validate_corpus(corpus)] == [
+            "problems[0].constructs[action]: the Action construct is mandatory and must be non-empty",
+            "problems[1].id: duplicate id 'A' (first on problems[0])",
+            "problems[2].provenance: 'current' does not match the corpus role 'past'",
+        ]

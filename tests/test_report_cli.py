@@ -502,8 +502,8 @@ VALIDATE_FINDINGS = {
             "line 2: constructs[action]: must be writable as UTF-8, but holds the lone surrogate '\\udcff'",
         ],
     ),
-    # Per-line findings come first, then duplicates, then the mixed-role finding;
-    # an invalid record still counts as the first occurrence of its id.
+    # Findings come in line order; an invalid record still counts as the first
+    # occurrence of its id, and the first record that parses sets the role.
     "duplicate_after_invalid_record": (
         [
             validate_record("A", constructs={"action": "  "}),
@@ -513,9 +513,9 @@ VALIDATE_FINDINGS = {
         ],
         [
             f"line 1: {EMPTY_ACTION}",
+            "line 2: id: duplicate id 'A' (first on line 1)",
             "line 3: malformed JSON (Expecting property name enclosed in double quotes)",
-            "line 2: duplicate id 'A' (first on line 1)",
-            "file mixes 'past' and 'current' provenance records",
+            "line 4: provenance: 'current' does not match the corpus role 'past'",
         ],
     ),
 }
@@ -578,7 +578,9 @@ class TestCmdValidate:
         path = tmp_path / "mixed.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["validate", str(path)]) == 1
-        assert "mixes" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            f"{path}: INVALID\n  line 2: provenance: 'current' does not match the corpus role 'past'\n"
+        )
 
     def test_nonexistent_path_exits_two(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "missing.jsonl")]) == 2
