@@ -11,8 +11,8 @@ remote score is the cosine of the response vectors, clamped to [0, 1],
 bit-identical to the tests' scalar reference (``tests/vector_reference.py``)
 clamped at 0, except on equal texts: they share one row, which the kernel
 scores exactly 1.0 if it is nonzero. A text whose response vector is all
-zero matches nothing and warns once per call, as a word-vector text that
-pools to the zero sentinel does.
+zero scores 0.0 against every text and warns once per call, in the wording
+every backend shares (``similarity._nothing_to_score``).
 """
 
 from __future__ import annotations
@@ -25,13 +25,12 @@ import re
 import urllib.error
 import urllib.parse
 import urllib.request
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .similarity import BackendUnavailableError, OovWarning
+from .similarity import BackendUnavailableError, _nothing_to_score
 from .vectors import _checked_rows, _unscorable, _VectorBackend
 
 __all__ = ["RemoteBackend"]
@@ -91,7 +90,7 @@ class RemoteBackend(_VectorBackend):
         matrix = np.stack(self.embed_texts(texts))
         for text, nonzero in zip(texts, matrix.any(axis=1).tolist()):
             if not nonzero:
-                warnings.warn(f"all-zero response vector for {text!r}; it matches nothing", OovWarning)
+                _nothing_to_score(text, "its response vector is all zero")
         return matrix, {text: position for position, text in enumerate(texts)}
 
     def embed_texts(self, texts: Sequence[str]) -> list[np.ndarray]:

@@ -42,8 +42,10 @@ one or to check a list that holds another type. Every backend but the
 fixture one has one rule for a text with nothing to score on (no token at
 all, no in-vocabulary token, word vectors that cancel, an all-zero response
 vector): it scores 0.0 against every text, itself included, and warns once
-per call, naming the text, in order of first appearance. Nothing is cached between calls, so
-such a text warns again in every call that scores it.
+per call, naming the text, in order of first appearance, before any pair is
+scored. One helper, ``_nothing_to_score``, words that warning for every
+backend: ``'<text>' scores 0.0 against every text: <why>``. Nothing is cached
+between calls, so such a text warns again in every call that scores it.
 
 All similarity calls are pure given a backend; backends are immutable after
 construction and safe for concurrent use.
@@ -204,6 +206,12 @@ class SimilarityBackend:
         return [self.similarity(a, b) for a, b in pairs]
 
 
+def _nothing_to_score(text: str, why: str) -> None:
+    """Warn that ``text`` scores 0.0 against every text, itself included, and
+    ``why``: the one wording of that rule, under every backend that has it."""
+    warnings.warn(f"{text!r} scores 0.0 against every text: {why}", OovWarning)
+
+
 def _unique_texts(pairs: Sequence[tuple[str, str]]) -> list[str]:
     """Every text of ``pairs`` once, in order of first appearance."""
     return list(dict.fromkeys(chain.from_iterable(pairs)))
@@ -225,7 +233,7 @@ class LexicalBackend(SimilarityBackend):
         for text in _unique_texts(pairs):
             tokens = tokenize(text)
             if not tokens:
-                warnings.warn(f"no tokens survive in {text!r}", OovWarning)
+                _nothing_to_score(text, "it has no token")
             counts = Counter(tokens)
             scored[text] = (tokens, counts, math.sqrt(sum(c * c for c in counts.values())))
         values = []

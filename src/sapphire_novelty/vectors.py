@@ -23,7 +23,8 @@ maps every token of the call to its row in one pass, into one flat array,
 and pools the texts with the same number of in-vocabulary tokens together
 from it (:func:`_pool`), so no Python code runs per text after tokenizing;
 the remote one embeds them. One row rule, :func:`_checked_rows`, checks the
-vectors of a word-vector table built from a mapping and those of each remote
+vectors of a word-vector table built from a mapping, each line the line
+parser reads (whose error adds the line number) and those of each remote
 response, into one matrix. Every pair is scored in batched BLAS calls, each
 over at most ``_BLOCK_ROWS`` rows, so memory does not grow with pairs times
 dimension. The kernel takes each block's quotient, clamp, identity and
@@ -38,9 +39,10 @@ that the tests compare it against, bit for bit, live in the tests' helper
 scored (a text's pooled vector, a response vector) and is nonzero must have
 a squared norm that is finite and at least ``np.finfo(float).tiny``
 (:func:`_unscorable`), so that its cosine is not an overflow's or an
-underflow's and :func:`_cosines` needs no fallback. Texts are tokenized
-through ``similarity.tokenize``, looked up on every call, so one replacement
-of that module attribute is seen by every backend.
+underflow's and :func:`_cosines` needs no fallback; a pooled vector that
+breaks it, or whose sum overflowed, raises one error naming its text. Texts
+are tokenized through ``similarity.tokenize``, looked up on every call, so
+one replacement of that module attribute is seen by every backend.
 """
 
 from __future__ import annotations
@@ -57,9 +59,9 @@ import numpy as np
 from . import similarity as _similarity
 from .problem_model import _not_utf8
 from .similarity import (
-    OovWarning,
     SimilarityBackend,
     WordVectorFormatError,
+    _nothing_to_score,
     _unique_texts,
 )
 
@@ -191,16 +193,6 @@ class WordVectors(Mapping[str, np.ndarray]):
         return len(self.index)
 
 
-def _warn_zero_sentinel(tokens: Sequence[str], found: bool) -> None:
-    """Warn that ``tokens`` pool to the zero sentinel: none has a vector, or the
-    vectors of those that do (``found``) sum to zero."""
-    if found:
-        reason = f"the in-vocabulary vectors of {list(tokens)!r} sum to zero"
-    else:
-        reason = f"no in-vocabulary token among {list(tokens)!r}"
-    warnings.warn(f"{reason}; returning the zero sentinel", OovWarning)
-
-
 def load_word_vectors(path: str | Path) -> Mapping[str, np.ndarray]:
     """Parse the standard text word-vector format into a read-only word -> vector table.
 
@@ -264,7 +256,9 @@ def _read_matrix(lines: Iterable[str]) -> WordVectors | None:
 
 
 def _read_lines(lines: list[str]) -> WordVectors:
-    """The table of ``lines``, checked line by line with Python's ``float``."""
+    """The table of ``lines``, parsed line by line with Python's ``float``; each
+    line's vector meets the row rule of :func:`_checked_rows`, whose error it
+    raises with the line number."""
     index: dict[str, int] = {}
     rows: list[np.ndarray] = []
     for line_no, line in _vector_lines(lines):
@@ -277,19 +271,15 @@ def _read_lines(lines: list[str]) -> WordVectors:
             )
         word, values = parts[0], parts[1:]
         try:
-            vector = np.array([float(x) for x in values], dtype=float)
+            numbers = [float(x) for x in values]
         except ValueError:
             raise WordVectorFormatError(
                 f"line {line_no}: non-numeric vector component in {line!r}"
             ) from None
-        if not np.isfinite(vector).all():
-            raise WordVectorFormatError(
-                f"line {line_no}: non-finite vector component in {line!r}"
-            )
-        if rows and len(vector) != len(rows[0]):
-            raise WordVectorFormatError(
-                f"line {line_no}: expected {len(rows[0])} floats, found {len(vector)}"
-            )
+        try:
+            (vector,) = _checked_rows([numbers], [f"vector of {word!r}"], rows[0].size if rows else None)
+        except ValueError as error:
+            raise WordVectorFormatError(f"line {line_no}: {error}") from None
         if word in index:
             warnings.warn(
                 f"line {line_no}: duplicate word {word!r}; keeping the first occurrence",
@@ -409,19 +399,17 @@ class WordVectorBackend(_VectorBackend):
         hits = np.bincount(np.repeat(np.arange(len(tokens)), lengths)[found], minlength=len(tokens))
         pooled = _pool(matrix, flat[found], hits)
         for position in np.flatnonzero(~pooled.any(axis=1)).tolist():
-            _warn_zero_sentinel(tokens[position], found=bool(hits[position]))
-        finite = np.isfinite(pooled).all(axis=1)
-        if not finite.all():
-            text = texts[int(np.argmin(finite))]
-            raise WordVectorFormatError(
-                f"the word vectors of {text!r} pool to a vector that is not finite: "
-                "their sum overflows"
-            )
+            if hits[position]:
+                why = "its word vectors sum to zero"
+            else:
+                why = "none of its tokens has a word vector" if tokens[position] else "it has no token"
+            _nothing_to_score(texts[position], why)
+        # A sum that overflowed is not finite, so it breaks the rule too.
         unscorable = _unscorable(pooled)
         if unscorable.any():
             text = texts[int(np.argmax(unscorable))]
             raise WordVectorFormatError(
-                f"the word vectors of {text!r} pool to a nonzero vector whose squared norm "
-                "overflows or underflows"
+                f"the word vectors of {text!r} pool to a vector with no cosine: their sum "
+                "overflows, or its squared norm overflows or underflows"
             )
         return pooled, where

@@ -168,15 +168,15 @@ class TestContract:
 
 def test_the_lexical_cases_meet_a_tokenless_text():
     _, messages = _recorded(lambda: LexicalBackend().similarities(PAIRS))
-    assert (OovWarning, "no tokens survive in '-- !!'") in messages
+    assert (OovWarning, "'-- !!' scores 0.0 against every text: it has no token") in messages
 
 
 @pytest.mark.parametrize(
     "name, text, message",
     [
-        ("lexical", "--", "no tokens survive in '--'"),
-        ("wordvec", "xyzzy", "no in-vocabulary token among ['xyzzy']; returning the zero sentinel"),
-        ("remote", "frobozz", "all-zero response vector for 'frobozz'; it matches nothing"),
+        ("lexical", "--", "'--' scores 0.0 against every text: it has no token"),
+        ("wordvec", "xyzzy", "'xyzzy' scores 0.0 against every text: none of its tokens has a word vector"),
+        ("remote", "frobozz", "'frobozz' scores 0.0 against every text: its response vector is all zero"),
     ],
     ids=["lexical", "wordvec", "remote"],
 )

@@ -12,10 +12,17 @@ average over its compared pairs, banded on its two-decimal half-up display
 unmatched; those are listed by id. The reference scores each pair with its
 own ``backend.similarity`` call, so it does not share ranking's bulk calls,
 memo or level keys either.
+
+On the same corpora, two tests count a ranking's work without timing it:
+the backend sees two ``similarities`` calls, each over unique pairs, and
+each distinct similarity off ``construct_novelty``'s float path pays one
+``Decimal`` subtraction.
 """
 
 import warnings
 from decimal import ROUND_HALF_UP, Decimal
+from itertools import product
+from unittest import mock
 
 import hypothesis
 import numpy as np
@@ -31,9 +38,12 @@ from sapphire_novelty import (
     ProblemCorpus,
     ProblemSapphire,
     Provenance,
+    SimilarityBackend,
     WordVectorBackend,
+    novelty,
     rank_current_problems,
 )
+from test_novelty import CountingContext, off_the_float_path
 
 ACTION = ConstructLevel.ACTION
 NON_ACTION = [level for level in ConstructLevel if level is not ACTION]
@@ -84,6 +94,12 @@ def _band(score):
     return NoveltyBand.MEDIUM if rounded < Decimal("0.7") else NoveltyBand.HIGH
 
 
+def _text(problem, level):
+    """The problem's text at ``level``, or None if it is absent or blank."""
+    value = problem.constructs.get(level)
+    return value if value is not None and value.strip() else None
+
+
 def _reference(past, current, backend, threshold):
     """(ranked, unmatched) as the definition gives them, in the shape of :func:`_observed`."""
     similarity = {}
@@ -93,20 +109,16 @@ def _reference(past, current, backend, threshold):
             similarity[a, b] = backend.similarity(a, b)
         return similarity[a, b]
 
-    def text(problem, level):
-        value = problem.constructs.get(level)
-        return value if value is not None and value.strip() else None
-
     ranked, unmatched = [], []
     for problem in current.problems:
         records, averages = [], []
         for reference in past.problems:
-            action = score(text(reference, ACTION), text(problem, ACTION))
+            action = score(_text(reference, ACTION), _text(problem, ACTION))
             if not action >= threshold:
                 continue
-            shared = [level for level in NON_ACTION if text(reference, level) and text(problem, level)]
+            shared = [level for level in NON_ACTION if _text(reference, level) and _text(problem, level)]
             levels = [ACTION, *shared]
-            similarities = [action] + [score(text(reference, level), text(problem, level)) for level in shared]
+            similarities = [action] + [score(_text(reference, level), _text(problem, level)) for level in shared]
             novelties = [float(Decimal(1) - Decimal(repr(value))) for value in similarities]
             average = sum(novelties[1:]) / len(shared) if shared else None
             if shared:
@@ -177,3 +189,73 @@ def test_a_ranking_equals_the_reference(name, past, current, threshold):
         report = rank_current_problems(past, current, backend, threshold)
         reference = _reference(past, current, backend, threshold)
     assert _observed(report) == reference
+
+
+class _Recording(SimilarityBackend):
+    """Scores through ``inner`` and records the pairs of each ``similarities`` call."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, []
+
+    def similarities(self, pairs):
+        self.calls.append(list(pairs))
+        return self.inner.similarities(pairs)
+
+
+RANKINGS = hypothesis.given(
+    past=corpora(Provenance.PAST, "P"),
+    current=corpora(Provenance.CURRENT, "C"),
+    threshold=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+)
+
+
+@pytest.mark.parametrize("name", list(BACKENDS))
+@hypothesis.settings(max_examples=20, deadline=None)
+@RANKINGS
+def test_a_ranking_makes_two_backend_calls_over_unique_pairs(name, past, current, threshold):
+    """The gate call scores each unique (past, current) Action pair once, and
+    the level call each unique level-text pair of the gated problem pairs once."""
+    backend = _Recording(BACKENDS[name]())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OovWarning)
+        rank_current_problems(past, current, backend, threshold)
+        gate, levels = backend.calls
+        past_actions = {_text(problem, ACTION) for problem in past.problems}
+        current_actions = {_text(problem, ACTION) for problem in current.problems}
+        assert len(gate) == len(past_actions) * len(current_actions)
+        assert set(gate) == set(product(past_actions, current_actions))
+        gated = [
+            (reference, problem)
+            for reference, problem in product(past.problems, current.problems)
+            if backend.inner.similarity(_text(reference, ACTION), _text(problem, ACTION)) >= threshold
+        ]
+    level_pairs = {
+        (_text(reference, level), _text(problem, level))
+        for reference, problem in gated
+        for level in NON_ACTION
+        if _text(reference, level) and _text(problem, level)
+    }
+    assert len(levels) == len(level_pairs)
+    assert set(levels) == level_pairs
+
+
+@pytest.mark.parametrize("name", list(BACKENDS))
+@hypothesis.settings(max_examples=20, deadline=None)
+@RANKINGS
+def test_each_distinct_similarity_off_the_float_path_pays_one_decimal_subtraction(
+    name, past, current, threshold
+):
+    backend = BACKENDS[name]()
+    context = CountingContext()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OovWarning)
+        with mock.patch.object(novelty, "_CONTEXT", context):
+            rank_current_problems(past, current, backend, threshold)
+        ranked, unmatched = _reference(past, current, backend, threshold)
+    records = [record for entry in ranked for record in entry[4]] + [
+        record for entry in unmatched for record in entry[1]
+    ]
+    similarities = {float.fromhex(value) for record in records for _, value, _ in record[1]}
+    off_path = sum(map(off_the_float_path, similarities))
+    hypothesis.event(f"{off_path} of {len(similarities)} similarities off the float path")
+    assert context.subtractions == off_path

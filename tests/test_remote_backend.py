@@ -116,7 +116,7 @@ class TestZeroVectors:
         backend = self.backend(embed_stub, ["boil"], zero_text="spill")
         assert self.messages(lambda: text_similarity("spill", "boil", backend)) == (
             0.0,
-            [(OovWarning, "all-zero response vector for 'spill'; it matches nothing")],
+            [(OovWarning, "'spill' scores 0.0 against every text: its response vector is all zero")],
         )
 
     def test_ranking_that_a_zero_vector_makes_most_novel_warns(self, embed_stub):
@@ -136,7 +136,10 @@ class TestZeroVectors:
         (entry,) = report.ranked
         assert (entry.min_novelty, entry.band) == (1.0, NoveltyBand.HIGH)
         assert caught == [
-            (OovWarning, "all-zero response vector for 'liquid leaves the kettle'; it matches nothing")
+            (
+                OovWarning,
+                "'liquid leaves the kettle' scores 0.0 against every text: its response vector is all zero",
+            )
         ]
 
 

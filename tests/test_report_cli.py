@@ -356,8 +356,8 @@ class TestCmdAssess:
         # "xyzzy" is scored in the gate call (as the Action) and in the level
         # call (as past Parts): once in each, not once per comparison.
         assert warned == {
-            "OovWarning: no in-vocabulary token among ['xyzzy']; returning the zero sentinel": 2,
-            "OovWarning: no in-vocabulary token among ['plugh']; returning the zero sentinel": 1,
+            "OovWarning: 'xyzzy' scores 0.0 against every text: none of its tokens has a word vector": 2,
+            "OovWarning: 'plugh' scores 0.0 against every text: none of its tokens has a word vector": 1,
         }
 
     @pytest.mark.parametrize("strict", [False, True])
@@ -365,8 +365,19 @@ class TestCmdAssess:
         argv = self.oov_rank_argv(tmp_path, "hot", {"past": ["cold"], "current": ["plugh"]})
         assert main(argv + ["--strict"] * strict) == 0
         err = capsys.readouterr().err
-        assert err == "OovWarning: no in-vocabulary token among ['plugh']; returning the zero sentinel\n"
+        assert err == (
+            "OovWarning: 'plugh' scores 0.0 against every text: none of its tokens has a word vector\n"
+        )
         assert ".py:" not in err
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_texts_with_equal_tokens_warn_in_lines_that_name_each(self, strict, tmp_path, capsys):
+        argv = self.oov_rank_argv(tmp_path, "hot", {"past": ["Plugh"], "current": ["plugh!"]})
+        assert main(argv + ["--strict"] * strict) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"OovWarning: {text!r} scores 0.0 against every text: none of its tokens has a word vector"
+            for text in ("Plugh", "plugh!")
+        ]
 
     def test_wordvec_backend_requires_vectors_flag(self):
         argv = assess_argv()
@@ -410,23 +421,15 @@ class TestCmdAssess:
         assert "invalid backend data: line 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "content, reason",
+        "content",
         [
-            ("heat 1e308 1\nlid 1e308 -1\n", "a vector that is not finite: their sum overflows"),
-            (
-                "heat 1e200 1\nlid 1e200 -1\n",
-                "a nonzero vector whose squared norm overflows or underflows",
-            ),
-            (
-                "heat 1e-170 1e-170\nlid 1e-170 -1e-170\n",
-                "a nonzero vector whose squared norm overflows or underflows",
-            ),
+            "heat 1e308 1\nlid 1e308 -1\n",
+            "heat 1e200 1\nlid 1e200 -1\n",
+            "heat 1e-170 1e-170\nlid 1e-170 -1e-170\n",
         ],
         ids=["sum", "squared-norm-overflow", "squared-norm-underflow"],
     )
-    def test_vectors_that_overflow_when_pooled_exit_1_naming_the_text(
-        self, content, reason, tmp_path, capsys
-    ):
+    def test_vectors_that_overflow_when_pooled_exit_1_naming_the_text(self, content, tmp_path, capsys):
         vectors = tmp_path / "vectors.txt"
         vectors.write_text(content + "boil 1 0\n", encoding="utf-8")
         paths = []
@@ -442,7 +445,10 @@ class TestCmdAssess:
         assert caught == []
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"invalid backend data: the word vectors of 'heat lid' pool to {reason}\n"
+        assert captured.err == (
+            "invalid backend data: the word vectors of 'heat lid' pool to a vector with no cosine: "
+            "their sum overflows, or its squared norm overflows or underflows\n"
+        )
 
     def test_vector_file_without_vectors_exits_1(self, tmp_path, capsys):
         vectors = tmp_path / "vectors.txt"

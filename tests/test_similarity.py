@@ -126,26 +126,27 @@ class TestCosineSimilarity:
 class TestEmbedWordVector:
     def test_single_word(self):
         table = {"hot": np.array([1.0, 0.0])}
-        assert list(embed_wordvector(["hot"], table)) == [1.0, 0.0]
+        assert list(embed_wordvector("hot", table)) == [1.0, 0.0]
 
     def test_mean_pooling(self):
         table = {"hot": np.array([1.0, 0.0]), "cold": np.array([0.0, 1.0])}
-        assert list(embed_wordvector(["hot", "cold"], table)) == [0.5, 0.5]
+        assert list(embed_wordvector("hot cold", table)) == [0.5, 0.5]
 
     def test_all_oov_returns_zero_sentinel_with_warning(self):
         table = {"hot": np.array([1.0, 0.0])}
-        with pytest.warns(OovWarning):
-            vector = embed_wordvector(["xyzzy"], table)
+        with pytest.warns(OovWarning, match="^'xyzzy' scores 0.0 against every text: none of its tokens"):
+            vector = embed_wordvector("xyzzy", table)
         assert list(vector) == [0.0, 0.0]
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            embed_wordvector(["hot"], {})
+            embed_wordvector("hot", {})
 
     def test_vectors_that_cancel_return_zero_sentinel_with_warning(self):
         table = {"heat": np.array([1.0, 0.0]), "cold": np.array([-1.0, 0.0])}
-        with pytest.warns(OovWarning, match=r"vectors of \['heat', 'cold'\] sum to zero"):
-            vector = embed_wordvector(["heat", "cold"], table)
+        message = "^'heat cold' scores 0.0 against every text: its word vectors sum to zero$"
+        with pytest.warns(OovWarning, match=message):
+            vector = embed_wordvector("heat cold", table)
         assert list(vector) == [0.0, 0.0]
 
 
@@ -244,8 +245,28 @@ class TestLoadWordVectors:
     def test_non_finite_component_names_line(self, tmp_path, component):
         path = tmp_path / "vec.txt"
         path.write_text(f"hot 1 0 0\ncold 0 {component} 0\n", encoding="utf-8")
-        with pytest.raises(WordVectorFormatError, match="line 2: non-finite"):
+        with pytest.raises(WordVectorFormatError) as caught:
             load_word_vectors(path)
+        assert str(caught.value) == "line 2: vector of 'cold' must have finite components (no NaN or inf)"
+
+    @pytest.mark.parametrize(
+        "components, reason",
+        [
+            ("0 nan 0", "vector of 'cold' must have finite components (no NaN or inf)"),
+            ("0 1", "mixed dimensions: vector of 'cold' has 2 components, expected 3"),
+        ],
+        ids=["non-finite", "dimension"],
+    )
+    def test_a_line_breaks_the_row_rule_in_the_words_of_a_mapping(self, tmp_path, components, reason):
+        cold = [float(component) for component in components.split()]
+        with pytest.raises(ValueError) as from_mapping:
+            WordVectorBackend(table={"hot": [1.0, 0.0, 0.0], "cold": cold})
+        path = tmp_path / "vec.txt"
+        path.write_text(f"hot 1 0 0\ncold {components}\n", encoding="utf-8")
+        with pytest.raises(WordVectorFormatError) as from_file:
+            load_word_vectors(path)
+        assert str(from_mapping.value) == reason
+        assert str(from_file.value) == f"line 2: {reason}"
 
     @pytest.mark.parametrize(
         "content, reason",
@@ -387,8 +408,8 @@ class TestTextSimilarity:
         with pytest.warns(OovWarning) as caught:
             assert text_similarity("-- !!", "?!", LexicalBackend()) == 0.0
         assert [str(w.message) for w in caught] == [
-            "no tokens survive in '-- !!'",
-            "no tokens survive in '?!'",
+            "'-- !!' scores 0.0 against every text: it has no token",
+            "'?!' scores 0.0 against every text: it has no token",
         ]
 
     def test_wordvector_identity_is_exactly_one(self):
@@ -495,9 +516,8 @@ class TestBulkMatchesScalar:
             warnings.simplefilter("ignore", OovWarning)
             assert from_file.similarities(pairs) == from_dict.similarities(pairs)
             for text in self._texts(rng):
-                tokens = tokenize(text)
-                pooled = embed_wordvector(tokens, from_file.table)
-                assert pooled.tobytes() == embed_wordvector(tokens, table).tobytes()
+                pooled = embed_wordvector(text, from_file.table)
+                assert pooled.tobytes() == embed_wordvector(text, table).tobytes()
 
 
 class TestContract:
@@ -540,16 +560,29 @@ class TestOovWarningsPerUniqueText:
         backend = WordVectorBackend(table={"hot": np.array([1.0, 0.0])})
         pairs = [("xyzzy", "hot"), ("hot", "xyzzy"), ("xyzzy", "plugh"), ("plugh", "plugh")] * 3
         assert self._warned(backend, pairs) == [
-            "no in-vocabulary token among ['plugh']; returning the zero sentinel",
-            "no in-vocabulary token among ['xyzzy']; returning the zero sentinel",
+            "'plugh' scores 0.0 against every text: none of its tokens has a word vector",
+            "'xyzzy' scores 0.0 against every text: none of its tokens has a word vector",
         ]
         # Nothing is cached between calls: the next call warns again.
         assert len(self._warned(backend, pairs[:1])) == 1
+
+    def test_wordvector_names_each_text_not_its_tokens(self):
+        # "Plugh" and "plugh!" share their token, and so their row, but each
+        # is a text of its own, and its warning names it.
+        backend = WordVectorBackend(table={"hot": np.array([1.0, 0.0])})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            values = backend.similarities([("Plugh", "hot"), ("plugh!", "hot"), ("Plugh", "plugh!")])
+        assert values == [0.0] * 3
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (OovWarning, f"{text!r} scores 0.0 against every text: none of its tokens has a word vector")
+            for text in ("Plugh", "plugh!")
+        ]
 
     def test_lexical_warns_once_per_tokenless_text(self):
         backend = LexicalBackend()
         pairs = [("-- !!", "kettle"), ("-- !!", "?!"), ("kettle", "-- !!")] * 3
         assert self._warned(backend, pairs) == [
-            "no tokens survive in '-- !!'",
-            "no tokens survive in '?!'",
+            "'-- !!' scores 0.0 against every text: it has no token",
+            "'?!' scores 0.0 against every text: it has no token",
         ]

@@ -29,6 +29,7 @@ from sapphire_novelty import (
     WordVectorFormatError,
     tokenize,
 )
+from sapphire_novelty.similarity import _nothing_to_score
 
 from vector_reference import cosine_similarity, embed_wordvector
 
@@ -64,23 +65,18 @@ def _breaks_norm_rule(vector):
 
 def _wordvec_per_pair(backend, pairs):
     """The per-pair formula: pool each unique text with ``embed_wordvector``,
-    reject the first pooled vector that overflowed, then the first that breaks
-    the norm rule, and score each pair with ``cosine_similarity``."""
+    which warns for a text that pools to zero, reject the first pooled vector
+    that overflowed or breaks the norm rule, and score each pair with
+    ``cosine_similarity``."""
     pooled = {}
     for text in dict.fromkeys(text for pair in pairs for text in pair):
-        tokens = tokenize(text)
         with np.errstate(over="ignore"):  # an overflow is reported below
-            pooled[text] = (tokens, embed_wordvector(tokens, backend.table))
+            pooled[text] = (tokenize(text), embed_wordvector(text, backend.table))
     for text, (_, vector) in pooled.items():
-        if not np.isfinite(vector).all():
+        if _breaks_norm_rule(vector):  # an overflowed sum is not finite, so it breaks the rule
             raise WordVectorFormatError(
-                f"the word vectors of {text!r} pool to a vector that is not finite: their sum overflows"
-            )
-    for text, (_, vector) in pooled.items():
-        if _breaks_norm_rule(vector):
-            raise WordVectorFormatError(
-                f"the word vectors of {text!r} pool to a nonzero vector whose squared norm "
-                "overflows or underflows"
+                f"the word vectors of {text!r} pool to a vector with no cosine: their sum "
+                "overflows, or its squared norm overflows or underflows"
             )
     values = []
     for a, b in pairs:
@@ -175,7 +171,7 @@ def test_remote_bulk_matches_per_pair_formula(embed_stub, data):
                 )
         for text, vector in fetched.items():  # one warning per zero text, in first-appearance order
             if not vector.any():
-                warnings.warn(f"all-zero response vector for {text!r}; it matches nothing", OovWarning)
+                _nothing_to_score(text, "its response vector is all zero")
         values = []
         for a, b in pairs:
             u, v = fetched[a], fetched[b]
@@ -192,21 +188,36 @@ def test_remote_bulk_matches_per_pair_formula(embed_stub, data):
     assert bulk == _outcome(per_pair, pairs)
 
 
-def test_pooled_overflow_names_the_text():
+def _no_cosine(pairs):
+    """The error of the bulk call and of the per-pair formula on ``pairs``,
+    over two words whose sum overflows and whose own squared norms do too."""
     backend = WordVectorBackend(table={"heat": np.array([1e308, 1.0]), "lid": np.array([1e308, -1.0])})
-    pairs = [("heat", "lid"), ("heat lid", "heat"), ("heat lid", "heat lid")]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's overflow warning is not passed on
         with pytest.raises(WordVectorFormatError) as bulk:
             backend.similarities(pairs)
-    assert str(bulk.value) == (
-        "the word vectors of 'heat lid' pool to a vector that is not finite: their sum overflows"
-    )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(WordVectorFormatError) as per_pair:
             _wordvec_per_pair(backend, pairs)
     assert str(per_pair.value) == str(bulk.value)
+    return str(bulk.value)
+
+
+def test_pooled_overflow_names_the_text():
+    assert _no_cosine([("heat lid", "heat"), ("heat", "lid"), ("heat lid", "heat lid")]) == (
+        "the word vectors of 'heat lid' pool to a vector with no cosine: their sum overflows, "
+        "or its squared norm overflows or underflows"
+    )
+
+
+def test_the_first_text_with_no_cosine_is_named_whatever_its_reason():
+    # One check, in order of first appearance: "heat" comes before "heat lid",
+    # and its own squared norm overflows.
+    assert _no_cosine([("heat", "lid"), ("heat lid", "heat"), ("heat lid", "heat lid")]) == (
+        "the word vectors of 'heat' pool to a vector with no cosine: their sum overflows, "
+        "or its squared norm overflows or underflows"
+    )
 
 
 class TestFlatPooling:
@@ -243,13 +254,13 @@ class TestFlatPooling:
         assert bulk == per_pair
         assert bulk[0][0] == "values"
         assert bulk[1] == [
-            (OovWarning, f"{reason}; returning the zero sentinel")
-            for reason in (
-                "the in-vocabulary vectors of ['heat', 'steam'] sum to zero",
-                "no in-vocabulary token among ['plugh']",
-                "no in-vocabulary token among ['xyzzy', 'plugh']",
-                "the in-vocabulary vectors of ['water'] sum to zero",
-                "no in-vocabulary token among []",
+            (OovWarning, f"{text!r} scores 0.0 against every text: {why}")
+            for text, why in (
+                ("heat steam", "its word vectors sum to zero"),
+                ("plugh", "none of its tokens has a word vector"),
+                ("xyzzy plugh", "none of its tokens has a word vector"),
+                ("water", "its word vectors sum to zero"),
+                ("?!", "it has no token"),
             )
         ]
 
@@ -263,7 +274,8 @@ class TestFlatPooling:
             (
                 "error",
                 WordVectorFormatError,
-                "the word vectors of 'coil coil' pool to a vector that is not finite: their sum overflows",
+                "the word vectors of 'coil coil' pool to a vector with no cosine: their sum overflows, "
+                "or its squared norm overflows or underflows",
             ),
             [],
         )
@@ -279,7 +291,7 @@ class TestFlatPooling:
         assert bulk[1] == [
             (
                 OovWarning,
-                "the in-vocabulary vectors of ['heat', 'lid', 'steam'] sum to zero; returning the zero sentinel",
+                "'heat lid steam' scores 0.0 against every text: its word vectors sum to zero",
             )
         ]
 
@@ -302,7 +314,7 @@ class TestEmptyAndDegenerateCalls:
             values = backend.similarities(pairs)
         assert values == [0.0] * len(pairs)
         assert [(w.category, str(w.message)) for w in caught] == [
-            (OovWarning, f"no in-vocabulary token among [{word!r}]; returning the zero sentinel")
+            (OovWarning, f"{word!r} scores 0.0 against every text: none of its tokens has a word vector")
             for word in ("xyzzy", "plugh", "frobozz")
         ]
 
@@ -314,7 +326,7 @@ class TestEmptyAndDegenerateCalls:
             values = backend.similarities(pairs)
         assert values == [0.0] * len(pairs)
         assert [(w.category, str(w.message)) for w in caught] == [
-            (OovWarning, "the in-vocabulary vectors of ['heat', 'cold'] sum to zero; returning the zero sentinel")
+            (OovWarning, "'heat cold' scores 0.0 against every text: its word vectors sum to zero")
         ]
 
     def test_remote_every_vector_zero_warns_per_text(self, embed_stub):
@@ -327,7 +339,7 @@ class TestEmptyAndDegenerateCalls:
             values = backend.similarities(pairs)
         assert values == [0.0] * len(pairs)
         assert [(w.category, str(w.message)) for w in caught] == [
-            (OovWarning, f"all-zero response vector for {text!r}; it matches nothing")
+            (OovWarning, f"{text!r} scores 0.0 against every text: its response vector is all zero")
             for text in ("heat", "lid")
         ]
 

@@ -16,8 +16,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from sapphire_novelty import OovWarning
-from sapphire_novelty.vectors import _unscorable, _warn_zero_sentinel
+from sapphire_novelty import OovWarning, tokenize
+from sapphire_novelty.similarity import _nothing_to_score
+from sapphire_novelty.vectors import _unscorable
 
 
 def cosine_similarity(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> float:
@@ -49,20 +50,21 @@ def cosine_similarity(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.n
     return min(1.0, max(-1.0, value))
 
 
-def embed_wordvector(tokens: Sequence[str], table: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Mean of the vectors of in-vocabulary tokens.
+def embed_wordvector(text: str, table: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Mean of the vectors of the in-vocabulary tokens of ``text``.
 
     Out-of-vocabulary tokens are skipped; if no token is in vocabulary the
-    all-zero sentinel is returned and an :class:`OovWarning` is emitted. So is
-    one when the vectors of the in-vocabulary tokens sum to zero.
+    all-zero sentinel is returned. Either way, a zero mean emits the backends'
+    :class:`OovWarning` naming ``text`` and why it has nothing to score on.
     """
     if not table:
         raise ValueError("word-vector table must be non-empty")
+    tokens = tokenize(text)
     vectors = [table[token] for token in tokens if token in table]
     if not vectors:
-        _warn_zero_sentinel(tokens, found=False)
+        _nothing_to_score(text, "none of its tokens has a word vector" if tokens else "it has no token")
         return np.zeros(len(next(iter(table.values()))), dtype=float)
     mean = np.mean(np.stack(vectors), axis=0)
     if not mean.any():
-        _warn_zero_sentinel(tokens, found=True)
+        _nothing_to_score(text, "its word vectors sum to zero")
     return mean
