@@ -275,11 +275,11 @@ class _LevelMap(Mapping[ConstructLevel, float]):
 
     @classmethod
     def of(cls, scores: Mapping[ConstructLevel, float], name: str) -> "_LevelMap":
-        """``scores`` in canonical level order, each taken as its ``float`` (see
-        :func:`_as_float`, which names a bad one as the level's ``name``); a key
-        that is not a level raises ``ValueError``."""
+        """``scores`` in canonical level order, each a real number in [0, 1] taken
+        as its ``float`` (see :func:`_unit`, which names a bad one as the
+        level's ``name``); a key that is not a level raises ``ValueError``."""
         levels = _canonical_levels(scores)
-        return cls(levels, tuple(_as_float(scores[level], f"{level.key} {name}") for level in levels))
+        return cls(levels, tuple(_unit(scores[level], f"{level.key} {name}") for level in levels))
 
     def __getitem__(self, level: ConstructLevel) -> float:
         for present, score in zip(self.levels, self.scores):
@@ -309,9 +309,9 @@ class PairAssessment:
     non-Action levels that were averaged; when the pair shares none,
     ``no_comparable_constructs`` is set and the average and band are absent.
     Both score maps are read-only and iterate in canonical level order,
-    whatever order the maps given to the constructor were built in. An
-    average that is present is a real number in [0, 1], held as its
-    ``float`` (see :func:`_as_float`).
+    whatever order the maps given to the constructor were built in. Every
+    score in them, and an average that is present, is a real number in
+    [0, 1], held as its ``float`` (see :func:`_as_float`).
     """
 
     past_id: str
@@ -387,7 +387,9 @@ class NoveltyReport:
 
     ``ranked`` is ordered by descending minimum novelty (ties broken by
     ascending problem id); ``unmatched`` lists, in id order, the current
-    problems with no scorable gated pair.
+    problems with no scorable gated pair. ``threshold`` passes the Action
+    threshold's rule: a real number in [0, 1], held as its ``float`` (see
+    :func:`_as_float`).
     """
 
     backend_kind: str
@@ -396,6 +398,9 @@ class NoveltyReport:
     current_corpus: str
     ranked: tuple[ProblemNovelty, ...] = ()
     unmatched: tuple[ProblemNovelty, ...] = ()
+
+    def __post_init__(self) -> None:
+        _set(self, "threshold", _check_threshold(self.threshold))
 
     @property
     def entries(self) -> tuple[ProblemNovelty, ...]:

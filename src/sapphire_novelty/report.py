@@ -8,17 +8,19 @@ additionally carries every score at full precision so nothing is lost to
 display rounding. All three formats show identical display scores and are
 byte-stable given the same inputs. The renderers walk each pair's
 level-aligned score tuples, so a level a pair lacks costs nothing. The JSON
-writer fills one %-template per distinct layout of a pair's levels, formats
-each distinct nonzero score once per render, and joins the payload once.
-Each render memoizes its displays in its own ``novelty._Memo``.
+writer lets ``json.dumps`` lay out everything but the pairs. Each pair fills
+one %-template per distinct layout of its levels, itself made by
+``json.dumps``; each distinct nonzero score is formatted once per render, and
+the pairs are joined in once. Each render memoizes its displays in its own
+``novelty._Memo``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 from itertools import groupby
-from json import JSONEncoder
 from json.encoder import encode_basestring
 from operator import attrgetter
 
@@ -26,7 +28,6 @@ from .novelty import (
     NoveltyBand,
     NoveltyReport,
     PairAssessment,
-    ProblemNovelty,
     _Memo,
     round_repr_half_up,
 )
@@ -45,7 +46,6 @@ _BAND_ROW = "Novelty band"
 # JSON leaves, encoded as json.dumps(ensure_ascii=False) encodes them; scores are
 # finite floats, which json.dumps writes with float.__repr__.
 _float = float.__repr__
-_scalar = JSONEncoder(ensure_ascii=False).encode
 _BOOLS = ("false", "true")
 _BANDS = {band: encode_basestring(band.value) for band in NoveltyBand}
 # Each level's row in the score grid.
@@ -185,50 +185,41 @@ def render_csv(report: NoveltyReport, summary_only: bool = False) -> str:
     return buffer.getvalue()
 
 
-def _json_block(entries: list[str], opening: str, closing: str, indent: str) -> str:
-    """A JSON array or object from its encoded entries, laid out as ``indent=2`` lays it out."""
-    if not entries:
-        return opening + closing
-    return opening + ",".join(entries) + "\n" + indent + closing
-
-
-def _json_levels(levels: _Levels, entry: str, opening: str, closing: str) -> str:
-    """A JSON block inside a pair with ``entry`` filled in with each level's key."""
-    return _json_block([entry.format(level.key) for level in levels], opening, closing, "      ")
-
-
 def _json_pair_template(layout: _PairLayout) -> str:
     """The %-template of one element of the report's "pairs" array, for records
     whose similarity map, novelty map and included levels have these levels.
 
-    It is filled with the ids, the similarity texts, the novelty texts, the
-    novelty displays, the average and its display, the band and the
-    no-comparable flag, in that order, and ends with a comma.
+    It is ``json.dumps`` of the element with every filled value ``None``,
+    indented to its place in the array, with each ``null`` made a ``%s``: no
+    key holds ``null`` or ``%``. It is filled with the ids, the similarity
+    texts, the novelty texts, the novelty displays, the average and its
+    display, the band and the no-comparable flag, in that order, and ends
+    with a comma.
     """
     similarity, novelty, included = layout
-    scores = '\n        "{}": %s'
-    return (
-        "\n    {"
-        '\n      "past_id": %s,'
-        '\n      "current_id": %s,'
-        '\n      "construct_similarity": ' + _json_levels(similarity, scores, "{", "}") + ","
-        '\n      "construct_novelty": ' + _json_levels(novelty, scores, "{", "}") + ","
-        '\n      "construct_novelty_display": ' + _json_levels(novelty, scores, "{", "}") + ","
-        '\n      "included_levels": ' + _json_levels(included, '\n        "{}"', "[", "]") + ","
-        '\n      "average_novelty": %s,'
-        '\n      "average_novelty_display": %s,'
-        '\n      "band": %s,'
-        '\n      "no_comparable_constructs": %s'
-        "\n    },"
-    )
+    novelty_keys = [level.key for level in novelty]
+    element = {
+        "past_id": None,
+        "current_id": None,
+        "construct_similarity": dict.fromkeys(level.key for level in similarity),
+        "construct_novelty": dict.fromkeys(novelty_keys),
+        "construct_novelty_display": dict.fromkeys(novelty_keys),
+        "included_levels": [level.key for level in included],
+        "average_novelty": None,
+        "average_novelty_display": None,
+        "band": None,
+        "no_comparable_constructs": None,
+    }
+    text = json.dumps(element, indent=2).replace("\n", "\n    ").replace("null", "%s")
+    return "\n    " + text + ","
 
 
-def _json_pairs(
-    pairs: list[PairAssessment], reprs: _Reprs, display3: _Memo, display2: _Memo
-) -> list[str]:
+def _json_pairs(pairs: list[PairAssessment]) -> list[str]:
     """The elements of the report's "pairs" array, each followed by a comma but the last."""
     templates = _Memo(_json_pair_template)
-    texts = reprs.__getitem__
+    texts = _Reprs().__getitem__
+    display3 = _displays('"%.3f"', 3)
+    display2 = _displays('"%.2f"', 2)
     out = []
     for pair in pairs:
         similarity = pair.construct_similarity
@@ -260,45 +251,44 @@ def _json_pairs(
     return out
 
 
-def _json_ranked(entry: ProblemNovelty, reprs: _Reprs, display2: _Memo) -> str:
-    """One element of the report's "ranking" array."""
-    min_text = reprs[entry.min_novelty]
-    return (
-        "\n    {"
-        f'\n      "rank": {_scalar(entry.rank)},'
-        f'\n      "current_id": {encode_basestring(entry.current_id)},'
-        f'\n      "min_novelty": {min_text},'
-        f'\n      "min_novelty_display": {display2[min_text]},'
-        f'\n      "band": {_BANDS[entry.band]}'
-        "\n    }"
-    )
-
-
 def render_json(report: NoveltyReport, summary_only: bool = False) -> str:
     """The report as JSON: the bytes of ``json.dumps(payload, ensure_ascii=False, indent=2)``.
 
     The payload holds the run's metadata, every gated pair (left out when
     ``summary_only``) with full-precision and display scores, the ranking
-    and the unmatched ids. It is written straight from the report, key by
-    key, with no intermediate dicts, and joined once.
+    and the unmatched ids. ``json.dumps`` writes all of it but the pairs,
+    with ``"pairs": null`` in their place; the pairs, filled into
+    per-layout templates, are joined in at that key. No string value can
+    hold the text ``"pairs": null``: inside an encoded string every ``"``
+    is escaped, and only a key is followed by ``: ``.
     """
-    reprs = _Reprs()
-    display3 = _displays('"%.3f"', 3)
-    display2 = _displays('"%.2f"', 2)
-    parts = [
-        f'{{\n  "backend": {_scalar(report.backend_kind)},'
-        f'\n  "threshold": {_scalar(report.threshold)},'
-        f'\n  "past_corpus": {_scalar(report.past_corpus)},'
-        f'\n  "current_corpus": {_scalar(report.current_corpus)},'
-    ]
-    if not summary_only:
-        pairs = _json_pairs(_pair_columns(report), reprs, display3, display2)
-        parts += ['\n  "pairs": [', *pairs, "\n  ],"] if pairs else ['\n  "pairs": [],']
-    ranking = [_json_ranked(entry, reprs, display2) for entry in report.ranked]
-    unmatched = ["\n    " + encode_basestring(entry.current_id) for entry in report.unmatched]
-    parts.append('\n  "ranking": ' + _json_block(ranking, "[", "]", "  ") + ",")
-    parts.append('\n  "unmatched": ' + _json_block(unmatched, "[", "]", "  ") + "\n}\n")
-    return "".join(parts)
+    fmt2 = _displays("%.2f", 2)
+    payload = {
+        "backend": report.backend_kind,
+        "threshold": report.threshold,
+        "past_corpus": report.past_corpus,
+        "current_corpus": report.current_corpus,
+        "pairs": None,
+        "ranking": [
+            {
+                "rank": entry.rank,
+                "current_id": entry.current_id,
+                "min_novelty": entry.min_novelty,
+                "min_novelty_display": fmt2[_float(entry.min_novelty)],
+                "band": entry.band.value,
+            }
+            for entry in report.ranked
+        ],
+        "unmatched": [entry.current_id for entry in report.unmatched],
+    }
+    if summary_only:
+        del payload["pairs"]
+    text = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+    if summary_only:
+        return text
+    pairs = _json_pairs(_pair_columns(report))
+    head, tail = text.split('"pairs": null', 1)
+    return "".join([head, '"pairs": [', *pairs, "\n  ]" if pairs else "]", tail])
 
 
 def render_report(report: NoveltyReport, fmt: str, summary_only: bool = False) -> str:

@@ -181,6 +181,31 @@ def test_a_record_rejects_a_score_that_is_not_a_real_number(field, bad):
         _record(maps["similarity"], maps["novelty"])
 
 
+@pytest.mark.parametrize("field", ["similarity", "novelty"])
+@pytest.mark.parametrize(
+    ("bad", "text"), [(math.nan, "nan"), (-6.0, "-6.0"), (7.0, "7.0")], ids=["nan", "-6.0", "7.0"]
+)
+def test_a_record_rejects_a_score_outside_the_unit_range(field, bad, text):
+    scores = {ACTION: 0.5, EFFECT: bad}
+    maps = {"similarity": {ACTION: 0.5}, "novelty": {ACTION: 0.5}, field: scores}
+    with pytest.raises(ValueError, match=rf"^effect {field} {text} outside \[0, 1\]$"):
+        _record(maps["similarity"], maps["novelty"])
+
+
+@pytest.mark.parametrize(
+    ("bad", "message"),
+    [
+        (math.nan, r"nan outside \[0, 1\]"),
+        ("abc", "'abc' is not a real number"),
+        (True, "True is not a real number"),
+    ],
+    ids=["nan", "abc", "True"],
+)
+def test_a_report_threshold_obeys_the_action_threshold_rule(bad, message):
+    with pytest.raises(ValueError, match=rf"^threshold {message}$"):
+        NoveltyReport("lexical", bad, "past", "current")
+
+
 def _report_of(score, average=0.25, minimum=0.25):
     """A one-pair report whose record holds ``score`` at every level of both
     maps, and ``average``, whose entry holds ``minimum``."""

@@ -7,6 +7,7 @@ including hand-built ones the pipeline never makes.
 """
 
 import json
+from itertools import combinations
 
 import hypothesis
 import pytest
@@ -198,6 +199,24 @@ EDGE_REPORTS = {
         ),
         unmatched=(ProblemNovelty("c2", (_pair("p1", "c2", False),)),),
     ),
+    # The writer joins the pairs in at the text '"pairs": null' and fills
+    # templates whose holes are %s; no string value may be taken for either.
+    "null-texts": NoveltyReport(
+        '"pairs": null',
+        0.7,
+        "null",
+        "%s",
+        ranked=(
+            ProblemNovelty(
+                '"pairs": null',
+                (_pair("%s", '"pairs": null'), _pair("null", '"pairs": null', False)),
+                0.686,
+                NoveltyBand.MEDIUM,
+                1,
+            ),
+        ),
+        unmatched=(ProblemNovelty("%s", (_pair('"pairs": null', "%s", False),)),),
+    ),
 }
 
 
@@ -239,3 +258,27 @@ def test_both_zeros_in_one_report_match_json_dumps(first, second):
     rendered = render_json(report)
     assert rendered == oracle_json(report, False)
     assert '"parts": -0.0' in rendered and '"parts": 0.0' in rendered
+
+
+@pytest.mark.parametrize("comparable", [True, False])
+def test_every_pair_layout_matches_json_dumps(comparable):
+    # Each subset of the non-Action levels, as the levels of one pair's maps
+    # and average, gives one template of the writer.
+    for size in range(len(NON_ACTION) + 1):
+        for shared in combinations(NON_ACTION, size):
+            similarity = {ConstructLevel.ACTION: 0.9}
+            similarity.update({level: 0.125 * (index + 1) for index, level in enumerate(shared)})
+            pair = PairAssessment(
+                "p1",
+                "c1",
+                similarity,
+                {level: 1 - value for level, value in similarity.items()},
+                shared,
+                0.5 if comparable else None,
+                NoveltyBand.MEDIUM if comparable else None,
+                not comparable,
+            )
+            report = NoveltyReport(
+                "lexical", 0.7, "past", "current", unmatched=(ProblemNovelty("c1", (pair,)),)
+            )
+            assert render_json(report) == oracle_json(report, False)
