@@ -36,6 +36,7 @@ bands each distinct score once, in a :class:`_Memo` made anew per call.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, ROUND_HALF_UP, Context, Decimal
 from decimal import DivisionByZero, InvalidOperation, Overflow
@@ -366,7 +367,9 @@ class ProblemNovelty:
     ``rank`` (1 = most novel) and the scores are absent for unmatched
     problems, i.e. those with no gated pair carrying an average. A minimum
     that is present is a real number in [0, 1], held as its ``float`` (see
-    :func:`_as_float`).
+    :func:`_as_float`). A rank that is present is an integer of at least 1
+    that is not a ``bool``, held as its ``int``; anything else raises
+    ``ValueError`` naming it.
     """
 
     current_id: str
@@ -379,6 +382,11 @@ class ProblemNovelty:
         minimum = self.min_novelty
         if not (type(minimum) is float and 0.0 <= minimum <= 1.0) and minimum is not None:
             _set(self, "min_novelty", _unit(minimum, "min_novelty"))
+        rank = self.rank
+        if not (type(rank) is int and rank >= 1) and rank is not None:
+            if not (isinstance(rank, numbers.Integral) and not isinstance(rank, bool) and rank >= 1):
+                raise ValueError(f"rank {rank!r} is not an integer of at least 1")
+            _set(self, "rank", int(rank))
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,13 @@ additionally carries every score at full precision so nothing is lost to
 display rounding. All three formats show identical display scores and are
 byte-stable given the same inputs. The renderers walk each pair's
 level-aligned score tuples, so a level a pair lacks costs nothing. The JSON
-writer lets ``json.dumps`` lay out everything but the pairs. Each pair fills
-one %-template per distinct layout of its levels, itself made by
-``json.dumps``; each distinct nonzero score is formatted once per render, and
-the pairs are joined in once. Each render memoizes its displays in its own
-``novelty._Memo``.
+writer lets ``json.dumps`` lay out everything but the pairs. Each distinct
+layout of a pair's levels gives one list of pieces, made by ``json.dumps`` and
+split at each ``null``; each pair appends those pieces, interleaved with its
+value texts, to one list that is joined once with the rest of the report, so
+no string is built per pair. Each distinct id is encoded and each distinct
+nonzero score is formatted once per render. Each render memoizes its
+layouts, ids and displays in its own ``novelty._Memo``.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ class _Reprs(dict):
     """Each score's ``float.__repr__``, made on its first lookup; one per render.
 
     A zero is never stored: 0.0 and -0.0 are equal keys with different reprs.
+    Its text is one of two shared strings, so the pieces a render holds until
+    its join keep no copy of a zero's text per lookup.
     """
 
     __slots__ = ()
@@ -67,7 +71,8 @@ class _Reprs(dict):
         text = _float(score)
         if score:
             self[score] = text
-        return text
+            return text
+        return "0.0" if text == "0.0" else "-0.0"
 
 
 def _displays(template: str, ndigits: int) -> _Memo:
@@ -185,16 +190,17 @@ def render_csv(report: NoveltyReport, summary_only: bool = False) -> str:
     return buffer.getvalue()
 
 
-def _json_pair_template(layout: _PairLayout) -> str:
-    """The %-template of one element of the report's "pairs" array, for records
-    whose similarity map, novelty map and included levels have these levels.
+def _json_pair_pieces(layout: _PairLayout) -> list[str | None]:
+    """The pieces of one element of the report's "pairs" array, for records
+    whose similarity map, novelty map and included levels have these levels,
+    with a hole (``None``) between each two.
 
-    It is ``json.dumps`` of the element with every filled value ``None``,
-    indented to its place in the array, with each ``null`` made a ``%s``: no
-    key holds ``null`` or ``%``. It is filled with the ids, the similarity
-    texts, the novelty texts, the novelty displays, the average and its
-    display, the band and the no-comparable flag, in that order, and ends
-    with a comma.
+    The text is ``json.dumps`` of the element with every filled value
+    ``None``, indented to its place in the array and ended with a comma,
+    split at each ``null``: no key holds ``null``. The writer fills the
+    holes, ``[1::2]``, with the ids, the similarity texts, the novelty texts,
+    the novelty displays, the average and its display, the band and the
+    no-comparable flag, in that order.
     """
     similarity, novelty, included = layout
     novelty_keys = [level.key for level in novelty]
@@ -210,17 +216,21 @@ def _json_pair_template(layout: _PairLayout) -> str:
         "band": None,
         "no_comparable_constructs": None,
     }
-    text = json.dumps(element, indent=2).replace("\n", "\n    ").replace("null", "%s")
-    return "\n    " + text + ","
+    text = json.dumps(element, indent=2).replace("\n", "\n    ")
+    pieces = ("\n    " + text + ",").split("null")
+    slots: list[str | None] = [None] * (2 * len(pieces) - 1)
+    slots[::2] = pieces
+    return slots
 
 
-def _json_pairs(pairs: list[PairAssessment]) -> list[str]:
-    """The elements of the report's "pairs" array, each followed by a comma but the last."""
-    templates = _Memo(_json_pair_template)
+def _json_pairs(out: list[str], pairs: list[PairAssessment]) -> None:
+    """Append the pieces of the report's "pairs" elements to ``out``, each
+    element followed by a comma but the last."""
+    layouts = _Memo(_json_pair_pieces)
+    ids = _Memo(encode_basestring)
     texts = _Reprs().__getitem__
     display3 = _displays('"%.3f"', 3)
     display2 = _displays('"%.2f"', 2)
-    out = []
     for pair in pairs:
         similarity = pair.construct_similarity
         novelty = pair.construct_novelty
@@ -232,23 +242,21 @@ def _json_pairs(pairs: list[PairAssessment]) -> list[str]:
         else:
             average_text = texts(average)
             average_display = display2[average_text]
-        out.append(
-            templates[similarity.levels, novelty.levels, pair.included_levels]
-            % (
-                encode_basestring(pair.past_id),
-                encode_basestring(pair.current_id),
-                *map(texts, similarity.scores),
-                *novelty_texts,
-                *map(display3.__getitem__, novelty_texts),
-                average_text,
-                average_display,
-                "null" if band is None else _BANDS[band],
-                _BOOLS[pair.no_comparable_constructs],
-            )
-        )
-    if out:
+        slots = layouts[similarity.levels, novelty.levels, pair.included_levels]
+        slots[1::2] = [
+            ids[pair.past_id],
+            ids[pair.current_id],
+            *map(texts, similarity.scores),
+            *novelty_texts,
+            *map(display3.__getitem__, novelty_texts),
+            average_text,
+            average_display,
+            "null" if band is None else _BANDS[band],
+            _BOOLS[pair.no_comparable_constructs],
+        ]
+        out += slots
+    if pairs:
         out[-1] = out[-1][:-1]
-    return out
 
 
 def render_json(report: NoveltyReport, summary_only: bool = False) -> str:
@@ -257,8 +265,8 @@ def render_json(report: NoveltyReport, summary_only: bool = False) -> str:
     The payload holds the run's metadata, every gated pair (left out when
     ``summary_only``) with full-precision and display scores, the ranking
     and the unmatched ids. ``json.dumps`` writes all of it but the pairs,
-    with ``"pairs": null`` in their place; the pairs, filled into
-    per-layout templates, are joined in at that key. No string value can
+    with ``"pairs": null`` in their place; the pairs' pieces are joined in
+    at that key, in the one join that makes the text. No string value can
     hold the text ``"pairs": null``: inside an encoded string every ``"``
     is escaped, and only a key is followed by ``: ``.
     """
@@ -286,9 +294,12 @@ def render_json(report: NoveltyReport, summary_only: bool = False) -> str:
     text = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
     if summary_only:
         return text
-    pairs = _json_pairs(_pair_columns(report))
+    pairs = _pair_columns(report)
     head, tail = text.split('"pairs": null', 1)
-    return "".join([head, '"pairs": [', *pairs, "\n  ]" if pairs else "]", tail])
+    out = [head, '"pairs": [']
+    _json_pairs(out, pairs)
+    out += "\n  ]" if pairs else "]", tail
+    return "".join(out)
 
 
 def render_report(report: NoveltyReport, fmt: str, summary_only: bool = False) -> str:

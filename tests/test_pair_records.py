@@ -271,6 +271,23 @@ def test_an_average_or_a_minimum_outside_the_number_rule_is_rejected(field, bad,
         _report_of(0.5, average, minimum)
 
 
+@pytest.mark.parametrize(
+    "bad", [math.nan, 0, -1, True, np.True_, 2.5, 1.0, "1", np.int64(0)], ids=repr
+)
+def test_a_rank_that_is_not_an_integer_of_at_least_one_is_rejected(bad):
+    with pytest.raises(ValueError, match=r"^rank \S+ is not an integer of at least 1$"):
+        ProblemNovelty("c1", (), 0.25, NoveltyBand.LOW, bad)
+
+
+@pytest.mark.parametrize("rank", [np.int64(3), np.uint8(3)], ids=repr)
+def test_an_integral_rank_is_held_as_its_int_and_renders_so(rank):
+    entry, reference = (ProblemNovelty("c1", (), 0.25, NoveltyBand.LOW, r) for r in (rank, 3))
+    assert type(entry.rank) is int and entry == reference
+    report, expected = (NoveltyReport("lexical", 0.7, "p", "c", ranked=(e,)) for e in (entry, reference))
+    for fmt in ("table", "csv", "json"):
+        assert render_report(report, fmt) == render_report(expected, fmt)
+
+
 def test_a_record_is_the_same_built_positionally_by_keyword_or_with_the_default_flag():
     similarity = {ConstructLevel.PARTS: 0.3, ACTION: 0.9}
     novelty = {ACTION: 0.1, ConstructLevel.PARTS: 0.7}

@@ -7,6 +7,7 @@ including hand-built ones the pipeline never makes.
 """
 
 import json
+import tracemalloc
 from itertools import combinations
 
 import hypothesis
@@ -199,8 +200,9 @@ EDGE_REPORTS = {
         ),
         unmatched=(ProblemNovelty("c2", (_pair("p1", "c2", False),)),),
     ),
-    # The writer joins the pairs in at the text '"pairs": null' and fills
-    # templates whose holes are %s; no string value may be taken for either.
+    # The writer joins the pairs in at the text '"pairs": null' and splits
+    # each layout's text at null (it once filled %s holes); no string value
+    # may be taken for either.
     "null-texts": NoveltyReport(
         '"pairs": null',
         0.7,
@@ -282,3 +284,31 @@ def test_every_pair_layout_matches_json_dumps(comparable):
                 "lexical", 0.7, "past", "current", unmatched=(ProblemNovelty("c1", (pair,)),)
             )
             assert render_json(report) == oracle_json(report, False)
+
+
+def test_the_writer_holds_less_than_two_copies_of_its_text():
+    # The pairs are appended as shared pieces to one list that is joined once,
+    # so a render's traced peak is the text plus that list's references. A
+    # string built per pair and then joined would hold a second copy.
+    scores = [0.0, 0.125, 0.5, 0.875, 1.0]
+    ranked = []
+    for c in range(50):
+        pairs = []
+        for p in range(60):
+            score = scores[(p + c) % len(scores)]
+            similarity = dict.fromkeys(LEVELS, score)
+            novelty = dict.fromkeys(LEVELS, 1.0 - score)
+            band = NoveltyBand.LOW if score > 0.5 else NoveltyBand.HIGH
+            pairs.append(
+                PairAssessment(f"p{p}", f"c{c}", similarity, novelty, tuple(NON_ACTION), 1.0 - score, band)
+            )
+        ranked.append(ProblemNovelty(f"c{c}", tuple(pairs), 0.0, NoveltyBand.LOW, c + 1))
+    report = NoveltyReport("lexical", 0.7, "past", "current", ranked=tuple(ranked))
+    render_json(report)
+    tracemalloc.start()
+    try:
+        text = render_json(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.85 * len(text), (peak / len(text), len(text))
