@@ -20,7 +20,7 @@ from .novelty import (
     rank_current_problems,
 )
 from .problem_model import Provenance
-from .report import render_report
+from .report import _RENDERERS, render_report
 from .similarity import (
     BackendUnavailableError,
     FixtureBackend,
@@ -161,7 +161,7 @@ def _add_assess_flags(parser: argparse.ArgumentParser) -> None:
         help="action-gate similarity threshold (default %(default)s)",
     )
     parser.add_argument(
-        "--format", choices=["table", "csv", "json"], default="table", help="output format"
+        "--format", choices=list(_RENDERERS), default="table", help="output format"
     )
     parser.add_argument(
         "--strict", action="store_true", help="abort on any invalid corpus record"

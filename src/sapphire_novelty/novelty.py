@@ -36,7 +36,6 @@ bands each distinct score once, in a :class:`_Memo` made anew per call.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, ROUND_HALF_UP, Context, Decimal
 from decimal import DivisionByZero, InvalidOperation, Overflow
@@ -53,7 +52,7 @@ from .problem_model import (
     _canonical_levels,
     construct_text,
 )
-from .similarity import SimilarityBackend, _is_real, text_similarities, text_similarity
+from .similarity import SimilarityBackend, _count, _is_real, text_similarities, text_similarity
 
 __all__ = [
     "DEFAULT_ACTION_THRESHOLD",
@@ -144,13 +143,13 @@ def _as_float(value: object, name: str) -> float:
 
 
 def _unit(value: object, name: str) -> float:
-    """``value`` as a ``float`` (see :func:`_as_float`), which must lie in [0, 1];
-    a NaN or a value outside raises ``ValueError`` naming it."""
-    if type(value) is not float:
-        value = _as_float(value, name)
-    if not 0.0 <= value <= 1.0:
+    """``value`` as a ``float`` (see :func:`_as_float`), which must lie in [0, 1]:
+    the one range rule for every score and the Action threshold. A NaN or a
+    value outside raises ``ValueError`` naming it as given."""
+    number = value if type(value) is float else _as_float(value, name)
+    if not 0.0 <= number <= 1.0:
         raise ValueError(f"{name} {value} outside [0, 1]")
-    return value
+    return number
 
 
 def round_half_up(value: float, ndigits: int = 2) -> float:
@@ -366,10 +365,9 @@ class ProblemNovelty:
 
     ``rank`` (1 = most novel) and the scores are absent for unmatched
     problems, i.e. those with no gated pair carrying an average. A minimum
-    that is present is a real number in [0, 1], held as its ``float`` (see
-    :func:`_as_float`). A rank that is present is an integer of at least 1
-    that is not a ``bool``, held as its ``int``; anything else raises
-    ``ValueError`` naming it.
+    that is present passes the score rule (:func:`_unit`), and a rank that is
+    present the count rule (``similarity._count``): an integer of at least 1
+    that is not a ``bool``, held as its ``int``.
     """
 
     current_id: str
@@ -379,14 +377,10 @@ class ProblemNovelty:
     rank: Optional[int] = None
 
     def __post_init__(self) -> None:
-        minimum = self.min_novelty
-        if not (type(minimum) is float and 0.0 <= minimum <= 1.0) and minimum is not None:
-            _set(self, "min_novelty", _unit(minimum, "min_novelty"))
-        rank = self.rank
-        if not (type(rank) is int and rank >= 1) and rank is not None:
-            if not (isinstance(rank, numbers.Integral) and not isinstance(rank, bool) and rank >= 1):
-                raise ValueError(f"rank {rank!r} is not an integer of at least 1")
-            _set(self, "rank", int(rank))
+        if self.min_novelty is not None:
+            _set(self, "min_novelty", _unit(self.min_novelty, "min_novelty"))
+        if self.rank is not None:
+            _set(self, "rank", _count(self.rank, "rank", 1))
 
 
 @dataclass(frozen=True)
@@ -395,9 +389,10 @@ class NoveltyReport:
 
     ``ranked`` is ordered by descending minimum novelty (ties broken by
     ascending problem id); ``unmatched`` lists, in id order, the current
-    problems with no scorable gated pair. ``threshold`` passes the Action
-    threshold's rule: a real number in [0, 1], held as its ``float`` (see
-    :func:`_as_float`).
+    problems with no scorable gated pair. ``threshold`` passes the score
+    rule (:func:`_unit`). A ranked entry must carry a minimum, a band and a
+    rank, and an unmatched entry none of them; anything else raises
+    ``ValueError`` naming the entry's ``current_id``.
     """
 
     backend_kind: str
@@ -408,7 +403,13 @@ class NoveltyReport:
     unmatched: tuple[ProblemNovelty, ...] = ()
 
     def __post_init__(self) -> None:
-        _set(self, "threshold", _check_threshold(self.threshold))
+        _set(self, "threshold", _unit(self.threshold, "threshold"))
+        for entry in self.ranked:
+            if None in (entry.min_novelty, entry.band, entry.rank):
+                raise ValueError(f"ranked entry {entry.current_id!r} lacks a min_novelty, a band or a rank")
+        for entry in self.unmatched:
+            if (entry.min_novelty, entry.band, entry.rank) != (None, None, None):
+                raise ValueError(f"unmatched entry {entry.current_id!r} carries a min_novelty, a band or a rank")
 
     @property
     def entries(self) -> tuple[ProblemNovelty, ...]:
@@ -427,14 +428,6 @@ class _Memo(dict):
     def __missing__(self, key: Any) -> Any:
         value = self[key] = self.make(key)
         return value
-
-
-def _check_threshold(threshold: float) -> float:
-    """``threshold`` as a ``float`` (see :func:`_as_float`), which must lie in [0, 1]."""
-    value = _as_float(threshold, "threshold")
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"threshold {threshold} outside [0, 1]")
-    return value
 
 
 def _action_texts(problems: Iterable[ProblemSapphire]) -> list[str]:
@@ -484,7 +477,7 @@ def action_match(
 
     Callers are expected to pass validated problems (Action present).
     """
-    threshold = _check_threshold(threshold)
+    threshold = _unit(threshold, "threshold")
     past_action, current_action = _action_texts((past, current))
     similarity = text_similarity(past_action, current_action, backend)
     return similarity >= threshold, similarity
@@ -530,7 +523,7 @@ def rank_current_problems(
     """
     if not past.problems:
         raise ValueError("the past corpus must be non-empty")
-    threshold = _check_threshold(threshold)
+    threshold = _unit(threshold, "threshold")
     past_actions = _action_texts(past.problems)
     current_actions = _action_texts(current.problems)
 
@@ -624,15 +617,21 @@ def rank_current_problems(
 
 @dataclass(frozen=True)
 class OScoreInput:
-    """Counts behind the frequency baseline: n similar ideas out of m total."""
+    """Counts behind the frequency baseline: n similar ideas out of m total.
+
+    Each count takes the count rule of a rank (``similarity._count``): an
+    integer that is not a ``bool``, held as its ``int``, with ``m`` at least 1
+    and ``n`` at least 0; ``n`` must not exceed ``m``. Anything else raises
+    ``ValueError`` naming it.
+    """
 
     n: int
     m: int
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError("m (total ideas) must be at least 1")
-        if not 0 <= self.n <= self.m:
+        _set(self, "m", _count(self.m, "m", 1))
+        _set(self, "n", _count(self.n, "n", 0))
+        if self.n > self.m:
             raise ValueError(f"n must satisfy 0 <= n <= m, got n={self.n}, m={self.m}")
 
 

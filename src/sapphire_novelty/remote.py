@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .similarity import BackendUnavailableError, _nothing_to_score
+from .similarity import BackendUnavailableError, _count, _nothing_to_score
 from .vectors import _checked_rows, _unscorable, _VectorBackend
 
 __all__ = ["RemoteBackend"]
@@ -68,9 +68,10 @@ class RemoteBackend(_VectorBackend):
     included, and emits one :class:`OovWarning` per ``similarities`` call
     (inherited, as the word-vector backend's is) naming it, in order of first
     appearance, before any pair is scored.
-    A ``batch_size`` that is not an integer of at least 1, or a ``timeout``
-    that is not a finite number of seconds above 0, raises ``ValueError`` at
-    construction.
+    ``batch_size`` takes the count rule (``similarity._count``): an integer
+    of at least 1 that is not a ``bool``, held as its ``int``. ``timeout``
+    must be a finite number of seconds above 0. A setting that breaks its
+    rule raises ``ValueError`` at construction.
     """
 
     endpoint: str
@@ -79,10 +80,9 @@ class RemoteBackend(_VectorBackend):
     kind = "remote"
 
     def __post_init__(self) -> None:
-        # A bool is an int to Python, but it is neither a count nor a duration.
-        size, timeout = self.batch_size, self.timeout
-        if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1:
-            raise ValueError(f"batch_size must be an integer of at least 1, got {size!r}")
+        object.__setattr__(self, "batch_size", _count(self.batch_size, "batch_size", 1))
+        # A bool is a real number to Python, but it is not a duration.
+        timeout = self.timeout
         if isinstance(timeout, bool) or not isinstance(timeout, numbers.Real) or not 0 < timeout < math.inf:
             raise ValueError(f"timeout must be a finite number of seconds above 0, got {timeout!r}")
 

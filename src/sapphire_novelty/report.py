@@ -302,11 +302,11 @@ def render_json(report: NoveltyReport, summary_only: bool = False) -> str:
     return "".join(out)
 
 
+#: Each report format's renderer; the CLI's ``--format`` choices are its keys.
+_RENDERERS = {"table": render_table, "csv": render_csv, "json": render_json}
+
+
 def render_report(report: NoveltyReport, fmt: str, summary_only: bool = False) -> str:
-    if fmt == "table":
-        return render_table(report, summary_only)
-    if fmt == "csv":
-        return render_csv(report, summary_only)
-    if fmt == "json":
-        return render_json(report, summary_only)
-    raise ValueError(f"unknown report format: {fmt!r}")
+    if fmt not in _RENDERERS:
+        raise ValueError(f"unknown report format: {fmt!r}")
+    return _RENDERERS[fmt](report, summary_only)

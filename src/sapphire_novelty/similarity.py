@@ -276,6 +276,15 @@ def _is_real(value: object) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _count(value: object, name: str, least: int) -> int:
+    """``value`` as an ``int``: the one rule for a count or a rank, an integer
+    (an ``Integral``, but not a ``bool``) of at least ``least``; anything
+    else raises ``ValueError`` naming it."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least:
+        return int(value)
+    raise ValueError(f"{name} {value!r} is not an integer of at least {least}")
+
+
 def text_similarity(a: str, b: str, backend: SimilarityBackend) -> float:
     """Similarity of two texts under ``backend``, as a ``float``.
 

@@ -22,14 +22,15 @@ the call once and scores every pair of the rows it returns with
 maps every token of the call to its row in one pass, into one flat array,
 and pools the texts with the same number of in-vocabulary tokens together
 from it (:func:`_pool`), so no Python code runs per text after tokenizing;
-the remote one embeds them. One row rule, :func:`_checked_rows`, checks the
+the remote one embeds them. One row rule, :func:`_checked_row`, checks the
 vectors of a word-vector table built from a mapping, each line the line
 parser reads (whose error adds the line number) and those of each remote
-response, into one matrix. Every pair is scored in batched BLAS calls, each
-over at most ``_BLOCK_ROWS`` rows, so memory does not grow with pairs times
-dimension. The kernel takes each block's quotient, clamp, identity and
-zero-row rules in numpy too, and builds each block's row indices from that
-block's pairs, so the kernel runs no Python loop per pair.
+response; :func:`_checked_rows` stacks a table's or a response's rows into
+one matrix. Every pair is scored in batched BLAS calls, each over at most
+``_BLOCK_ROWS`` rows, so memory does not grow with pairs times dimension.
+The kernel takes each block's quotient, clamp, identity and zero-row rules
+in numpy too, and builds each block's row indices from that block's pairs,
+so the kernel runs no Python loop per pair.
 The kernel is the package's one definition of word-vector similarity: each
 value is the cosine of the two pooled vectors, clamped to [0, 1], with 0.0
 for a zero vector, and texts with equal tokens are scored by one row, which
@@ -257,7 +258,7 @@ def _read_matrix(lines: Iterable[str]) -> WordVectors | None:
 
 def _read_lines(lines: list[str]) -> WordVectors:
     """The table of ``lines``, parsed line by line with Python's ``float``; each
-    line's vector meets the row rule of :func:`_checked_rows`, whose error it
+    line's vector meets the row rule of :func:`_checked_row`, whose error it
     raises with the line number."""
     index: dict[str, int] = {}
     rows: list[np.ndarray] = []
@@ -277,7 +278,7 @@ def _read_lines(lines: list[str]) -> WordVectors:
                 f"line {line_no}: non-numeric vector component in {line!r}"
             ) from None
         try:
-            (vector,) = _checked_rows([numbers], [f"vector of {word!r}"], rows[0].size if rows else None)
+            vector = _checked_row(numbers, f"vector of {word!r}", rows[0].size if rows else None)
         except ValueError as error:
             raise WordVectorFormatError(f"line {line_no}: {error}") from None
         if word in index:
@@ -313,29 +314,37 @@ def _is_header(line: str) -> bool:
 
 
 def _checked_rows(raws: Iterable[object], names: Iterable[str], dimension: int | None) -> np.ndarray:
-    """The float matrix of ``raws``, one row each, if every one is a non-empty
-    flat array of int or float numbers, all finite, with ``dimension``
-    components, or the first one's number if that is None.
+    """The float matrix of ``raws``, one row each, if every one passes the row
+    rule (:func:`_checked_row`) with ``dimension`` components, or the first
+    one's number if that is None.
 
-    Anything else raises ``ValueError`` naming the bad one by its item of
-    ``names``, which is read in step with ``raws``. Booleans, strings and nulls
-    fail: numpy gives them another dtype kind. No ``raws`` at all fails too.
+    ``names`` is read in step with ``raws``. No ``raws`` at all raises
+    ``ValueError`` too.
     """
     rows: list[np.ndarray] = []
     for raw, name in zip(raws, names):
-        try:
-            array = np.asarray(raw)
-        except ValueError:  # a ragged nesting has no array form
-            array = np.asarray(None)
-        if array.dtype.kind not in "iuf" or array.ndim != 1 or array.size == 0:
-            raise ValueError(f"{name} must be a non-empty flat array of numbers")
-        if not np.isfinite(array).all():
-            raise ValueError(f"{name} must have finite components (no NaN or inf)")
-        if dimension is not None and array.size != dimension:
-            raise ValueError(f"mixed dimensions: {name} has {array.size} components, expected {dimension}")
-        dimension = array.size
-        rows.append(array.astype(float, copy=False))
+        rows.append(_checked_row(raw, name, rows[0].size if rows else dimension))
     return np.stack(rows)
+
+
+def _checked_row(raw: object, name: str, dimension: int | None) -> np.ndarray:
+    """``raw`` as a float vector, if it is a non-empty flat array of int or float
+    numbers, all finite, with ``dimension`` components unless that is None.
+
+    Anything else raises ``ValueError`` naming it as ``name``. Booleans,
+    strings and nulls fail: numpy gives them another dtype kind.
+    """
+    try:
+        array = np.asarray(raw)
+    except ValueError:  # a ragged nesting has no array form
+        array = np.asarray(None)
+    if array.dtype.kind not in "iuf" or array.ndim != 1 or array.size == 0:
+        raise ValueError(f"{name} must be a non-empty flat array of numbers")
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must have finite components (no NaN or inf)")
+    if dimension is not None and array.size != dimension:
+        raise ValueError(f"mixed dimensions: {name} has {array.size} components, expected {dimension}")
+    return array.astype(float, copy=False)
 
 
 class _VectorBackend(SimilarityBackend):

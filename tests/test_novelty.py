@@ -862,10 +862,31 @@ class TestOScore:
     def test_arithmetic(self):
         assert o_score(OScoreInput(n=2, m=8)) == 0.75
 
-    @pytest.mark.parametrize(("n", "m"), [(1, 0), (-1, 5), (6, 5)])
-    def test_invalid_counts_rejected(self, n, m):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        ("n", "m", "message"),
+        [
+            (1, 0, "m 0 is not an integer of at least 1"),
+            (-1, 5, "n -1 is not an integer of at least 0"),
+            (6, 5, "n must satisfy 0 <= n <= m, got n=6, m=5"),
+            (True, 2, "n True is not an integer of at least 0"),
+            (1, True, "m True is not an integer of at least 1"),
+            (0.5, 1.5, "m 1.5 is not an integer of at least 1"),
+            (0.5, 2, "n 0.5 is not an integer of at least 0"),
+            (1, math.inf, "m inf is not an integer of at least 1"),
+            ("1", 2, "n '1' is not an integer of at least 0"),
+            (None, 2, "n None is not an integer of at least 0"),
+            (1, None, "m None is not an integer of at least 1"),
+        ],
+    )
+    def test_invalid_counts_rejected(self, n, m, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             OScoreInput(n=n, m=m)
+
+    def test_numpy_counts_are_held_as_ints_and_give_a_float(self):
+        counts = OScoreInput(n=np.int64(2), m=np.int64(8))
+        assert (type(counts.n), type(counts.m)) == (int, int)
+        score = o_score(counts)
+        assert type(score) is float and score == 0.75
 
 
 class TestMonotonicity:

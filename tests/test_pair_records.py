@@ -12,6 +12,7 @@ import copy
 import math
 import pickle
 import random
+import re
 from collections.abc import Mapping
 from dataclasses import FrozenInstanceError, fields, replace
 from decimal import ROUND_HALF_UP, Decimal
@@ -206,6 +207,33 @@ def test_a_report_threshold_obeys_the_action_threshold_rule(bad, message):
         NoveltyReport("lexical", bad, "past", "current")
 
 
+_LACKS = "lacks a min_novelty, a band or a rank"
+_CARRIES = "carries a min_novelty, a band or a rank"
+
+
+@pytest.mark.parametrize(
+    ("ranked", "unmatched", "message"),
+    [
+        ((ProblemNovelty("c1", ()),), (), f"ranked entry 'c1' {_LACKS}"),
+        ((ProblemNovelty("c1", (), None, NoveltyBand.LOW, 1),), (), f"ranked entry 'c1' {_LACKS}"),
+        ((ProblemNovelty("c1", (), 0.25, None, 1),), (), f"ranked entry 'c1' {_LACKS}"),
+        ((ProblemNovelty("c1", (), 0.25, NoveltyBand.LOW),), (), f"ranked entry 'c1' {_LACKS}"),
+        ((), (ProblemNovelty("c2", (), 0.25, NoveltyBand.LOW, 1),), f"unmatched entry 'c2' {_CARRIES}"),
+        ((), (ProblemNovelty("c2", (), 0.0),), f"unmatched entry 'c2' {_CARRIES}"),
+        ((), (ProblemNovelty("c2", (), None, NoveltyBand.LOW),), f"unmatched entry 'c2' {_CARRIES}"),
+        ((), (ProblemNovelty("c2", (), None, None, 1),), f"unmatched entry 'c2' {_CARRIES}"),
+    ],
+    ids=["ranked-none", "ranked-no-minimum", "ranked-no-band", "ranked-no-rank",
+         "unmatched-all", "unmatched-minimum", "unmatched-band", "unmatched-rank"],
+)
+def test_a_report_entry_carries_the_scores_of_its_list_or_is_rejected(ranked, unmatched, message):
+    """A ranked entry without a minimum, a band or a rank would fail in every
+    renderer far from its cause; an unmatched one with any would print a score
+    for a problem that has none."""
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        NoveltyReport("lexical", 0.7, "past", "current", ranked=ranked, unmatched=unmatched)
+
+
 def _report_of(score, average=0.25, minimum=0.25):
     """A one-pair report whose record holds ``score`` at every level of both
     maps, and ``average``, whose entry holds ``minimum``."""
@@ -258,7 +286,7 @@ def test_an_average_and_a_minimum_are_held_as_floats_and_render_so(score, expect
         (-0.25, r"-0.25 outside \[0, 1\]"),
         (math.nextafter(1.0, 2.0), r"1.0000000000000002 outside \[0, 1\]"),
         (np.float32(1.5), r"1.5 outside \[0, 1\]"),
-        (2, r"2.0 outside \[0, 1\]"),
+        (2, r"2 outside \[0, 1\]"),
         (True, "True is not a real number"),
         (np.True_, r"\S+ is not a real number"),  # np.True_ or True, as numpy writes it
         ("0.5", "'0.5' is not a real number"),

@@ -311,7 +311,7 @@ class TestErrorPaths:
 class TestConstruction:
     @pytest.mark.parametrize("batch_size", [0, -1, 2.5, 32.0, "32", True, None])
     def test_batch_size_not_an_integer_of_at_least_one_rejected(self, batch_size):
-        message = f"batch_size must be an integer of at least 1, got {batch_size!r}"
+        message = f"batch_size {batch_size!r} is not an integer of at least 1"
         with pytest.raises(ValueError, match=re.escape(message)):
             RemoteBackend(endpoint="http://127.0.0.1:9/embed", batch_size=batch_size)
 
