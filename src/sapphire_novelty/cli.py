@@ -16,6 +16,7 @@ from .corpus_store import CorpusFormatError, load_corpus, validate_corpus_file
 from .novelty import (
     DEFAULT_ACTION_THRESHOLD,
     OScoreInput,
+    _unit,
     o_score,
     rank_current_problems,
 )
@@ -206,8 +207,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "oscore":
         return cmd_oscore(args.n, args.m)
     # "assess" or "rank": the subparsers admit no other command.
-    if not 0.0 <= args.threshold <= 1.0:
-        parser.error(f"--threshold must lie in [0, 1], got {args.threshold}")
+    try:
+        _unit(args.threshold, "--threshold")
+    except ValueError as error:
+        parser.error(str(error))
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         if not args.strict:

@@ -29,9 +29,15 @@ tuples. Every level-keyed input (a problem's constructs, a record's score
 maps, the levels :func:`aggregate_novelty` averages) passes one rule: its
 keys must be construct levels, held in canonical order. Which levels two
 problems share follows from their presence masks, and each distinct layout
-is computed once. Ranking walks the gated
-pairs forward once, keys each pair's level texts once, and converts or
-bands each distinct score once, in a :class:`_Memo` made anew per call.
+is computed once.
+
+Ranking runs four stages, one private function each: the Action gate
+(:func:`_gate`, the first backend call), the level scores
+(:func:`_level_scores`, the second and last), the records
+(:func:`_records`) and the order (:func:`_order`). The middle two each walk
+the gated pairs forward once; ranking keys each pair's level texts once,
+and converts each distinct similarity and bands each distinct average once,
+in a :class:`_Memo` made anew per call.
 """
 
 from __future__ import annotations
@@ -311,7 +317,8 @@ class PairAssessment:
     Both score maps are read-only and iterate in canonical level order,
     whatever order the maps given to the constructor were built in. Every
     score in them, and an average that is present, is a real number in
-    [0, 1], held as its ``float`` (see :func:`_as_float`).
+    [0, 1], held as its ``float`` (see :func:`_as_float`). A band is ``None``
+    or a :class:`NoveltyBand`; anything else raises ``ValueError`` naming it.
     """
 
     past_id: str
@@ -349,6 +356,8 @@ class PairAssessment:
             and average_novelty is not None
         ):
             average_novelty = _unit(average_novelty, "average_novelty")
+        if type(band) is not NoveltyBand and band is not None:
+            raise ValueError(f"band {band!r} is neither None nor a NoveltyBand")
         _set(self, "past_id", past_id)
         _set(self, "current_id", current_id)
         _set(self, "construct_similarity", construct_similarity)
@@ -367,7 +376,8 @@ class ProblemNovelty:
     problems, i.e. those with no gated pair carrying an average. A minimum
     that is present passes the score rule (:func:`_unit`), and a rank that is
     present the count rule (``similarity._count``): an integer of at least 1
-    that is not a ``bool``, held as its ``int``.
+    that is not a ``bool``, held as its ``int``. A band is ``None`` or a
+    :class:`NoveltyBand`, as in :class:`PairAssessment`.
     """
 
     current_id: str
@@ -377,6 +387,8 @@ class ProblemNovelty:
     rank: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if type(self.band) is not NoveltyBand and self.band is not None:
+            raise ValueError(f"band {self.band!r} is neither None nor a NoveltyBand")
         if self.min_novelty is not None:
             _set(self, "min_novelty", _unit(self.min_novelty, "min_novelty"))
         if self.rank is not None:
@@ -502,60 +514,52 @@ def assess_pair(
     return entry.assessments[0] if entry.assessments else None
 
 
-def rank_current_problems(
-    past: ProblemCorpus,
-    current: ProblemCorpus,
-    backend: SimilarityBackend,
-    threshold: float = DEFAULT_ACTION_THRESHOLD,
-) -> NoveltyReport:
-    """Assess every current problem against every past problem and rank them.
+#: For each current Action, each gated past problem's index and Action similarity.
+_Matches = dict[str, list[tuple[int, float]]]
+#: Each problem's text at each non-Action level, as :func:`_level_texts` gives it.
+_LevelTexts = list[tuple[Optional[str], ...]]
+#: Per current problem, each gated pair as (past index, Action similarity, layout).
+_GatedPairs = list[list[tuple[int, float, _Layout]]]
+#: A current problem's id, the records of its gated pairs, and the least of their averages.
+_Entry = tuple[str, tuple[PairAssessment, ...], Optional[float]]
 
-    A current problem's score is the minimum average novelty among its gated
-    pairs; problems whose pairs all gate out (or share no scorable construct)
-    land in the unmatched list with absent scores. Ordering is deterministic:
-    descending minimum novelty, ties by ascending id.
 
-    The backend sees two bulk calls: one over the unique (past, current)
-    Action pairs, then one over the unique level-text pairs of the gated
-    problem pairs, each in order of first appearance. Each pair's level texts
-    are keyed once, and each distinct similarity and average is converted
-    and banded once.
+def _gate(past: list[str], current: list[str], backend: SimilarityBackend, threshold: float) -> _Matches:
+    """The Action gate over the past and current Action texts: for each
+    current Action, each gated past problem's index and Action similarity, in
+    corpus order.
+
+    It makes ranking's first backend call, over the product of the unique
+    past and current Actions.
     """
-    if not past.problems:
-        raise ValueError("the past corpus must be non-empty")
-    threshold = _unit(threshold, "threshold")
-    past_actions = _action_texts(past.problems)
-    current_actions = _action_texts(current.problems)
-
     past_groups: dict[str, list[int]] = {}
-    for index, action in enumerate(past_actions):
+    for index, action in enumerate(past):
         past_groups.setdefault(action, []).append(index)
-    unique_current_actions = dict.fromkeys(current_actions)
+    unique_current = dict.fromkeys(current)
     # A product of unique keys, so every pair is unique already; the gate
-    # values are row-major, one row per past Action.
-    gate = text_similarities(list(product(past_groups, unique_current_actions)), backend)
-    width = len(unique_current_actions)
-    # For each current Action (a column of the gate), each gated past
-    # problem's index and Action similarity, in corpus order.
-    matches = {
+    # values are row-major, one row per past Action and one column per current one.
+    gate = text_similarities(list(product(past_groups, unique_current)), backend)
+    return {
         action: sorted(
             (index, similarity)
-            for similarity, indices in zip(gate[column::width], past_groups.values())
+            for similarity, indices in zip(gate[column :: len(unique_current)], past_groups.values())
             if similarity >= threshold
             for index in indices
         )
-        for column, action in enumerate(unique_current_actions)
+        for column, action in enumerate(unique_current)
     }
-    past_texts = [_level_texts(problem) for problem in past.problems]
-    past_masks = list(map(_presence, past_texts))
-    current_texts = [_level_texts(problem) for problem in current.problems]
-    # Each gated pair as (past index, Action similarity, layout), per current problem.
-    gated_pairs = [
-        [(i, similarity, _LAYOUTS[past_masks[i] & mask]) for i, similarity in matches[action]]
-        for mask, action in zip(map(_presence, current_texts), current_actions)
-    ]
-    # Each unique (past text, current text) pair numbered in order of first
-    # appearance, and the numbers of every gated pair's level pairs, in one list.
+
+
+def _level_scores(
+    past_texts: _LevelTexts, current_texts: _LevelTexts, gated_pairs: _GatedPairs, backend: SimilarityBackend
+) -> tuple[list[int], list[float]]:
+    """The numbers of every gated pair's level pairs, in one list, and the
+    similarity of each number, in a list indexed by it.
+
+    Each unique (past text, current text) pair is numbered in order of first
+    appearance, and ranking's second and last backend call scores them in
+    that order.
+    """
     numbers: dict[tuple[str, str], int] = {}
     slots = [
         numbers.setdefault((past_texts[i][p], texts[p]), len(numbers))
@@ -563,16 +567,22 @@ def rank_current_problems(
         for i, _, layout in pairs
         for p in layout.positions
     ]
-    scores = text_similarities(list(numbers), backend)
+    return slots, text_similarities(list(numbers), backend)
 
-    novelty = _Memo(construct_novelty)
-    band = _Memo(classify_novelty)
+
+def _records(
+    past: ProblemCorpus, current: ProblemCorpus, gated_pairs: _GatedPairs, slots: list[int], scores: list[float]
+) -> Iterator[_Entry]:
+    """Each current problem's entry: its records, read off ``slots`` pair by
+    pair, and its minimum, tracked as they are built.
+
+    Each distinct similarity is converted to novelty, and each distinct
+    average banded, once per call.
+    """
+    novelty, band = _Memo(construct_novelty), _Memo(classify_novelty)
     past_ids = [problem.id for problem in past.problems]
     slot = iter(slots)
-    scored: list[tuple[float, str, tuple[PairAssessment, ...]]] = []
-    unmatched: list[ProblemNovelty] = []
-    for problem, pairs in zip(current.problems, gated_pairs):
-        current_id = problem.id
+    for current_id, pairs in zip((problem.id for problem in current.problems), gated_pairs):
         records = []
         minimum = None
         for i, action_similarity, (_, included, levels) in pairs:
@@ -594,25 +604,57 @@ def rank_current_problems(
                     not included,
                 )
             )
-        if minimum is None:
-            unmatched.append(ProblemNovelty(current_id=current_id, assessments=tuple(records)))
-        else:
-            scored.append((minimum, current_id, tuple(records)))
+        yield current_id, tuple(records), minimum
 
-    scored.sort(key=lambda entry: (-entry[0], entry[1]))
+
+def _order(entries: Iterable[_Entry]) -> tuple[tuple[ProblemNovelty, ...], tuple[ProblemNovelty, ...]]:
+    """The ranked problems, by descending minimum and then ascending id, each
+    with its band and rank; and the unmatched ones, which have no minimum, by
+    id. Sorting by id and then, stably, by minimum gives the ranked order."""
+    by_id = sorted(entries, key=lambda entry: entry[0])
+    scored = sorted((entry for entry in by_id if entry[2] is not None), key=lambda entry: -entry[2])
     ranked = tuple(
-        ProblemNovelty(current_id, assessments, minimum, band[minimum], rank)
-        for rank, (minimum, current_id, assessments) in enumerate(scored, start=1)
+        ProblemNovelty(current_id, records, minimum, classify_novelty(minimum), rank)
+        for rank, (current_id, records, minimum) in enumerate(scored, start=1)
     )
-    unmatched.sort(key=lambda entry: entry.current_id)
-    return NoveltyReport(
-        backend_kind=backend.kind,
-        threshold=threshold,
-        past_corpus=past.name,
-        current_corpus=current.name,
-        ranked=ranked,
-        unmatched=tuple(unmatched),
-    )
+    return ranked, tuple(ProblemNovelty(entry[0], entry[1]) for entry in by_id if entry[2] is None)
+
+
+def rank_current_problems(
+    past: ProblemCorpus,
+    current: ProblemCorpus,
+    backend: SimilarityBackend,
+    threshold: float = DEFAULT_ACTION_THRESHOLD,
+) -> NoveltyReport:
+    """Assess every current problem against every past problem and rank them.
+
+    A current problem's score is the minimum average novelty among its gated
+    pairs; problems whose pairs all gate out (or share no scorable construct)
+    land in the unmatched list with absent scores. Ordering is deterministic:
+    descending minimum novelty, ties by ascending id.
+
+    Ranking runs four stages: the Action gate (:func:`_gate`), the level
+    scores (:func:`_level_scores`), the records (:func:`_records`) and the
+    order (:func:`_order`). The backend sees two bulk calls, one in each of
+    the first two stages: one over the unique (past, current) Action pairs,
+    then one over the unique level-text pairs of the gated problem pairs,
+    each in order of first appearance.
+    """
+    if not past.problems:
+        raise ValueError("the past corpus must be non-empty")
+    threshold = _unit(threshold, "threshold")
+    current_actions = _action_texts(current.problems)
+    matches = _gate(_action_texts(past.problems), current_actions, backend, threshold)
+    past_texts = [_level_texts(problem) for problem in past.problems]
+    past_masks = list(map(_presence, past_texts))
+    current_texts = [_level_texts(problem) for problem in current.problems]
+    gated_pairs = [
+        [(i, similarity, _LAYOUTS[past_masks[i] & mask]) for i, similarity in matches[action]]
+        for mask, action in zip(map(_presence, current_texts), current_actions)
+    ]
+    slots, scores = _level_scores(past_texts, current_texts, gated_pairs, backend)
+    ranked, unmatched = _order(_records(past, current, gated_pairs, slots, scores))
+    return NoveltyReport(backend.kind, threshold, past.name, current.name, ranked, unmatched)
 
 
 @dataclass(frozen=True)

@@ -125,13 +125,19 @@ class ProblemSapphire:
 
 @dataclass(frozen=True)
 class ProblemCorpus:
-    """A named, ordered collection of problems sharing one provenance role."""
+    """A named, ordered collection of problems sharing one provenance role.
+
+    ``role`` must be a :class:`Provenance`; anything else, its text ``"past"``
+    included, raises ``ValueError`` naming it.
+    """
 
     name: str
     role: Provenance
     problems: tuple[ProblemSapphire, ...] = ()
 
     def __post_init__(self) -> None:
+        if type(self.role) is not Provenance:
+            raise ValueError(f"role {self.role!r} is not a Provenance")
         object.__setattr__(self, "problems", tuple(self.problems))
 
     def __len__(self) -> int:

@@ -83,6 +83,15 @@ class TestRoundHalfUp:
         assert round_half_up(0.3145, 3) == 0.315
 
     @pytest.mark.parametrize(
+        ("value", "ndigits", "expected"),
+        [(0.31415926, 4, 0.3142), (0.00005, 4, 0.0001), (2.5, 0, 3.0)],
+    )
+    def test_digit_counts_off_the_display_table(self, value, ndigits, expected):
+        """Four digits and none take the general quantum, 10 ** -ndigits, not a
+        made one; a half rounds up at each."""
+        assert round_half_up(value, ndigits) == expected
+
+    @pytest.mark.parametrize(
         ("call", "bad", "message"),
         [
             (round_half_up, True, "value True is not a real number"),

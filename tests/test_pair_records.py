@@ -307,6 +307,18 @@ def test_a_rank_that_is_not_an_integer_of_at_least_one_is_rejected(bad):
         ProblemNovelty("c1", (), 0.25, NoveltyBand.LOW, bad)
 
 
+@pytest.mark.parametrize("bad", ["low", "Low", 0, Provenance.PAST], ids=repr)
+def test_a_band_that_is_neither_none_nor_a_novelty_band_is_rejected(bad):
+    """A band given as its text used to build, and every renderer then failed
+    far from the cause, on ``band.label`` or ``band.value``."""
+    message = rf"^band {re.escape(repr(bad))} is neither None nor a NoveltyBand$"
+    scores = {ACTION: 0.5, EFFECT: 0.5}
+    with pytest.raises(ValueError, match=message):
+        PairAssessment("p1", "c1", scores, scores, (EFFECT,), 0.5, bad)
+    with pytest.raises(ValueError, match=message):
+        ProblemNovelty("c1", (), 0.25, bad, 1)
+
+
 @pytest.mark.parametrize("rank", [np.int64(3), np.uint8(3)], ids=repr)
 def test_an_integral_rank_is_held_as_its_int_and_renders_so(rank):
     entry, reference = (ProblemNovelty("c1", (), 0.25, NoveltyBand.LOW, r) for r in (rank, 3))

@@ -192,6 +192,13 @@ class TestValidateCorpus:
         )
         assert validate_corpus(corpus) == []
 
+    @pytest.mark.parametrize("bad", ["past", None, Provenance], ids=repr)
+    def test_a_role_that_is_not_a_provenance_is_rejected(self, bad):
+        """A role given as its text used to build, and validate_corpus then
+        failed on ``role.value``."""
+        with pytest.raises(ValueError, match=rf"^role {re.escape(repr(bad))} is not a Provenance$"):
+            ProblemCorpus(name="past", role=bad, problems=(full_problem("A"),))
+
     def test_duplicate_ids_reported(self):
         corpus = ProblemCorpus(
             name="past",

@@ -17,6 +17,15 @@ On the same corpora, two tests count a ranking's work without timing it:
 the backend sees two ``similarities`` calls, each over unique pairs, and
 each distinct similarity off ``construct_novelty``'s float path pays one
 ``Decimal`` subtraction.
+
+Four properties of whole rankings follow from the definition alone, so they
+hold whatever reading the code and the reference share: more past problems
+never raise a minimum; a higher threshold never lowers one and only moves
+problems to the unmatched list; the order of the past corpus changes no
+headline; and a copy of a past problem has minimum 0.0, provided each of its
+texts can be scored. A text with nothing to score (under the word-vector
+backend, one whose words all lack a vector, such as "xyzzy") scores 0.0 even
+against itself, so a copy holding one need not reach 0.0.
 """
 
 import warnings
@@ -259,3 +268,112 @@ def test_each_distinct_similarity_off_the_float_path_pays_one_decimal_subtractio
     off_path = sum(map(off_the_float_path, similarities))
     hypothesis.event(f"{off_path} of {len(similarities)} similarities off the float path")
     assert context.subtractions == off_path
+
+
+THRESHOLDS = st.sampled_from([0.0, 0.3, 0.7, 1.0])
+PROPERTIES = hypothesis.settings(max_examples=12, deadline=None)
+
+
+def _rank(past, current, name, threshold):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OovWarning)
+        return rank_current_problems(past, current, BACKENDS[name](), threshold)
+
+
+def _headlines(report):
+    """Each ranked problem's (minimum, band, rank) by id, and the unmatched ids."""
+    ranked = {entry.current_id: (entry.min_novelty, entry.band, entry.rank) for entry in report.ranked}
+    return ranked, {entry.current_id for entry in report.unmatched}
+
+
+def _with(corpus, problems):
+    return ProblemCorpus(corpus.name, corpus.role, tuple(problems))
+
+
+@pytest.mark.parametrize("name", list(BACKENDS))
+@PROPERTIES
+@hypothesis.given(
+    past=corpora(Provenance.PAST, "P"),
+    current=corpora(Provenance.CURRENT, "C"),
+    threshold=THRESHOLDS,
+    data=st.data(),
+)
+def test_more_past_problems_never_raise_a_minimum_nor_unmatch_a_problem(name, past, current, threshold, data):
+    """The past corpus against its first ``kept`` problems."""
+    kept = data.draw(st.integers(1, len(past.problems)))
+    (before, _), (after, _) = (
+        _headlines(_rank(corpus, current, name, threshold)) for corpus in (_with(past, past.problems[:kept]), past)
+    )
+    assert before.keys() <= after.keys()
+    for current_id, (minimum, _, _) in before.items():
+        assert after[current_id][0] <= minimum
+
+
+@pytest.mark.parametrize("name", list(BACKENDS))
+@PROPERTIES
+@hypothesis.given(
+    past=corpora(Provenance.PAST, "P"),
+    current=corpora(Provenance.CURRENT, "C"),
+    thresholds=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
+)
+def test_a_higher_threshold_never_lowers_a_minimum_and_only_unmatches(name, past, current, thresholds):
+    (low, low_unmatched), (high, high_unmatched) = (
+        _headlines(_rank(past, current, name, threshold)) for threshold in thresholds
+    )
+    assert high.keys() <= low.keys()
+    assert low_unmatched <= high_unmatched
+    for current_id, (minimum, _, _) in high.items():
+        assert minimum >= low[current_id][0]
+
+
+@pytest.mark.parametrize("name", list(BACKENDS))
+@PROPERTIES
+@hypothesis.given(
+    past=corpora(Provenance.PAST, "P"),
+    current=corpora(Provenance.CURRENT, "C"),
+    threshold=THRESHOLDS,
+    data=st.data(),
+)
+def test_the_order_of_the_past_changes_no_headline_and_no_record(name, past, current, threshold, data):
+    """Only the order of each problem's records may change."""
+    shuffled = _with(past, data.draw(st.permutations(past.problems)))
+    reports = [_rank(corpus, current, name, threshold) for corpus in (past, shuffled)]
+    assert _headlines(reports[0]) == _headlines(reports[1])
+    records = [
+        {entry.current_id: sorted(entry.assessments, key=lambda pair: pair.past_id) for entry in report.entries}
+        for report in reports
+    ]
+    assert records[0] == records[1]
+
+
+def _scorable(name, text):
+    """Whether ``text`` has something to score: under the word-vector backend,
+    a word with a vector; every text here has a token for the others."""
+    return name != "wordvec" or any(word in WORDS for word in text.casefold().split())
+
+
+@pytest.mark.parametrize("name", list(BACKENDS))
+@PROPERTIES
+@hypothesis.given(
+    past=corpora(Provenance.PAST, "P"),
+    current=corpora(Provenance.CURRENT, "C"),
+    threshold=THRESHOLDS,
+    data=st.data(),
+)
+def test_a_copy_of_a_past_problem_has_minimum_zero_if_its_texts_can_be_scored(
+    name, past, current, threshold, data
+):
+    originals = data.draw(st.lists(st.sampled_from(past.problems), min_size=1, max_size=5))
+    copies = [
+        ProblemSapphire(f"K{number}", "", Provenance.CURRENT, constructs=dict(original.constructs))
+        for number, original in enumerate(originals)
+    ]
+    ranked, _ = _headlines(_rank(past, _with(current, current.problems + tuple(copies)), name, threshold))
+    checked = 0
+    for copy in copies:
+        texts = [_text(copy, level) for level in ConstructLevel if _text(copy, level)]
+        # The Action and at least one level to average, each with something to score.
+        if len(texts) > 1 and all(_scorable(name, text) for text in texts):
+            checked += 1
+            assert ranked[copy.id] == (0.0, NoveltyBand.LOW, ranked[copy.id][2])
+    hypothesis.event(f"{checked} of {len(copies)} copies can be scored")

@@ -319,6 +319,18 @@ class TestCmdAssess:
             main(assess_argv(threshold=1.5))
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("threshold", ["0.0", "1.0"])
+    def test_a_threshold_at_either_end_of_the_unit_range_is_accepted(self, threshold, capsys):
+        assert main(assess_argv(command="rank", threshold=threshold)) == 0
+        assert f"threshold: {threshold}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("threshold", ["-0.1", "1.5", "nan"])
+    def test_a_threshold_outside_the_unit_range_is_named_in_the_score_rule_wording(self, threshold, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(assess_argv(threshold=threshold))
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(f": error: --threshold {threshold} outside [0, 1]\n")
+
     @staticmethod
     def oov_rank_argv(tmp_path, action, parts):
         """A ``rank`` over a two-word vocabulary; ``parts`` maps each role to
