@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -202,7 +203,8 @@ def _load(
     keeps, named after the file stem. Strict mode raises
     :class:`CorpusFormatError` at the first finding; lenient mode warns for
     each one that its record is skipped. A source without records warns
-    ``empty``."""
+    ``empty``. The corpus's role rule runs before any record is read."""
+    corpus = ProblemCorpus(name=path.stem, role=role)
 
     def report(finding: str) -> None:
         if strict:
@@ -212,7 +214,7 @@ def _load(
     problems, last = _admit_records(items, role, where, report)
     if not last:
         warnings.warn(f"{path}: {empty}", CorpusWarning)
-    return ProblemCorpus(name=path.stem, role=role, problems=tuple(problems))
+    return replace(corpus, problems=problems)
 
 
 def load_corpus(path: str | Path, role: Provenance, strict: bool = True) -> ProblemCorpus:

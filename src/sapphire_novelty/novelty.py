@@ -25,24 +25,26 @@ order is fixed by sorting, not by the order pairs were scored in. A pair
 record is a slot dataclass that ranking builds once, through the same
 checked constructor as any other caller, and holds its scores as tuples
 aligned with its levels, in canonical order; the renderers walk those
-tuples. Every level-keyed input (a problem's constructs, a record's score
-maps, the levels :func:`aggregate_novelty` averages) passes one rule: its
-keys must be construct levels, held in canonical order. Which levels two
-problems share follows from their presence masks, and each distinct layout
-is computed once.
+tuples. A record is built from its two score maps alone, and derives its
+included levels, average, band and no-comparable flag from them; an entry
+derives its band from its minimum. Every level-keyed input (a problem's
+constructs, a record's score maps, the levels :func:`aggregate_novelty`
+averages) passes one rule: its keys must be construct levels, held in
+canonical order. Which levels two problems share follows from their
+presence masks, and each distinct layout is computed once.
 
 Ranking runs four stages, one private function each: the Action gate
 (:func:`_gate`, the first backend call), the level scores
 (:func:`_level_scores`, the second and last), the records
 (:func:`_records`) and the order (:func:`_order`). The middle two each walk
 the gated pairs forward once; ranking keys each pair's level texts once,
-and converts each distinct similarity and bands each distinct average once,
-in a :class:`_Memo` made anew per call.
+and converts each distinct similarity once, in a :class:`_Memo` made anew
+per call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, ROUND_HALF_UP, Context, Decimal
 from decimal import DivisionByZero, InvalidOperation, Overflow
 from enum import Enum
@@ -308,27 +310,34 @@ _set = object.__setattr__
 
 @dataclass(frozen=True, slots=True, init=False)
 class PairAssessment:
-    """Scores for one gated (past, current) pair.
+    """Scores for one gated (past, current) pair, and what follows from them.
 
-    ``construct_similarity`` always carries the Action entry; other levels are
-    present iff both problems carry that construct. ``included_levels`` are the
-    non-Action levels that were averaged; when the pair shares none,
-    ``no_comparable_constructs`` is set and the average and band are absent.
-    Both score maps are read-only and iterate in canonical level order,
-    whatever order the maps given to the constructor were built in. Every
-    score in them, and an average that is present, is a real number in
-    [0, 1], held as its ``float`` (see :func:`_as_float`). A band is ``None``
-    or a :class:`NoveltyBand`; anything else raises ``ValueError`` naming it.
+    The two score maps are given; everything else is derived from them. Both
+    maps must have the same levels, the Action level among them: the Action
+    entry always, and each other level iff both problems carry that
+    construct. A map that lacks Action, or maps whose levels differ, raise
+    ``ValueError``. ``included_levels`` are the non-Action levels, the ones
+    averaged; ``average_novelty`` is the mean of the novelty scores over
+    them, summed in canonical level order as :func:`aggregate_novelty` sums
+    them, and ``band`` is :func:`classify_novelty` of that average. When the
+    pair shares no non-Action level, ``no_comparable_constructs`` is set and
+    the average and band are ``None``. Both score maps are read-only and
+    iterate in canonical level order, whatever order the maps given to the
+    constructor were built in. Every score in them is a real number in
+    [0, 1], held as its ``float`` (see :func:`_as_float`). The novelty map's
+    levels are checked, but not its values: that each is
+    :func:`construct_novelty` of the similarity beside it is the caller's to
+    keep, as ranking does.
     """
 
     past_id: str
     current_id: str
     construct_similarity: Mapping[ConstructLevel, float]
     construct_novelty: Mapping[ConstructLevel, float]
-    included_levels: tuple[ConstructLevel, ...]
-    average_novelty: Optional[float]
-    band: Optional[NoveltyBand]
-    no_comparable_constructs: bool
+    included_levels: tuple[ConstructLevel, ...] = field(init=False)
+    average_novelty: Optional[float] = field(init=False)
+    band: Optional[NoveltyBand] = field(init=False)
+    no_comparable_constructs: bool = field(init=False)
 
     def __init__(
         self,
@@ -336,61 +345,52 @@ class PairAssessment:
         current_id: str,
         construct_similarity: Mapping[ConstructLevel, float],
         construct_novelty: Mapping[ConstructLevel, float],
-        included_levels: tuple[ConstructLevel, ...],
-        average_novelty: Optional[float],
-        band: Optional[NoveltyBand],
-        no_comparable_constructs: bool = False,
     ) -> None:
         # Written by hand, not generated: ranking builds one record per gated
         # pair, and a generated __init__ plus __post_init__ costs about half as
         # much again per record.
-        if _ACTION in included_levels:
-            raise ValueError("the Action level cannot be part of the average")
         if type(construct_similarity) is not _LevelMap:
             construct_similarity = _LevelMap.of(construct_similarity, "similarity")
         if type(construct_novelty) is not _LevelMap:
             construct_novelty = _LevelMap.of(construct_novelty, "novelty")
-        # One test for ranking's averages, which are floats in [0, 1].
-        if (
-            not (type(average_novelty) is float and 0.0 <= average_novelty <= 1.0)
-            and average_novelty is not None
-        ):
-            average_novelty = _unit(average_novelty, "average_novelty")
-        if type(band) is not NoveltyBand and band is not None:
-            raise ValueError(f"band {band!r} is neither None nor a NoveltyBand")
+        levels = construct_similarity.levels
+        included = _INCLUDED.get(levels)
+        if included is None or construct_novelty.levels != levels:
+            keys = [[level.key for level in held] for held in (construct_similarity, construct_novelty)]
+            raise ValueError(f"score maps must share their levels, Action among them: {keys[0]} vs {keys[1]}")
+        average = sum(construct_novelty.scores[1:]) / len(included) if included else None
         _set(self, "past_id", past_id)
         _set(self, "current_id", current_id)
         _set(self, "construct_similarity", construct_similarity)
         _set(self, "construct_novelty", construct_novelty)
-        _set(self, "included_levels", included_levels)
-        _set(self, "average_novelty", average_novelty)
-        _set(self, "band", band)
-        _set(self, "no_comparable_constructs", no_comparable_constructs)
+        _set(self, "included_levels", included)
+        _set(self, "average_novelty", average)
+        _set(self, "band", None if average is None else classify_novelty(average))
+        _set(self, "no_comparable_constructs", not included)
 
 
 @dataclass(frozen=True)
 class ProblemNovelty:
     """One current problem's assessments, minimum novelty, band, and rank.
 
-    ``rank`` (1 = most novel) and the scores are absent for unmatched
+    ``rank`` (1 = most novel) and the minimum are absent for unmatched
     problems, i.e. those with no gated pair carrying an average. A minimum
     that is present passes the score rule (:func:`_unit`), and a rank that is
     present the count rule (``similarity._count``): an integer of at least 1
-    that is not a ``bool``, held as its ``int``. A band is ``None`` or a
-    :class:`NoveltyBand`, as in :class:`PairAssessment`.
+    that is not a ``bool``, held as its ``int``. ``band`` is derived:
+    :func:`classify_novelty` of the minimum, or ``None`` without one.
     """
 
     current_id: str
     assessments: tuple[PairAssessment, ...]
     min_novelty: Optional[float] = None
-    band: Optional[NoveltyBand] = None
+    band: Optional[NoveltyBand] = field(init=False)
     rank: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if type(self.band) is not NoveltyBand and self.band is not None:
-            raise ValueError(f"band {self.band!r} is neither None nor a NoveltyBand")
         if self.min_novelty is not None:
             _set(self, "min_novelty", _unit(self.min_novelty, "min_novelty"))
+        _set(self, "band", None if self.min_novelty is None else classify_novelty(self.min_novelty))
         if self.rank is not None:
             _set(self, "rank", _count(self.rank, "rank", 1))
 
@@ -402,9 +402,9 @@ class NoveltyReport:
     ``ranked`` is ordered by descending minimum novelty (ties broken by
     ascending problem id); ``unmatched`` lists, in id order, the current
     problems with no scorable gated pair. ``threshold`` passes the score
-    rule (:func:`_unit`). A ranked entry must carry a minimum, a band and a
-    rank, and an unmatched entry none of them; anything else raises
-    ``ValueError`` naming the entry's ``current_id``.
+    rule (:func:`_unit`). A ranked entry must carry a minimum and a rank,
+    and with them a band, and an unmatched entry neither; anything else
+    raises ``ValueError`` naming the entry's ``current_id``.
     """
 
     backend_kind: str
@@ -417,11 +417,11 @@ class NoveltyReport:
     def __post_init__(self) -> None:
         _set(self, "threshold", _unit(self.threshold, "threshold"))
         for entry in self.ranked:
-            if None in (entry.min_novelty, entry.band, entry.rank):
-                raise ValueError(f"ranked entry {entry.current_id!r} lacks a min_novelty, a band or a rank")
+            if entry.min_novelty is None or entry.rank is None:
+                raise ValueError(f"ranked entry {entry.current_id!r} lacks a min_novelty or a rank")
         for entry in self.unmatched:
-            if (entry.min_novelty, entry.band, entry.rank) != (None, None, None):
-                raise ValueError(f"unmatched entry {entry.current_id!r} carries a min_novelty, a band or a rank")
+            if entry.min_novelty is not None or entry.rank is not None:
+                raise ValueError(f"unmatched entry {entry.current_id!r} carries a min_novelty or a rank")
 
     @property
     def entries(self) -> tuple[ProblemNovelty, ...]:
@@ -477,6 +477,9 @@ def _layout(shared: int) -> _Layout:
 
 #: The layout of each presence mask two problems can share, indexed by that mask.
 _LAYOUTS = tuple(map(_layout, range(1 << len(_NON_ACTION_LEVELS))))
+#: The included levels of each score-map layout, keyed by the maps' levels,
+#: so every record of one layout holds the same tuple.
+_INCLUDED = {layout.levels: layout.included for layout in _LAYOUTS}
 
 
 def action_match(
@@ -574,12 +577,13 @@ def _records(
     past: ProblemCorpus, current: ProblemCorpus, gated_pairs: _GatedPairs, slots: list[int], scores: list[float]
 ) -> Iterator[_Entry]:
     """Each current problem's entry: its records, read off ``slots`` pair by
-    pair, and its minimum, tracked as they are built.
+    pair, and its minimum, the least of the records' averages, tracked as they
+    are built.
 
-    Each distinct similarity is converted to novelty, and each distinct
-    average banded, once per call.
+    Each distinct similarity is converted to novelty once per call; each
+    record derives its average and band from its novelty map.
     """
-    novelty, band = _Memo(construct_novelty), _Memo(classify_novelty)
+    novelty = _Memo(construct_novelty)
     past_ids = [problem.id for problem in past.problems]
     slot = iter(slots)
     for current_id, pairs in zip((problem.id for problem in current.problems), gated_pairs):
@@ -587,34 +591,23 @@ def _records(
         minimum = None
         for i, action_similarity, (_, included, levels) in pairs:
             similarities = (action_similarity, *map(scores.__getitem__, islice(slot, len(included))))
-            novelties = tuple(map(novelty.__getitem__, similarities))
-            # Summed in canonical level order, as aggregate_novelty does.
-            average = sum(novelties[1:]) / len(included) if included else None
-            if included and (minimum is None or average < minimum):
+            novelties = _LevelMap(levels, tuple(map(novelty.__getitem__, similarities)))
+            record = PairAssessment(past_ids[i], current_id, _LevelMap(levels, similarities), novelties)
+            average = record.average_novelty
+            if average is not None and (minimum is None or average < minimum):
                 minimum = average
-            records.append(
-                PairAssessment(
-                    past_ids[i],
-                    current_id,
-                    _LevelMap(levels, similarities),
-                    _LevelMap(levels, novelties),
-                    included,
-                    average,
-                    band[average] if included else None,
-                    not included,
-                )
-            )
+            records.append(record)
         yield current_id, tuple(records), minimum
 
 
 def _order(entries: Iterable[_Entry]) -> tuple[tuple[ProblemNovelty, ...], tuple[ProblemNovelty, ...]]:
     """The ranked problems, by descending minimum and then ascending id, each
-    with its band and rank; and the unmatched ones, which have no minimum, by
-    id. Sorting by id and then, stably, by minimum gives the ranked order."""
+    with its rank; and the unmatched ones, which have no minimum, by id.
+    Sorting by id and then, stably, by minimum gives the ranked order."""
     by_id = sorted(entries, key=lambda entry: entry[0])
     scored = sorted((entry for entry in by_id if entry[2] is not None), key=lambda entry: -entry[2])
     ranked = tuple(
-        ProblemNovelty(current_id, records, minimum, classify_novelty(minimum), rank)
+        ProblemNovelty(current_id, records, minimum, rank)
         for rank, (current_id, records, minimum) in enumerate(scored, start=1)
     )
     return ranked, tuple(ProblemNovelty(entry[0], entry[1]) for entry in by_id if entry[2] is None)
@@ -631,7 +624,9 @@ def rank_current_problems(
     A current problem's score is the minimum average novelty among its gated
     pairs; problems whose pairs all gate out (or share no scorable construct)
     land in the unmatched list with absent scores. Ordering is deterministic:
-    descending minimum novelty, ties by ascending id.
+    descending minimum novelty, ties by ascending id. ``past`` must have the
+    role :attr:`Provenance.PAST` and ``current`` :attr:`Provenance.CURRENT`;
+    corpora given the other way round raise ``ValueError`` naming both roles.
 
     Ranking runs four stages: the Action gate (:func:`_gate`), the level
     scores (:func:`_level_scores`), the records (:func:`_records`) and the
@@ -640,6 +635,9 @@ def rank_current_problems(
     then one over the unique level-text pairs of the gated problem pairs,
     each in order of first appearance.
     """
+    if past.role is not Provenance.PAST or current.role is not Provenance.CURRENT:
+        roles = f"{past.role.value!r} and {current.role.value!r}"
+        raise ValueError(f"ranking takes a past corpus, then a current one; got {roles}")
     if not past.problems:
         raise ValueError("the past corpus must be non-empty")
     threshold = _unit(threshold, "threshold")

@@ -20,7 +20,6 @@ from __future__ import annotations
 import http.client
 import json
 import math
-import numbers
 import re
 import urllib.error
 import urllib.parse
@@ -30,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .similarity import BackendUnavailableError, _count, _nothing_to_score
+from .similarity import BackendUnavailableError, _count, _is_real, _nothing_to_score
 from .vectors import _checked_rows, _unscorable, _VectorBackend
 
 __all__ = ["RemoteBackend"]
@@ -81,9 +80,8 @@ class RemoteBackend(_VectorBackend):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "batch_size", _count(self.batch_size, "batch_size", 1))
-        # A bool is a real number to Python, but it is not a duration.
         timeout = self.timeout
-        if isinstance(timeout, bool) or not isinstance(timeout, numbers.Real) or not 0 < timeout < math.inf:
+        if not (_is_real(timeout) and 0 < timeout < math.inf):
             raise ValueError(f"timeout must be a finite number of seconds above 0, got {timeout!r}")
 
     def _rows(self, texts: list[str]) -> tuple[np.ndarray, dict[str, int]]:

@@ -52,9 +52,6 @@ _BOOLS = ("false", "true")
 _BANDS = {band: encode_basestring(band.value) for band in NoveltyBand}
 # Each level's row in the score grid.
 _ROWS = {level: row for row, level in enumerate(ConstructLevel)}
-# The levels of a pair's similarity map, novelty map and average, which fix its JSON layout.
-_Levels = tuple[ConstructLevel, ...]
-_PairLayout = tuple[_Levels, _Levels, _Levels]
 
 
 class _Reprs(dict):
@@ -190,10 +187,10 @@ def render_csv(report: NoveltyReport, summary_only: bool = False) -> str:
     return buffer.getvalue()
 
 
-def _json_pair_pieces(layout: _PairLayout) -> list[str | None]:
+def _json_pair_pieces(levels: tuple[ConstructLevel, ...]) -> list[str | None]:
     """The pieces of one element of the report's "pairs" array, for records
-    whose similarity map, novelty map and included levels have these levels,
-    with a hole (``None``) between each two.
+    whose score maps have these levels, with a hole (``None``) between each
+    two. A record's included levels are its levels after Action, the first.
 
     The text is ``json.dumps`` of the element with every filled value
     ``None``, indented to its place in the array and ended with a comma,
@@ -202,15 +199,14 @@ def _json_pair_pieces(layout: _PairLayout) -> list[str | None]:
     the novelty displays, the average and its display, the band and the
     no-comparable flag, in that order.
     """
-    similarity, novelty, included = layout
-    novelty_keys = [level.key for level in novelty]
+    keys = [level.key for level in levels]
     element = {
         "past_id": None,
         "current_id": None,
-        "construct_similarity": dict.fromkeys(level.key for level in similarity),
-        "construct_novelty": dict.fromkeys(novelty_keys),
-        "construct_novelty_display": dict.fromkeys(novelty_keys),
-        "included_levels": [level.key for level in included],
+        "construct_similarity": dict.fromkeys(keys),
+        "construct_novelty": dict.fromkeys(keys),
+        "construct_novelty_display": dict.fromkeys(keys),
+        "included_levels": keys[1:],
         "average_novelty": None,
         "average_novelty_display": None,
         "band": None,
@@ -242,7 +238,7 @@ def _json_pairs(out: list[str], pairs: list[PairAssessment]) -> None:
         else:
             average_text = texts(average)
             average_display = display2[average_text]
-        slots = layouts[similarity.levels, novelty.levels, pair.included_levels]
+        slots = layouts[similarity.levels]
         slots[1::2] = [
             ids[pair.past_id],
             ids[pair.current_id],

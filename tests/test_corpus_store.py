@@ -64,6 +64,13 @@ class TestLoadCorpus:
             corpus = load_corpus(path, Provenance.PAST)
         assert corpus.problems == ()
 
+    def test_a_role_given_as_text_fails_at_its_cause(self):
+        """The role rule runs before any record is read; it once failed in the
+        provenance check with an AttributeError on the text's ``value``."""
+        for path in (past_corpus_path(), current_corpus_path()):
+            with pytest.raises(ValueError, match=r"^role 'past' is not a Provenance$"):
+                load_corpus(path, "past")
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_corpus(tmp_path / "nope.jsonl", Provenance.PAST)

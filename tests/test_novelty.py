@@ -19,7 +19,6 @@ from sapphire_novelty import (
     NoveltyBand,
     OovWarning,
     OScoreInput,
-    PairAssessment,
     ProblemCorpus,
     ProblemSapphire,
     Provenance,
@@ -523,18 +522,6 @@ class TestAssessPair:
         assert ConstructLevel.ACTION not in assessment.included_levels
         assert assessment.construct_similarity[ConstructLevel.ACTION] == 1.0
 
-    def test_action_cannot_be_an_included_level(self):
-        with pytest.raises(ValueError, match="Action level cannot be part of the average"):
-            PairAssessment(
-                past_id="P",
-                current_id="C",
-                construct_similarity={ConstructLevel.ACTION: 1.0},
-                construct_novelty={ConstructLevel.ACTION: 0.0},
-                included_levels=(ConstructLevel.ACTION,),
-                average_novelty=0.0,
-                band=NoveltyBand.LOW,
-            )
-
     def test_novelty_is_complement_of_similarity_for_every_level(self):
         past, current, backend = load_case_study()
         assessment = assess_pair(past.problems[0], current.problems[1], backend)
@@ -677,6 +664,14 @@ class TestRankCurrentProblems:
         )
         with pytest.raises(ValueError, match="non-empty"):
             rank_current_problems(past, current, LexicalBackend())
+
+    def test_swapped_corpora_are_rejected_naming_both_roles(self):
+        """Corpora passed the other way round once gave a plausible report."""
+        past, current, backend = load_case_study()
+        for first, second in ((current, past), (past, past), (current, current)):
+            message = f"got {first.role.value!r} and {second.role.value!r}$"
+            with pytest.raises(ValueError, match=message):
+                rank_current_problems(first, second, backend)
 
     def test_ranking_is_a_permutation_of_the_current_corpus(self):
         past, current, backend = load_case_study()

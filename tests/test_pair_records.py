@@ -1,9 +1,10 @@
 """Pair records as ranking builds them, against the scalar reference and
 ``assess_pair``, and the read-only level maps the records hold their scores in.
 
-Ranking builds each record from level-aligned tuples and averages inline; the
-public scalar functions (``construct_novelty``, ``aggregate_novelty``,
-``classify_novelty``) and ``assess_pair`` must agree with it bit for bit.
+Ranking builds each record from level-aligned tuples, and the record derives
+its average and band from them; the public scalar functions
+(``construct_novelty``, ``aggregate_novelty``, ``classify_novelty``) and
+``assess_pair`` must agree with it bit for bit.
 ``classify_novelty`` compares a score with two floats; it must give the band
 of the score's two-decimal half-up rounding, taken in Decimal.
 """
@@ -109,19 +110,21 @@ def test_ranked_records_match_the_scalar_reference_and_assess_pair(past, current
 
 
 @st.composite
-def level_maps(draw):
-    """A level -> score map over a random subset of levels, in random insertion order."""
-    levels = draw(st.lists(st.sampled_from(LEVELS), unique=True))
-    return {level: draw(st.floats(0.0, 1.0)) for level in levels}
+def score_maps(draw):
+    """A similarity and a novelty map over one random set of levels that holds
+    Action, each in its own random insertion order."""
+    levels = [ACTION, *draw(st.lists(st.sampled_from(NON_ACTION), unique=True))]
+    return tuple({level: draw(st.floats(0.0, 1.0)) for level in draw(st.permutations(levels))} for _ in range(2))
 
 
 def _record(similarity, novelty):
-    return PairAssessment("P", "C", similarity, novelty, (), None, None, True)
+    return PairAssessment("P", "C", similarity, novelty)
 
 
 @hypothesis.settings(max_examples=200, deadline=None)
-@hypothesis.given(similarity=level_maps(), novelty=level_maps())
-def test_record_maps_are_canonical_read_only_mappings(similarity, novelty):
+@hypothesis.given(maps=score_maps())
+def test_record_maps_are_canonical_read_only_mappings(maps):
+    similarity, novelty = maps
     record = _record(similarity, novelty)
     for given, held in ((similarity, record.construct_similarity), (novelty, record.construct_novelty)):
         assert isinstance(held, Mapping)
@@ -144,6 +147,73 @@ def test_record_maps_are_canonical_read_only_mappings(similarity, novelty):
         with pytest.raises(TypeError):
             del held[ACTION]
     assert record == _record(dict(reversed(similarity.items())), dict(reversed(novelty.items())))
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(maps=score_maps())
+def test_a_record_derives_its_included_levels_average_band_and_flag(maps):
+    """A record is built from its two score maps alone: its included levels
+    are their non-Action levels, its average :func:`aggregate_novelty` over
+    them bit for bit, and its band that average's."""
+    similarity, novelty = maps
+    record = _record(similarity, novelty)
+    included = record.included_levels
+    assert included == tuple(level for level in NON_ACTION if level in similarity)
+    assert record.no_comparable_constructs == (not included)
+    if included:
+        assert record.average_novelty.hex() == aggregate_novelty(novelty, included).hex()
+        assert record.band is classify_novelty(record.average_novelty)
+    else:
+        assert (record.average_novelty, record.band) == (None, None)
+    assert replace(record, past_id="Q").band is record.band
+
+
+@pytest.mark.parametrize(
+    ("similarity", "novelty"),
+    [
+        ({}, {}),
+        ({EFFECT: 0.5}, {EFFECT: 0.5}),
+        ({ACTION: 0.5, EFFECT: 0.5}, {ACTION: 0.5}),
+        ({ACTION: 0.5}, {ACTION: 0.5, EFFECT: 0.5}),
+        ({ACTION: 0.5, EFFECT: 0.5}, {ACTION: 0.5, ConstructLevel.PARTS: 0.5}),
+    ],
+    ids=["empty", "no-action", "novelty-lacks-a-level", "similarity-lacks-a-level", "other-levels"],
+)
+def test_a_record_rejects_maps_without_action_or_with_different_levels(similarity, novelty):
+    with pytest.raises(ValueError, match=r"^score maps must share their levels, Action among them: "):
+        _record(similarity, novelty)
+
+
+@pytest.mark.parametrize("name", ["included_levels", "average_novelty", "band", "no_comparable_constructs"])
+def test_a_record_takes_no_derived_field(name):
+    scores = {ACTION: 0.5, EFFECT: 0.5}
+    given = {"included_levels": (EFFECT,), "average_novelty": 0.5, "band": NoveltyBand.MEDIUM}
+    with pytest.raises(TypeError, match=rf"unexpected keyword argument '{name}'"):
+        PairAssessment("p1", "c1", scores, scores, **{name: given.get(name, False)})
+
+
+def test_a_contradictory_record_cannot_be_built():
+    """A record once took its average, band and flag as given, and every
+    renderer printed an Effect novelty of 0.500 beside an average of 0.10,
+    labelled High."""
+    record = _record({ACTION: 0.9, EFFECT: 0.9}, {ACTION: 0.1, EFFECT: 0.5})
+    assert (record.included_levels, record.average_novelty) == ((EFFECT,), 0.5)
+    assert (record.band, record.no_comparable_constructs) == (NoveltyBand.MEDIUM, False)
+    entry = ProblemNovelty("c1", (record,), 0.5, 1)
+    table = render_report(NoveltyReport("lexical", 0.7, "past", "current", ranked=(entry,)), "table")
+    assert "Avg. Novelty  0.50" in table and "Medium Novelty" in table and "High" not in table
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(minimum=st.floats(0.0, 1.0))
+def test_an_entry_derives_its_band_from_its_minimum(minimum):
+    entry = ProblemNovelty("c1", (), minimum, 1)
+    assert entry.band is classify_novelty(minimum)
+    assert replace(entry, min_novelty=0.8).band is NoveltyBand.HIGH
+    assert replace(entry, min_novelty=None, rank=None).band is None
+    assert ProblemNovelty("c2", ()).band is None
+    with pytest.raises(TypeError, match="unexpected keyword argument 'band'"):
+        ProblemNovelty("c1", (), minimum, band=NoveltyBand.LOW, rank=1)
 
 
 def test_record_maps_pass_through_a_copy_of_the_record_uncopied():
@@ -207,24 +277,22 @@ def test_a_report_threshold_obeys_the_action_threshold_rule(bad, message):
         NoveltyReport("lexical", bad, "past", "current")
 
 
-_LACKS = "lacks a min_novelty, a band or a rank"
-_CARRIES = "carries a min_novelty, a band or a rank"
+_LACKS = "lacks a min_novelty or a rank"
+_CARRIES = "carries a min_novelty or a rank"
 
 
 @pytest.mark.parametrize(
     ("ranked", "unmatched", "message"),
     [
         ((ProblemNovelty("c1", ()),), (), f"ranked entry 'c1' {_LACKS}"),
-        ((ProblemNovelty("c1", (), None, NoveltyBand.LOW, 1),), (), f"ranked entry 'c1' {_LACKS}"),
-        ((ProblemNovelty("c1", (), 0.25, None, 1),), (), f"ranked entry 'c1' {_LACKS}"),
-        ((ProblemNovelty("c1", (), 0.25, NoveltyBand.LOW),), (), f"ranked entry 'c1' {_LACKS}"),
-        ((), (ProblemNovelty("c2", (), 0.25, NoveltyBand.LOW, 1),), f"unmatched entry 'c2' {_CARRIES}"),
+        ((ProblemNovelty("c1", (), None, 1),), (), f"ranked entry 'c1' {_LACKS}"),
+        ((ProblemNovelty("c1", (), 0.25),), (), f"ranked entry 'c1' {_LACKS}"),
+        ((), (ProblemNovelty("c2", (), 0.25, 1),), f"unmatched entry 'c2' {_CARRIES}"),
         ((), (ProblemNovelty("c2", (), 0.0),), f"unmatched entry 'c2' {_CARRIES}"),
-        ((), (ProblemNovelty("c2", (), None, NoveltyBand.LOW),), f"unmatched entry 'c2' {_CARRIES}"),
-        ((), (ProblemNovelty("c2", (), None, None, 1),), f"unmatched entry 'c2' {_CARRIES}"),
+        ((), (ProblemNovelty("c2", (), None, 1),), f"unmatched entry 'c2' {_CARRIES}"),
     ],
-    ids=["ranked-none", "ranked-no-minimum", "ranked-no-band", "ranked-no-rank",
-         "unmatched-all", "unmatched-minimum", "unmatched-band", "unmatched-rank"],
+    ids=["ranked-none", "ranked-no-minimum", "ranked-no-rank",
+         "unmatched-all", "unmatched-minimum", "unmatched-rank"],
 )
 def test_a_report_entry_carries_the_scores_of_its_list_or_is_rejected(ranked, unmatched, message):
     """A ranked entry without a minimum, a band or a rank would fail in every
@@ -234,12 +302,12 @@ def test_a_report_entry_carries_the_scores_of_its_list_or_is_rejected(ranked, un
         NoveltyReport("lexical", 0.7, "past", "current", ranked=ranked, unmatched=unmatched)
 
 
-def _report_of(score, average=0.25, minimum=0.25):
+def _report_of(score, minimum=0.25):
     """A one-pair report whose record holds ``score`` at every level of both
-    maps, and ``average``, whose entry holds ``minimum``."""
+    maps, and so averages ``score``, and whose entry holds ``minimum``."""
     scores = {ACTION: score, ConstructLevel.PARTS: score}
-    record = PairAssessment("p1", "c1", scores, scores, (ConstructLevel.PARTS,), average, NoveltyBand.LOW)
-    entry = ProblemNovelty("c1", (record,), minimum, NoveltyBand.LOW, 1)
+    record = PairAssessment("p1", "c1", scores, scores)
+    entry = ProblemNovelty("c1", (record,), minimum, 1)
     return NoveltyReport("lexical", 0.7, "past", "current", ranked=(entry,))
 
 
@@ -266,7 +334,7 @@ def test_a_record_holds_real_scores_as_floats_and_renders_them_so(score, expecte
     ids=["float64", "float32", "int-1", "int-0"],
 )
 def test_an_average_and_a_minimum_are_held_as_floats_and_render_so(score, expected):
-    report, reference = _report_of(0.5, score, score), _report_of(0.5, expected, expected)
+    report, reference = _report_of(score, score), _report_of(expected, expected)
     (entry,) = report.ranked
     (record,) = entry.assessments
     assert type(record.average_novelty) is float and record.average_novelty == expected
@@ -294,9 +362,15 @@ def test_an_average_and_a_minimum_are_held_as_floats_and_render_so(score, expect
     ids=repr,
 )
 def test_an_average_or_a_minimum_outside_the_number_rule_is_rejected(field, bad, message):
-    average, minimum = (bad, 0.25) if field == "average_novelty" else (0.25, bad)
-    with pytest.raises(ValueError, match=rf"^{field} {message}$"):
-        _report_of(0.5, average, minimum)
+    if field == "min_novelty":
+        with pytest.raises(ValueError, match=rf"^min_novelty {message}$"):
+            _report_of(0.5, bad)
+        return
+    # An average is the mean of the novelty scores, so only a novelty score
+    # outside the rule could put one outside it; the rule names that score.
+    scores = {ACTION: 0.5, ConstructLevel.PARTS: 0.5}
+    with pytest.raises(ValueError, match=rf"^parts novelty {message}$"):
+        PairAssessment("p1", "c1", scores, {**scores, ConstructLevel.PARTS: bad})
 
 
 @pytest.mark.parametrize(
@@ -304,40 +378,28 @@ def test_an_average_or_a_minimum_outside_the_number_rule_is_rejected(field, bad,
 )
 def test_a_rank_that_is_not_an_integer_of_at_least_one_is_rejected(bad):
     with pytest.raises(ValueError, match=r"^rank \S+ is not an integer of at least 1$"):
-        ProblemNovelty("c1", (), 0.25, NoveltyBand.LOW, bad)
-
-
-@pytest.mark.parametrize("bad", ["low", "Low", 0, Provenance.PAST], ids=repr)
-def test_a_band_that_is_neither_none_nor_a_novelty_band_is_rejected(bad):
-    """A band given as its text used to build, and every renderer then failed
-    far from the cause, on ``band.label`` or ``band.value``."""
-    message = rf"^band {re.escape(repr(bad))} is neither None nor a NoveltyBand$"
-    scores = {ACTION: 0.5, EFFECT: 0.5}
-    with pytest.raises(ValueError, match=message):
-        PairAssessment("p1", "c1", scores, scores, (EFFECT,), 0.5, bad)
-    with pytest.raises(ValueError, match=message):
-        ProblemNovelty("c1", (), 0.25, bad, 1)
+        ProblemNovelty("c1", (), 0.25, bad)
 
 
 @pytest.mark.parametrize("rank", [np.int64(3), np.uint8(3)], ids=repr)
 def test_an_integral_rank_is_held_as_its_int_and_renders_so(rank):
-    entry, reference = (ProblemNovelty("c1", (), 0.25, NoveltyBand.LOW, r) for r in (rank, 3))
+    entry, reference = (ProblemNovelty("c1", (), 0.25, r) for r in (rank, 3))
     assert type(entry.rank) is int and entry == reference
     report, expected = (NoveltyReport("lexical", 0.7, "p", "c", ranked=(e,)) for e in (entry, reference))
     for fmt in ("table", "csv", "json"):
         assert render_report(report, fmt) == render_report(expected, fmt)
 
 
-def test_a_record_is_the_same_built_positionally_by_keyword_or_with_the_default_flag():
+def test_a_record_is_the_same_built_positionally_or_by_keyword():
     similarity = {ConstructLevel.PARTS: 0.3, ACTION: 0.9}
     novelty = {ACTION: 0.1, ConstructLevel.PARTS: 0.7}
-    values = ("P", "C", similarity, novelty, (ConstructLevel.PARTS,), 0.7, NoveltyBand.HIGH, False)
+    values = ("P", "C", similarity, novelty)
     positional = PairAssessment(*values)
-    keyword = PairAssessment(**dict(zip((f.name for f in fields(PairAssessment)), values)))
-    default = PairAssessment(*values[:-1])
-    assert positional == keyword == default
-    assert default.no_comparable_constructs is False
-    for record in (positional, keyword, default):
+    keyword = PairAssessment(**dict(zip((f.name for f in fields(PairAssessment) if f.init), values)))
+    assert positional == keyword
+    assert (positional.average_novelty, positional.band) == (0.7, NoveltyBand.HIGH)
+    assert positional.no_comparable_constructs is False
+    for record in (positional, keyword):
         assert type(record.construct_novelty).__name__ == "_LevelMap"
 
 
@@ -373,11 +435,15 @@ def test_ranked_records_equal_the_records_the_public_constructor_builds(source):
     records = _ranked_records(source)
     assert records
     for record in records:
-        rebuilt = PairAssessment(**{f.name: getattr(record, f.name) for f in fields(record)})
+        rebuilt = PairAssessment(**{f.name: getattr(record, f.name) for f in fields(record) if f.init})
         assert type(record) is PairAssessment
         assert rebuilt == record
+        # The average is derived anew, so it is the same float, not the same object.
         for f in fields(record):
-            assert getattr(rebuilt, f.name) is getattr(record, f.name)
+            if f.name != "average_novelty":
+                assert getattr(rebuilt, f.name) is getattr(record, f.name)
+        average = record.average_novelty
+        assert rebuilt.average_novelty is None if average is None else rebuilt.average_novelty.hex() == average.hex()
 
 
 def test_a_record_has_slots_and_no_dict():
@@ -390,9 +456,9 @@ def test_a_record_has_slots_and_no_dict():
 
 
 def test_the_public_constructor_keeps_its_checks():
-    with pytest.raises(ValueError, match="Action level cannot be part of the average"):
-        PairAssessment("P", "C", {ACTION: 0.9}, {ACTION: 0.1}, (ACTION,), 0.1, None)
-    record = _record({ConstructLevel.PARTS: 0.3, ACTION: 0.9}, {ACTION: 0.1})
+    with pytest.raises(ValueError, match="Action among them"):
+        _record({ConstructLevel.PARTS: 0.3}, {ConstructLevel.PARTS: 0.7})
+    record = _record({ConstructLevel.PARTS: 0.3, ACTION: 0.9}, {ACTION: 0.1, ConstructLevel.PARTS: 0.7})
     assert type(record.construct_similarity).__name__ == "_LevelMap"
     assert record.construct_similarity.levels == (ACTION, ConstructLevel.PARTS)
     assert repr(record.construct_similarity) == (

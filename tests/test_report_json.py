@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from sapphire_novelty import (
     ConstructLevel,
-    NoveltyBand,
     NoveltyReport,
     PairAssessment,
     ProblemNovelty,
@@ -95,31 +94,23 @@ def oracle_json(report, summary_only):
 AWKWARD = '"\\/\x00\x01\x1f\x7f\b\f\n\r\t\u2028\u2029\ufeffé日\U0001f600 '
 texts = st.text(st.one_of(st.sampled_from(AWKWARD), st.characters()), min_size=1, max_size=12)
 scores = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 1.0, 0.675, 0.0005, 0.005]))
-bands = st.sampled_from(list(NoveltyBand))
 
 
 @st.composite
-def level_maps(draw, required=None):
-    """A level -> score map over a random subset of levels, in random insertion order."""
-    levels = draw(st.lists(st.sampled_from(LEVELS), unique=True))
-    if required is not None and required not in levels:
-        levels.insert(draw(st.integers(0, len(levels))), required)
-    return {level: draw(scores) for level in levels}
+def level_maps(draw, levels):
+    """A level -> score map over ``levels``, in random insertion order."""
+    return {level: draw(scores) for level in draw(st.permutations(levels))}
 
 
 @st.composite
 def assessments(draw, current_id=None):
-    included = draw(st.lists(st.sampled_from(NON_ACTION), unique=True))
-    comparable = draw(st.booleans())
+    """A record whose two score maps share one random set of levels that holds Action."""
+    levels = [ConstructLevel.ACTION, *draw(st.lists(st.sampled_from(NON_ACTION), unique=True))]
     return PairAssessment(
         past_id=draw(texts),
         current_id=current_id if current_id is not None else draw(texts),
-        construct_similarity=draw(level_maps(required=ConstructLevel.ACTION)),
-        construct_novelty=draw(level_maps()),
-        included_levels=tuple(included),
-        average_novelty=draw(scores) if comparable else None,
-        band=draw(bands) if comparable else None,
-        no_comparable_constructs=not comparable,
+        construct_similarity=draw(level_maps(levels)),
+        construct_novelty=draw(level_maps(levels)),
     )
 
 
@@ -133,7 +124,6 @@ def entries(draw, ranked):
         current_id=current_id,
         assessments=pairs,
         min_novelty=draw(scores),
-        band=draw(bands),
         rank=draw(st.integers(1, 10_000)),
     )
 
@@ -164,10 +154,6 @@ def _pair(past_id, current_id, comparable=True):
         current_id=current_id,
         construct_similarity=similarity,
         construct_novelty={level: round(1 - value, 3) for level, value in similarity.items()},
-        included_levels=(ConstructLevel.PARTS,) if comparable else (),
-        average_novelty=0.686 if comparable else None,
-        band=NoveltyBand.MEDIUM if comparable else None,
-        no_comparable_constructs=not comparable,
     )
 
 
@@ -195,7 +181,7 @@ EDGE_REPORTS = {
         "café",
         ranked=(
             ProblemNovelty(
-                "c1", (_pair("p1", "c1"), _pair("p2", "c1", False)), 0.686, NoveltyBand.MEDIUM, 1
+                "c1", (_pair("p1", "c1"), _pair("p2", "c1", False)), 0.686, 1
             ),
         ),
         unmatched=(ProblemNovelty("c2", (_pair("p1", "c2", False),)),),
@@ -213,7 +199,6 @@ EDGE_REPORTS = {
                 '"pairs": null',
                 (_pair("%s", '"pairs": null'), _pair("null", '"pairs": null', False)),
                 0.686,
-                NoveltyBand.MEDIUM,
                 1,
             ),
         ),
@@ -245,7 +230,7 @@ def test_both_zeros_in_one_report_match_json_dumps(first, second):
 
     def pair(past_id, zero):
         scores = {ConstructLevel.ACTION: zero, parts: zero}
-        return PairAssessment(past_id, "c1", scores, scores, (parts,), zero, NoveltyBand.LOW)
+        return PairAssessment(past_id, "c1", scores, scores)
 
     report = NoveltyReport(
         "lexical",
@@ -253,8 +238,8 @@ def test_both_zeros_in_one_report_match_json_dumps(first, second):
         "past",
         "current",
         ranked=(
-            ProblemNovelty("c1", (pair("p1", first), pair("p2", second)), first, NoveltyBand.LOW, 1),
-            ProblemNovelty("c2", (), second, NoveltyBand.LOW, 2),
+            ProblemNovelty("c1", (pair("p1", first), pair("p2", second)), first, 1),
+            ProblemNovelty("c2", (), second, 2),
         ),
     )
     rendered = render_json(report)
@@ -262,24 +247,15 @@ def test_both_zeros_in_one_report_match_json_dumps(first, second):
     assert '"parts": -0.0' in rendered and '"parts": 0.0' in rendered
 
 
-@pytest.mark.parametrize("comparable", [True, False])
-def test_every_pair_layout_matches_json_dumps(comparable):
-    # Each subset of the non-Action levels, as the levels of one pair's maps
-    # and average, gives one template of the writer.
+def test_every_pair_layout_matches_json_dumps():
+    # Each subset of the non-Action levels, after Action, as the levels of one
+    # pair's maps, gives one template of the writer; the empty one is the
+    # layout of a pair with no comparable construct.
     for size in range(len(NON_ACTION) + 1):
         for shared in combinations(NON_ACTION, size):
             similarity = {ConstructLevel.ACTION: 0.9}
             similarity.update({level: 0.125 * (index + 1) for index, level in enumerate(shared)})
-            pair = PairAssessment(
-                "p1",
-                "c1",
-                similarity,
-                {level: 1 - value for level, value in similarity.items()},
-                shared,
-                0.5 if comparable else None,
-                NoveltyBand.MEDIUM if comparable else None,
-                not comparable,
-            )
+            pair = PairAssessment("p1", "c1", similarity, {level: 1 - value for level, value in similarity.items()})
             report = NoveltyReport(
                 "lexical", 0.7, "past", "current", unmatched=(ProblemNovelty("c1", (pair,)),)
             )
@@ -298,11 +274,8 @@ def test_the_writer_holds_less_than_two_copies_of_its_text():
             score = scores[(p + c) % len(scores)]
             similarity = dict.fromkeys(LEVELS, score)
             novelty = dict.fromkeys(LEVELS, 1.0 - score)
-            band = NoveltyBand.LOW if score > 0.5 else NoveltyBand.HIGH
-            pairs.append(
-                PairAssessment(f"p{p}", f"c{c}", similarity, novelty, tuple(NON_ACTION), 1.0 - score, band)
-            )
-        ranked.append(ProblemNovelty(f"c{c}", tuple(pairs), 0.0, NoveltyBand.LOW, c + 1))
+            pairs.append(PairAssessment(f"p{p}", f"c{c}", similarity, novelty))
+        ranked.append(ProblemNovelty(f"c{c}", tuple(pairs), 0.0, c + 1))
     report = NoveltyReport("lexical", 0.7, "past", "current", ranked=tuple(ranked))
     render_json(report)
     tracemalloc.start()
